@@ -6,6 +6,10 @@ across passes; interior nodes hold a backward closure and references to
 their parents. Everything is float64 so gradient checks can run at tight
 tolerances. Graphs are confined to a single thread; leaves and models are
 value-semantic and may be copied across threads freely.
+
+The hot loops (local training and synthesis) skip the graph: `mlp_forward`
+and `mlp_backward` are the closed-form forward/backward of the same MLP,
+and the graph is the reference the tests compare them against.
 """
 
 from __future__ import annotations
@@ -235,6 +239,13 @@ def _target_matrix(labels, batch: int, classes: int) -> Array:
     return target
 
 
+def _cross_entropy_terms(z: Array, target: Array) -> tuple[float, Array]:
+    """Mean cross entropy of row-wise softmax(z) against a target matrix, and softmax(z)."""
+    shifted = z - z.max(axis=1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    return -(target * log_probs).sum() / z.shape[0], np.exp(log_probs)
+
+
 def softmax_cross_entropy(logits, labels) -> Tensor:
     """Mean cross entropy between softmax(logits) and hard or soft labels.
 
@@ -247,16 +258,28 @@ def softmax_cross_entropy(logits, labels) -> Tensor:
         raise ValueError("logits must be a (batch, classes) matrix")
     batch, classes = z.shape
     target = _target_matrix(labels, batch, classes)
-    shifted = z - z.max(axis=1, keepdims=True)
-    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    value = -(target * log_probs).sum() / batch
-    probs = np.exp(log_probs)
+    value, probs = _cross_entropy_terms(z, target)
 
     def backprop(g: Array) -> None:
         if logits.requires_grad:
             logits.grad += g * (probs - target) / batch
 
     return _node(np.asarray(value), (logits,), backprop)
+
+
+def cross_entropy_grad(logits: Array, labels, weight: float = 1.0) -> tuple[float, Array]:
+    """Closed form of `weight * softmax_cross_entropy(logits, labels)`.
+
+    Returns the weighted loss value and its gradient w.r.t. the logits, each
+    computed with the same operations, in the same order, as the graph op.
+    """
+    z = np.asarray(logits, dtype=np.float64)
+    if z.ndim != 2:
+        raise ValueError("logits must be a (batch, classes) matrix")
+    batch, classes = z.shape
+    target = _target_matrix(labels, batch, classes)
+    value, probs = _cross_entropy_terms(z, target)
+    return value * weight, weight * (probs - target) / batch
 
 
 def _toposort(root: Tensor) -> list[Tensor]:
@@ -456,6 +479,67 @@ class Model:
         """Full forward pass; returns (features, logits) attached to one graph."""
         features = self.extract(batch)
         return features, self.classify(features)
+
+
+def mlp_forward(model: Model, batch) -> tuple[Array, Array, list[Array]]:
+    """Closed-form forward pass over plain arrays; builds no graph.
+
+    Returns (features, logits, cache) with the values `model.forward` gives;
+    `cache[i]` is the input of layer i, all that `mlp_backward` needs.
+    """
+    h = np.ascontiguousarray(batch, dtype=np.float64)
+    if h.ndim != 2 or h.shape[1] != model.input_dim:
+        raise ValueError(f"batch shape {h.shape} incompatible with input width {model.input_dim}")
+    cache = []
+    d = 0
+    for layer in model._layers:
+        cache.append(h)
+        if layer[0] == "relu":
+            h = np.where(h > 0, h, 0.0)
+        else:
+            h = h @ model.params[f"dense{d}.weight"].data + model.params[f"dense{d}.bias"].data
+            d += 1
+    return cache[model._split], h, cache
+
+
+def mlp_backward(
+    model: Model,
+    cache: list[Array],
+    d_logits: Array,
+    d_features: Array | None = None,
+    wrt: str = "params",
+) -> dict[str, Array] | Array:
+    """Backpropagate through the pass `mlp_forward` cached.
+
+    `d_logits` is the loss gradient w.r.t. the logits; `d_features`, when
+    given, joins at the extractor/classifier split (for a single dense layer
+    the features are the input itself). With wrt="params" returns every
+    parameter's gradient by name, as `backward_params` does; with wrt="input"
+    returns the gradient w.r.t. the batch, as `backward_input` does. Each
+    step uses the graph's own operations, so a single loss term reproduces
+    the graph's gradients bit for bit.
+    """
+    if wrt not in ("params", "input"):
+        raise ValueError(f"wrt must be 'params' or 'input', got {wrt!r}")
+    want_params = wrt == "params"
+    grads: dict[str, Array] = {}
+    g = d_logits
+    d = model._dense_count()
+    for i in range(len(model._layers) - 1, -1, -1):
+        h = cache[i]
+        if model._layers[i][0] == "relu":
+            g = g * (h > 0)
+        else:
+            d -= 1
+            if want_params:
+                grads[f"dense{d}.weight"] = h.T @ g
+                grads[f"dense{d}.bias"] = g.sum(axis=0)
+                if d == 0:
+                    break  # nothing below the first dense layer has parameters
+            g = g @ model.params[f"dense{d}.weight"].data.T
+        if i == model._split and d_features is not None:
+            g = g + d_features
+    return grads if want_params else g
 
 
 class Sgd:

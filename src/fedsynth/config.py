@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 import json
 import logging
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
@@ -95,9 +96,56 @@ _TOP_KEYS = {
 }
 
 
+_INT_KEYS = (
+    "rounds",
+    "active_clients",
+    "local_epochs",
+    "batch_size",
+    "syn_per_client",
+    "syn_steps",
+    "syn_interval",
+    "seed",
+)
+_FLOAT_KEYS = ("learning_rate", "momentum", "weight_decay", "alpha", "mu", "lambda", "adam_lr", "kl_eps")
+
+
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ConfigError(message)
+
+
+def _check_int(value, key: str, optional: bool = False) -> None:
+    """Integers only: bool, str, float and (unless optional) null are rejected."""
+    if optional and value is None:
+        return
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+
+
+def _check_float(value, key: str, optional: bool = False) -> None:
+    """Finite numbers only (integers included); bool, str, NaN and infinities are rejected."""
+    if optional and value is None:
+        return
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
+
+
+def _check_types(cfg: ExperimentConfig) -> None:
+    """Reject values of the wrong type before any range check compares them."""
+    for key in ("classes", "dim", "per_class"):
+        _check_int(getattr(cfg.dataset, key), f"dataset.{key}")
+    _check_float(cfg.dataset.spread, "dataset.spread")
+    _check_int(cfg.partition.clients, "partition.clients")
+    _check_int(cfg.partition.classes_per_client, "partition.classes_per_client", optional=True)
+    _check_float(cfg.partition.concentration, "partition.concentration", optional=True)
+    for key in _INT_KEYS:
+        _check_int(getattr(cfg, _TOP_KEYS[key]), key)
+    for key in _FLOAT_KEYS:
+        _check_float(getattr(cfg, _TOP_KEYS[key]), key)
+    if not isinstance(cfg.architecture, (list, tuple)) or not all(isinstance(s, str) for s in cfg.architecture):
+        raise ConfigError(f"architecture must be a list of layer strings, got {cfg.architecture!r}")
+    if not isinstance(cfg.out_dir, str):
+        raise ConfigError(f"out_dir must be a string, got {cfg.out_dir!r}")
 
 
 def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
@@ -105,6 +153,7 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
     cfg = dataclasses.replace(
         cfg, dataset=dataclasses.replace(cfg.dataset), partition=dataclasses.replace(cfg.partition)
     )
+    _check_types(cfg)
     _require(cfg.algorithm in ALGORITHMS, f"algorithm must be one of {ALGORITHMS}, got {cfg.algorithm!r}")
 
     ds = cfg.dataset
@@ -187,6 +236,8 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
 
 
 def _check_section(raw: Mapping, allowed: set[str], section: str) -> None:
+    if not isinstance(raw, Mapping):
+        raise ConfigError(f"{section} must be a JSON object, got {raw!r}")
     for key in raw:
         if key not in allowed:
             raise ConfigError(f"unknown config key {section}.{key}")

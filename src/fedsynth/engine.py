@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Model, Sgd, Tensor, add, backward_params, mul, softmax_cross_entropy
+from .autodiff import Model, Sgd, Tensor, cross_entropy_grad, mlp_backward, mlp_forward
 from .config import ExperimentConfig, derive_seed
 from .data import Dataset
 from .errors import ConfigError
@@ -34,13 +34,6 @@ class ClientState:
     prototypes: dict[int, Array] = field(default_factory=dict)
     feature_sums: dict[int, Array] = field(default_factory=dict)
     feature_counts: dict[int, int] = field(default_factory=dict)
-
-
-@dataclass
-class RoundPlan:
-    round_index: int
-    active_clients: list[int]
-    synthesis_due: bool
 
 
 @dataclass
@@ -141,22 +134,25 @@ def local_update(
         for s in range(steps):
             idx = order[s * batch_size : (s + 1) * batch_size]
             batch_labels = shard.labels[idx]
-            features, logits = model.forward(shard.inputs[idx])
-            real_loss = softmax_cross_entropy(logits, batch_labels)
+            features, logits, cache = mlp_forward(model, shard.inputs[idx])
+            # alpha is 1 without the synthetic branch, which keeps the real-only
+            # step bitwise equal to the graph's
+            loss, d_logits = cross_entropy_grad(logits, batch_labels, alpha)
+            grads = mlp_backward(model, cache, d_logits)
             if use_syn:
                 syn_idx = state.rng.choice(
                     len(syn_samples), size=batch_size, replace=len(syn_samples) < batch_size
                 )
                 batch_x = np.stack([syn_samples[int(j)].x for j in syn_idx])
-                _, syn_logits = model.forward(batch_x)
-                syn_loss = softmax_cross_entropy(syn_logits, _syn_targets(syn_samples, syn_idx, model.class_count))
-                loss = add(mul(real_loss, alpha), mul(syn_loss, 1.0 - alpha))
-            else:
-                loss = real_loss
-            grads = backward_params(loss, model)
-            _accumulate_features(state, features.data, batch_labels)
+                _, syn_logits, syn_cache = mlp_forward(model, batch_x)
+                syn_targets = _syn_targets(syn_samples, syn_idx, model.class_count)
+                syn_loss, d_syn_logits = cross_entropy_grad(syn_logits, syn_targets, 1.0 - alpha)
+                syn_grads = mlp_backward(model, syn_cache, d_syn_logits)
+                grads = {name: grads[name] + syn_grads[name] for name in grads}
+                loss = loss + syn_loss
+            _accumulate_features(state, features, batch_labels)
             optimizer.step(model.params, grads)
-            losses.append(float(loss.data))
+            losses.append(float(loss))
     state.prototypes = update_prototypes(state.feature_sums, state.feature_counts, state.prototypes, proto_momentum)
     return model, float(np.mean(losses))
 
@@ -233,12 +229,11 @@ def run_round(state: GlobalState, config: ExperimentConfig) -> GlobalState:
     if synthesis_due:
         _run_synthesis(state, config, t)
     active = sample_clients(len(state.clients), config.active_clients, state.server_rng)
-    plan = RoundPlan(t, active, synthesis_due)
 
     alpha = config.alpha if state.syn_samples else 1.0
     state.local_models = {}
     mean_losses = []
-    for k in plan.active_clients:
+    for k in active:
         client = state.clients[k]
         local = state.model.copy()
         optimizer = Sgd(config.learning_rate, config.momentum, config.weight_decay)

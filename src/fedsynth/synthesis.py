@@ -21,9 +21,10 @@ from .autodiff import (
     Model,
     Tensor,
     add,
-    backward,
     backward_input,
     log,
+    mlp_backward,
+    mlp_forward,
     mul,
     no_grad,
     reduce_sum,
@@ -126,16 +127,6 @@ def compute_cam(model: Model, features, class_index: int) -> Array:
     picked = reduce_sum(mul(logits, onehot))
     grad = backward_input(picked, leaf)
     return grad.reshape(z.shape).copy()
-
-
-def _cam_batch(model: Model, features: Array, labels: Array) -> Array:
-    """Row-wise CAM for a feature batch, each row at its own label."""
-    leaf = Tensor(features, requires_grad=True)
-    logits = model.classify(leaf)
-    onehot = np.zeros(logits.data.shape)
-    onehot[np.arange(len(labels)), labels] = 1.0
-    picked = reduce_sum(mul(logits, onehot))
-    return backward_input(picked, leaf).copy()
 
 
 def update_prototypes(sums, counts, previous, momentum: float) -> dict[int, Array]:
@@ -252,35 +243,65 @@ def _stratified_indices(shard: Dataset, n: int, rng: np.random.Generator) -> Arr
     return np.concatenate(chosen).astype(np.int64)
 
 
-def _batched_loss(
+def _matching_targets(
+    model: Model, reals: Array, labels: Array, prototypes, scale: float
+) -> tuple[Array, Array]:
+    """Per-row matching distribution p = softmax(target * mask) and the mask.
+
+    The target is each real's feature, hardened against its class prototype
+    when one exists; the mask is ReLU of the CAM at the row's label, as in
+    `synthesis_loss`. The classifier is exactly the last dense layer, so the
+    CAM of class y (`compute_cam`) is column y of its weight, whatever the
+    features are.
+    """
+    z, _, _ = mlp_forward(model, reals)
+    targets = np.empty_like(z)
+    for i, y in enumerate(labels):
+        proto = prototypes.get(int(y)) if prototypes else None
+        targets[i] = hard_feature(z[i], proto, scale) if proto is not None else z[i]
+    weight = model.params[f"dense{model._dense_count() - 1}.weight"].data
+    masks = np.maximum(weight[:, labels].T, 0.0)
+    return _softmax_np(targets * masks, axis=1), masks
+
+
+def _input_grad(
     model: Model,
-    x_hat: Tensor,
+    x: Array,
+    target_probs: Array,
+    masks: Array,
+    onehot: Array,
+    cfg: SynthesisConfig,
+) -> Array:
+    """Gradient w.r.t. x of the rows' summed synthesis loss, in closed form.
+
+    Cross entropy enters at the logits as softmax - onehot. The masked KL
+    enters at the features: with q the softmax of the masked features,
+    d/dq of -sum p*log(q+eps) is -p/(q+eps), followed by the softmax and mask
+    backward passes. An all-zero mask gives the row no matching gradient.
+    """
+    features, logits, cache = mlp_forward(model, x)
+    q = _softmax_np(features * masks, axis=1)
+    g = -target_probs / (q + cfg.kl_eps)
+    d_features = cfg.match_weight * (q * (g - (g * q).sum(axis=1, keepdims=True)) * masks)
+    return mlp_backward(model, cache, _softmax_np(logits, axis=1) - onehot, d_features, wrt="input")
+
+
+def _row_losses(
+    model: Model,
+    x: Array,
     target_probs: Array,
     masks: Array,
     labels: Array,
     cfg: SynthesisConfig,
-) -> tuple[Tensor, Array]:
-    """Summed matching+classification loss over the whole batch.
-
-    Returns the scalar graph node and the per-sample loss values computed
-    from the same forward pass.
-    """
-    n = x_hat.data.shape[0]
-    features = model.extract(x_hat)
-    q = softmax(mul(features, masks), axis=-1)
-    cross = reduce_sum(mul(log(add(q, float(cfg.kl_eps))), target_probs))
-    entropy = float(np.sum(target_probs * np.log(target_probs + cfg.kl_eps)))
-    kl_total = add(mul(cross, -1.0), entropy)
-    logits = model.classify(features)
-    ce_mean = softmax_cross_entropy(logits, labels)
-    total = add(mul(kl_total, float(cfg.match_weight)), mul(ce_mean, float(n)))
-
-    kl_rows = (target_probs * (np.log(target_probs + cfg.kl_eps) - np.log(q.data + cfg.kl_eps))).sum(axis=1)
-    z = logits.data
-    shifted = z - z.max(axis=1, keepdims=True)
+) -> Array:
+    """Per-sample synthesis loss: match_weight * masked KL + cross entropy."""
+    features, logits, _ = mlp_forward(model, x)
+    q = _softmax_np(features * masks, axis=1)
+    kl_rows = (target_probs * (np.log(target_probs + cfg.kl_eps) - np.log(q + cfg.kl_eps))).sum(axis=1)
+    shifted = logits - logits.max(axis=1, keepdims=True)
     log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    ce_rows = -log_probs[np.arange(n), labels]
-    return total, cfg.match_weight * kl_rows + ce_rows
+    ce_rows = -log_probs[np.arange(len(labels)), labels]
+    return cfg.match_weight * kl_rows + ce_rows
 
 
 def synthesize(
@@ -306,30 +327,19 @@ def synthesize(
     reals = shard.inputs[pair_idx]
     labels = shard.labels[pair_idx]
 
-    with no_grad():
-        z = model.extract(reals).data
-    targets = np.empty_like(z)
-    for i, y in enumerate(labels):
-        proto = prototypes.get(int(y)) if prototypes else None
-        targets[i] = hard_feature(z[i], proto, cfg.scale) if proto is not None else z[i]
-    cams = _cam_batch(model, targets, labels)
-    masks = np.maximum(cams, 0.0)
+    target_probs, masks = _matching_targets(model, reals, labels, prototypes, cfg.scale)
     zero_rows = int((~masks.any(axis=1)).sum())
     if zero_rows:
         logger.warning("synthesize: %d of %d samples have all-zero CAM masks", zero_rows, n)
-    target_probs = _softmax_np(targets * masks, axis=1)
+    onehot = np.eye(model.class_count)[labels]
 
-    x_hat = Tensor(rng.standard_normal(reals.shape), requires_grad=True)
-    with no_grad():
-        _, initial = _batched_loss(model, x_hat, target_probs, masks, labels, cfg)
+    x_hat = Tensor(rng.standard_normal(reals.shape))
+    initial = _row_losses(model, x_hat.data, target_probs, masks, labels, cfg)
     optimizer = Adam(cfg.adam_lr)
     for _ in range(cfg.steps):
-        total, _ = _batched_loss(model, x_hat, target_probs, masks, labels, cfg)
-        backward(total)
-        optimizer.step({"x": x_hat}, {"x": x_hat.grad})
+        optimizer.step({"x": x_hat}, {"x": _input_grad(model, x_hat.data, target_probs, masks, onehot, cfg)})
         np.clip(x_hat.data, 0.0, 1.0, out=x_hat.data)
-    with no_grad():
-        _, final = _batched_loss(model, x_hat, target_probs, masks, labels, cfg)
+    final = _row_losses(model, x_hat.data, target_probs, masks, labels, cfg)
 
     samples = [
         SyntheticSample(

@@ -10,11 +10,15 @@ from fedsynth.autodiff import (
     Model,
     Sgd,
     Tensor,
+    add,
     backward,
     backward_input,
     backward_params,
+    cross_entropy_grad,
     log,
     matmul,
+    mlp_backward,
+    mlp_forward,
     mul,
     no_grad,
     parse_architecture,
@@ -347,3 +351,125 @@ class TestModel:
         x = Tensor(np.array([-1.0, 2.0]), requires_grad=True)
         loss = reduce_sum(relu(x))
         assert np.array_equal(backward_input(loss, x), [0.0, 1.0])
+
+
+CLOSED_FORM_ARCHS = {
+    "default": ["dense(5,32)", "relu", "dense(32,32)", "relu", "dense(32,4)"],
+    "one_dense": ["dense(5,4)"],
+    "relu_first": ["relu", "dense(5,8)", "relu", "dense(8,4)"],
+    "three_dense": ["dense(5,7)", "dense(7,6)", "relu", "dense(6,4)"],
+}
+
+
+def assert_rel_close(actual, expected, rel=1e-12):
+    """Max-norm relative agreement: max |actual - expected| <= rel * max |expected|."""
+    assert actual.shape == expected.shape
+    assert np.max(np.abs(actual - expected)) <= rel * np.max(np.abs(expected))
+
+
+def soft_labels(rng, batch, classes):
+    """Mixup-style targets: half the rows 50/50 between two classes, half hard."""
+    target = np.zeros((batch, classes))
+    for row in range(batch):
+        a, b = rng.choice(classes, size=2, replace=False)
+        target[row, a] += 0.5
+        target[row, b if row % 2 else a] += 0.5
+    return target
+
+
+@pytest.mark.parametrize("arch", list(CLOSED_FORM_ARCHS.values()), ids=list(CLOSED_FORM_ARCHS))
+class TestClosedForm:
+    """`mlp_forward`/`mlp_backward` against the graph they replace in the hot loops."""
+
+    def setup_inputs(self, arch):
+        model = make_mlp(arch, seed=31)
+        rng = np.random.default_rng(32)
+        # signed inputs so that a leading relu clamps some coordinates
+        return model, rng, rng.standard_normal((7, 5)), rng.integers(0, 4, size=7)
+
+    def test_forward_is_bitwise_the_graph(self, arch):
+        model, _, batch, _ = self.setup_inputs(arch)
+        features, logits, cache = mlp_forward(model, batch)
+        graph_features, graph_logits = model.forward(batch)
+        assert np.array_equal(features, graph_features.data)
+        assert np.array_equal(logits, graph_logits.data)
+        assert len(cache) == len(model._layers)
+
+    @pytest.mark.parametrize("soft", [False, True], ids=["hard", "soft"])
+    def test_real_only_param_grads_are_bitwise(self, arch, soft):
+        model, rng, batch, labels = self.setup_inputs(arch)
+        if soft:
+            labels = soft_labels(rng, len(batch), 4)
+        _, logits, cache = mlp_forward(model, batch)
+        value, d_logits = cross_entropy_grad(logits, labels)
+        grads = mlp_backward(model, cache, d_logits)
+
+        _, graph_logits = model.forward(batch)
+        loss = softmax_cross_entropy(graph_logits, labels)
+        expected = backward_params(loss, model)
+        assert value == float(loss.data)
+        assert set(grads) == set(expected)
+        for name in expected:
+            assert np.array_equal(grads[name], expected[name]), name
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.4, 1.0])
+    def test_blended_param_grads_match_graph(self, arch, alpha):
+        model, rng, batch, labels = self.setup_inputs(arch)
+        syn_batch = rng.random((6, 5))
+        syn_targets = soft_labels(rng, 6, 4)
+        _, logits, cache = mlp_forward(model, batch)
+        _, syn_logits, syn_cache = mlp_forward(model, syn_batch)
+        real_value, d_real = cross_entropy_grad(logits, labels, alpha)
+        syn_value, d_syn = cross_entropy_grad(syn_logits, syn_targets, 1.0 - alpha)
+        real_grads = mlp_backward(model, cache, d_real)
+        syn_grads = mlp_backward(model, syn_cache, d_syn)
+
+        _, graph_logits = model.forward(batch)
+        _, graph_syn_logits = model.forward(syn_batch)
+        loss = add(
+            mul(softmax_cross_entropy(graph_logits, labels), alpha),
+            mul(softmax_cross_entropy(graph_syn_logits, syn_targets), 1.0 - alpha),
+        )
+        expected = backward_params(loss, model)
+        assert abs(real_value + syn_value - float(loss.data)) <= 1e-12 * abs(float(loss.data))
+        for name in expected:
+            assert_rel_close(real_grads[name] + syn_grads[name], expected[name])
+
+    def test_input_grad_with_feature_term_matches_graph(self, arch):
+        # loss = sum(features * A) + sum(logits * B): d_features = A, d_logits = B
+        model, rng, batch, _ = self.setup_inputs(arch)
+        d_features = rng.standard_normal((len(batch), model.feature_dim))
+        d_logits = rng.standard_normal((len(batch), model.class_count))
+        _, _, cache = mlp_forward(model, batch)
+        grad = mlp_backward(model, cache, d_logits, d_features, wrt="input")
+
+        leaf = Tensor(batch, requires_grad=True)
+        features, logits = model.forward(leaf)
+        loss = add(reduce_sum(mul(features, d_features)), reduce_sum(mul(logits, d_logits)))
+        assert_rel_close(grad, backward_input(loss, leaf))
+
+    def test_param_grads_with_feature_term_match_graph(self, arch):
+        model, rng, batch, _ = self.setup_inputs(arch)
+        d_features = rng.standard_normal((len(batch), model.feature_dim))
+        d_logits = rng.standard_normal((len(batch), model.class_count))
+        _, _, cache = mlp_forward(model, batch)
+        grads = mlp_backward(model, cache, d_logits, d_features)
+
+        features, logits = model.forward(batch)
+        loss = add(reduce_sum(mul(features, d_features)), reduce_sum(mul(logits, d_logits)))
+        expected = backward_params(loss, model)
+        for name in expected:
+            assert_rel_close(grads[name], expected[name])
+
+
+def test_mlp_backward_rejects_unknown_target():
+    model = make_mlp(["dense(2,3)", "dense(3,2)"])
+    _, logits, cache = mlp_forward(model, np.ones((1, 2)))
+    with pytest.raises(ValueError, match="wrt"):
+        mlp_backward(model, cache, logits, wrt="features")
+
+
+def test_mlp_forward_rejects_wrong_width():
+    model = make_mlp(["dense(3,6)", "relu", "dense(6,2)"])
+    with pytest.raises(ValueError):
+        mlp_forward(model, np.zeros((2, 4)))

@@ -35,6 +35,12 @@ class TestValidateCommand:
         assert main(["validate", "--config", str(path)]) == 2
         assert "alpha" in capsys.readouterr().err
 
+    def test_mistyped_value_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text('{"rounds": "5"}')
+        assert main(["validate", "--config", str(path)]) == 2
+        assert "rounds must be an integer" in capsys.readouterr().err
+
 
 class TestUsageErrors:
     def test_run_without_config_is_usage_error(self, capsys):

@@ -94,6 +94,56 @@ class TestValidation:
             config_from_dict({"syn_steps": 0})
 
 
+class TestFieldTypes:
+    @pytest.mark.parametrize(
+        "raw, key",
+        [
+            ({"rounds": "5"}, "rounds"),
+            ({"rounds": 2.5}, "rounds"),
+            ({"rounds": True}, "rounds"),
+            ({"batch_size": None}, "batch_size"),
+            ({"seed": 1.0}, "seed"),
+            ({"active_clients": False}, "active_clients"),
+            ({"dataset": {"classes": "6"}}, "dataset.classes"),
+            ({"partition": {"clients": 4.0}}, "partition.clients"),
+            ({"partition": {"classes_per_client": True}}, "partition.classes_per_client"),
+        ],
+    )
+    def test_integer_fields_reject_other_types(self, raw, key):
+        with pytest.raises(ConfigError, match=key):
+            config_from_dict(raw)
+
+    @pytest.mark.parametrize(
+        "raw, key",
+        [
+            ({"dataset": {"spread": float("inf")}}, "dataset.spread"),
+            ({"learning_rate": float("nan")}, "learning_rate"),
+            ({"weight_decay": float("inf")}, "weight_decay"),
+            ({"alpha": True}, "alpha"),
+            ({"mu": "0.5"}, "mu"),
+            ({"lambda": None}, "lambda"),
+            ({"partition": {"scheme": "dirichlet", "clients": 4, "concentration": "0.1"}}, "partition.concentration"),
+        ],
+    )
+    def test_float_fields_must_be_finite_numbers(self, raw, key):
+        with pytest.raises(ConfigError, match=key):
+            config_from_dict(raw)
+
+    @pytest.mark.parametrize("value", ["relu", None, ["dense(16,6)", 3]])
+    def test_architecture_must_be_list_of_strings(self, value):
+        with pytest.raises(ConfigError, match="architecture must be a list"):
+            config_from_dict({"architecture": value})
+
+    @pytest.mark.parametrize("raw, key", [({"dataset": 5}, "dataset"), ({"out_dir": 3}, "out_dir")])
+    def test_sections_and_paths_typed(self, raw, key):
+        with pytest.raises(ConfigError, match=key):
+            config_from_dict(raw)
+
+    def test_integers_accepted_for_float_fields(self):
+        cfg = config_from_dict({"momentum": 0, "dataset": {"spread": 1}})
+        assert cfg.momentum == 0 and cfg.dataset.spread == 1
+
+
 class TestRoundTrip:
     def test_parse_serialize_identity(self):
         cfg = config_from_dict(

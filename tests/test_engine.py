@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -139,13 +141,23 @@ class TestLocalUpdate:
         with pytest.raises(ValueError):
             local_update(model.copy(), train, [], 0.5, 1, 4, Sgd(0.05), client, 0.5)
 
-    def test_step_count_is_epochs_times_ceil(self):
-        train, model, _, client = self.setup()
-        opt = Sgd(0.0)  # zero lr; we only count loss entries
-        _, _ = local_update(model.copy(), train, [], 1.0, 2, 5, opt, client, 0.5)
-        # 24 samples, batch 5 -> 5 steps per epoch, 2 epochs; mean over 10 losses
-        # verified indirectly: accumulated feature count = 2 * |shard|
-        assert sum(client.feature_counts.values()) == 2 * len(train)
+    def test_step_count_is_epochs_times_ceil(self, monkeypatch):
+        calls = []
+        original = Sgd.step
+
+        def counting(self, params, grads):
+            calls.append(1)
+            return original(self, params, grads)
+
+        monkeypatch.setattr(Sgd, "step", counting)
+        for alpha in (1.0, 0.4):  # real-only and blended steps
+            train, model, syn, client = self.setup()
+            calls.clear()
+            opt = Sgd(0.0)  # zero lr; we only count steps
+            _, _ = local_update(model.copy(), train, syn, alpha, 2, 5, opt, client, 0.5)
+            # 24 samples, batch 5 -> 5 steps per epoch, 2 epochs
+            assert len(calls) == 2 * math.ceil(len(train) / 5) == 10
+            assert sum(client.feature_counts.values()) == 2 * len(train)
 
     def test_prototypes_update_with_momentum(self):
         train, model, _, client = self.setup()

@@ -6,11 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedsynth.autodiff import Model, Tensor, backward_input, softmax_cross_entropy
+from fedsynth.autodiff import Adam, Model, Tensor, backward_input, mlp_forward, softmax_cross_entropy
 from fedsynth.data import make_blobs
 from fedsynth.errors import ConfigError
 from fedsynth.synthesis import (
     SynthesisConfig,
+    _input_grad,
+    _matching_targets,
+    _stratified_indices,
     compute_cam,
     dump_synthetic_dataset,
     hard_feature,
@@ -308,6 +311,92 @@ class TestSynthesize:
         other = make_model(["dense(5,6)", "relu", "dense(6,3)"], seed=99)
         b = synthesize(other, shard, {}, self.make_cfg(steps=1), np.random.default_rng(5))
         assert a.model_fingerprint != b.model_fingerprint
+
+
+PRODUCTION_ARCHS = {
+    "two_hidden": ["dense(5,8)", "relu", "dense(8,8)", "relu", "dense(8,3)"],
+    "one_dense": ["dense(5,3)"],
+}
+
+
+@pytest.mark.parametrize("arch", list(PRODUCTION_ARCHS.values()), ids=list(PRODUCTION_ARCHS))
+class TestProductionPath:
+    """The batched closed form `synthesize` runs, against the per-sample
+    `synthesis_loss` that criterion 1 gradient-checks."""
+
+    def setup_case(self, arch):
+        model = make_model(arch, seed=40)
+        # class 0's classifier column is all negative: its rows get an all-zero CAM mask
+        last = model.params[f"dense{model._dense_count() - 1}.weight"]
+        last.data[:, 0] = -np.abs(last.data[:, 0]) - 0.1
+        shard, _ = make_blobs(3, 5, 20, 0.25, seed=41)
+        protos = {1: np.random.default_rng(42).standard_normal(model.feature_dim)}
+        cfg = SynthesisConfig(count=12, steps=3, scale=0.5, match_weight=0.7)
+        return model, shard, protos, cfg
+
+    def per_row_loss(self, model, x_hat, real, label, protos, cfg):
+        return synthesis_loss(model, x_hat, real, label, protos.get(label), cfg.scale, cfg.kl_eps, cfg.match_weight)
+
+    def test_masks_equal_compute_cam_rows(self, arch):
+        model, shard, protos, cfg = self.setup_case(arch)
+        labels = shard.labels
+        target_probs, masks = _matching_targets(model, shard.inputs, labels, protos, cfg.scale)
+        features, _, _ = mlp_forward(model, shard.inputs)
+        assert not masks[labels == 0].any()
+        for i, y in enumerate(labels):
+            proto = protos.get(int(y))
+            target = hard_feature(features[i], proto, cfg.scale) if proto is not None else features[i]
+            mask = np.maximum(compute_cam(model, target, int(y)), 0.0)
+            assert np.array_equal(masks[i], mask)
+            e = np.exp(target * mask - (target * mask).max())
+            assert np.max(np.abs(target_probs[i] - e / e.sum())) <= 1e-15
+
+    def test_input_grad_equals_summed_per_row_graph(self, arch):
+        model, shard, protos, cfg = self.setup_case(arch)
+        reals, labels = shard.inputs, shard.labels
+        target_probs, masks = _matching_targets(model, reals, labels, protos, cfg.scale)
+        onehot = np.eye(model.class_count)[labels]
+        x = np.random.default_rng(43).standard_normal(reals.shape)
+        grad = _input_grad(model, x, target_probs, masks, onehot, cfg)
+
+        expected = np.empty_like(x)
+        for i in range(len(x)):
+            leaf = Tensor(x[i], requires_grad=True)
+            loss = self.per_row_loss(model, leaf, reals[i], int(labels[i]), protos, cfg)
+            expected[i] = backward_input(loss, leaf)
+        assert np.max(np.abs(grad - expected)) <= 1e-12 * np.max(np.abs(expected))
+        assert np.any(grad[labels == 0] != 0)  # cross entropy still drives zero-mask rows
+
+    def test_recorded_losses_equal_per_row_synthesis_loss(self, arch, caplog):
+        model, shard, protos, cfg = self.setup_case(arch)
+        with caplog.at_level(logging.WARNING, logger="fedsynth.synthesis"):
+            syn = synthesize(model, shard, protos, cfg, np.random.default_rng(44))
+        assert any("all-zero CAM masks" in rec.message for rec in caplog.records)
+
+        # replay the generator: pair draw, then the Gaussian initial inputs
+        replay = np.random.default_rng(44)
+        pair_idx = _stratified_indices(shard, cfg.count, replay)
+        x0 = replay.standard_normal((len(pair_idx), shard.inputs.shape[1]))
+        assert [s.paired_index for s in syn.samples] == pair_idx.tolist()
+        for s, x_init in zip(syn.samples, x0):
+            real = shard.inputs[s.paired_index]
+            initial = float(self.per_row_loss(model, Tensor(x_init), real, s.label, protos, cfg).data)
+            final = float(self.per_row_loss(model, Tensor(s.x), real, s.label, protos, cfg).data)
+            assert abs(s.initial_loss - initial) <= 1e-12 * abs(initial)
+            assert abs(s.final_loss - final) <= 1e-12 * abs(final)
+
+    def test_one_adam_step_per_synthesis_step(self, arch, monkeypatch):
+        model, shard, protos, cfg = self.setup_case(arch)
+        calls = []
+        original = Adam.step
+
+        def counting(self, tensors, grads):
+            calls.append(1)
+            return original(self, tensors, grads)
+
+        monkeypatch.setattr(Adam, "step", counting)
+        synthesize(model, shard, protos, SynthesisConfig(count=6, steps=7), np.random.default_rng(45))
+        assert len(calls) == 7
 
 
 class TestMixup:
