@@ -28,13 +28,13 @@ from .runner import RunManifest, execute, run_experiment
 from .synthesis import (
     SynthesisConfig,
     SyntheticDataset,
-    SyntheticSample,
     compute_cam,
     hard_feature,
     masked_kl,
     mixup_generate,
     synthesis_loss,
     synthesize,
+    synthetic_rows,
     update_prototypes,
 )
 
@@ -50,7 +50,6 @@ __all__ = [
     "Sgd",
     "SynthesisConfig",
     "SyntheticDataset",
-    "SyntheticSample",
     "Tensor",
     "accuracy",
     "aggregate",
@@ -78,5 +77,6 @@ __all__ = [
     "softmax_cross_entropy",
     "synthesis_loss",
     "synthesize",
+    "synthetic_rows",
     "update_prototypes",
 ]

@@ -233,10 +233,7 @@ def _target_matrix(labels, batch: int, classes: int) -> Array:
         return target
     if arr.shape != (batch, classes):
         raise ValueError(f"soft labels must have shape ({batch}, {classes}), got {arr.shape}")
-    target = arr.astype(np.float64)
-    if not np.allclose(target.sum(axis=1), 1.0, atol=1e-6):
-        raise ValueError("soft label rows must sum to 1")
-    return target
+    return arr.astype(np.float64)
 
 
 def _cross_entropy_terms(z: Array, target: Array) -> tuple[float, Array]:
@@ -258,6 +255,8 @@ def softmax_cross_entropy(logits, labels) -> Tensor:
         raise ValueError("logits must be a (batch, classes) matrix")
     batch, classes = z.shape
     target = _target_matrix(labels, batch, classes)
+    if not np.allclose(target.sum(axis=1), 1.0, atol=1e-6):
+        raise ValueError("soft label rows must sum to 1")
     value, probs = _cross_entropy_terms(z, target)
 
     def backprop(g: Array) -> None:
@@ -272,6 +271,9 @@ def cross_entropy_grad(logits: Array, labels, weight: float = 1.0) -> tuple[floa
 
     Returns the weighted loss value and its gradient w.r.t. the logits, each
     computed with the same operations, in the same order, as the graph op.
+    Soft-label rows are not checked to sum to one here: local training passes
+    rows of the synthetic pool, checked once where `synthesis.synthetic_rows`
+    builds them.
     """
     z = np.asarray(logits, dtype=np.float64)
     if z.ndim != 2:

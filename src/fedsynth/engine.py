@@ -12,14 +12,8 @@ from .autodiff import Model, Sgd, Tensor, cross_entropy_grad, mlp_backward, mlp_
 from .config import ExperimentConfig, derive_seed
 from .data import Dataset
 from .errors import ConfigError
-from .metrics import MetricsRow, accuracy, alignment_score, class_feature_means, psnr
-from .synthesis import (
-    SynthesisConfig,
-    SyntheticDataset,
-    SyntheticSample,
-    synthesize,
-    update_prototypes,
-)
+from .metrics import MetricsRow, accuracy, alignment_score, class_feature_means
+from .synthesis import SynthesisConfig, SyntheticDataset, synthesize, update_prototypes
 
 Array = np.ndarray
 
@@ -55,14 +49,13 @@ class GlobalState:
     clients: list[ClientState]
     test_data: Dataset
     server_rng: np.random.Generator
+    # the shared pool: the last synthesis event's rows (`synthetic_rows`)
+    syn_samples: Array
     round_index: int = 0
-    syn_samples: list[SyntheticSample] = field(default_factory=list)
     rows: list[MetricsRow] = field(default_factory=list)
     events: list[SynthesisEvent] = field(default_factory=list)
     # the last round's post-update models, keyed by active client id
     local_models: dict[int, Model] = field(default_factory=dict)
-    syn_psnr: float | None = None
-    syn_loss_drop: float | None = None
 
 
 def sample_clients(total: int, active_count: int, rng: np.random.Generator) -> list[int]:
@@ -71,17 +64,6 @@ def sample_clients(total: int, active_count: int, rng: np.random.Generator) -> l
         raise ConfigError(f"active client count {active_count} outside [1, {total}]")
     picked = rng.choice(total, size=active_count, replace=False)
     return sorted(int(k) for k in picked)
-
-
-def _syn_targets(syn_samples, indices, class_count: int) -> Array:
-    targets = np.zeros((len(indices), class_count))
-    for row, j in enumerate(indices):
-        sample = syn_samples[int(j)]
-        if sample.soft_label is not None:
-            targets[row] = sample.soft_label
-        else:
-            targets[row, sample.label] = 1.0
-    return targets
 
 
 def _accumulate_features(state: ClientState, features: Array, labels: Array) -> None:
@@ -99,7 +81,7 @@ def _accumulate_features(state: ClientState, features: Array, labels: Array) -> 
 def local_update(
     model: Model,
     shard: Dataset,
-    syn_samples,
+    syn_samples: Array,
     alpha: float,
     epochs: int,
     batch_size: int,
@@ -119,7 +101,7 @@ def local_update(
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
     use_syn = alpha < 1.0
-    if use_syn and not syn_samples:
+    if use_syn and not len(syn_samples):
         raise ValueError("synthetic samples are required when alpha < 1")
     if epochs < 1 or batch_size < 1:
         raise ConfigError(f"epochs {epochs} and batch_size {batch_size} must be positive")
@@ -140,13 +122,9 @@ def local_update(
             loss, d_logits = cross_entropy_grad(logits, batch_labels, alpha)
             grads = mlp_backward(model, cache, d_logits)
             if use_syn:
-                syn_idx = state.rng.choice(
-                    len(syn_samples), size=batch_size, replace=len(syn_samples) < batch_size
-                )
-                batch_x = np.stack([syn_samples[int(j)].x for j in syn_idx])
-                _, syn_logits, syn_cache = mlp_forward(model, batch_x)
-                syn_targets = _syn_targets(syn_samples, syn_idx, model.class_count)
-                syn_loss, d_syn_logits = cross_entropy_grad(syn_logits, syn_targets, 1.0 - alpha)
+                syn_idx = state.rng.choice(len(syn_samples), size=batch_size, replace=len(syn_samples) < batch_size)
+                _, syn_logits, syn_cache = mlp_forward(model, syn_samples["x"][syn_idx])
+                syn_loss, d_syn_logits = cross_entropy_grad(syn_logits, syn_samples["target"][syn_idx], 1.0 - alpha)
                 syn_grads = mlp_backward(model, syn_cache, d_syn_logits)
                 grads = {name: grads[name] + syn_grads[name] for name in grads}
                 loss = loss + syn_loss
@@ -196,21 +174,11 @@ def _run_synthesis(state: GlobalState, config: ExperimentConfig, round_index: in
         datasets.append(
             synthesize(state.model, client.shard, client.prototypes, syn_cfg, rng, client.client_id, round_index)
         )
-    psnr_values = []
-    drops = []
-    improved = 0
-    for ds, client in zip(datasets, state.clients):
-        for s in ds.samples:
-            psnr_values.append(psnr(s.x, client.shard.inputs[s.paired_index]))
-            drops.append(s.initial_loss - s.final_loss)
-            improved += s.final_loss < s.initial_loss
-    total = sum(len(ds) for ds in datasets)
-    state.syn_samples = [s for ds in datasets for s in ds.samples]
-    state.syn_psnr = float(np.mean(psnr_values))
-    state.syn_loss_drop = float(np.mean(drops))
-    state.events.append(
-        SynthesisEvent(round_index, datasets, state.syn_psnr, state.syn_loss_drop, improved / total)
-    )
+    state.syn_samples = pool = np.concatenate([ds.samples for ds in datasets])
+    mean_psnr = float(np.mean(pool["psnr"]))
+    mean_drop = float(np.mean(pool["initial_loss"] - pool["final_loss"]))
+    improved = np.count_nonzero(pool["final_loss"] < pool["initial_loss"]) / len(pool)
+    state.events.append(SynthesisEvent(round_index, datasets, mean_psnr, mean_drop, improved))
 
 
 def run_round(state: GlobalState, config: ExperimentConfig) -> GlobalState:
@@ -230,7 +198,7 @@ def run_round(state: GlobalState, config: ExperimentConfig) -> GlobalState:
         _run_synthesis(state, config, t)
     active = sample_clients(len(state.clients), config.active_clients, state.server_rng)
 
-    alpha = config.alpha if state.syn_samples else 1.0
+    alpha = config.alpha if len(state.syn_samples) else 1.0
     state.local_models = {}
     mean_losses = []
     for k in active:
@@ -259,6 +227,7 @@ def run_round(state: GlobalState, config: ExperimentConfig) -> GlobalState:
     if config.algorithm != "fedavg":
         means = {k: class_feature_means(m, state.test_data) for k, m in state.local_models.items()}
         align = alignment_score(means)
+    event = state.events[-1] if state.events else None
     wall_ms = (time.perf_counter() - start) * 1000.0
     state.rows.append(
         MetricsRow(
@@ -266,8 +235,8 @@ def run_round(state: GlobalState, config: ExperimentConfig) -> GlobalState:
             accuracy=accuracy(state.model, state.test_data),
             train_loss=float(np.mean(mean_losses)),
             syn_size=len(state.syn_samples),
-            psnr=state.syn_psnr,
-            loss_drop=state.syn_loss_drop,
+            psnr=event.mean_psnr if event else None,
+            loss_drop=event.mean_loss_drop if event else None,
             alignment=align,
             wall_ms=wall_ms,
         )

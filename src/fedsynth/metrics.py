@@ -60,15 +60,19 @@ def psnr(candidate, reference) -> float:
 
 
 def dataset_psnr(syn: "SyntheticDataset", shard: Dataset) -> float:
-    """Mean per-pair PSNR of synthetic samples against their paired reals."""
-    if not syn.samples:
+    """Mean per-pair PSNR of synthetic rows against their paired reals in `shard`.
+
+    Reads the rows' `psnr` column, which `synthetic_rows` computed against the
+    shard they were built from.
+    """
+    rows = syn.samples
+    if not len(rows):
         raise ValueError("dataset_psnr requires a nonempty synthetic dataset")
-    values = []
-    for sample in syn.samples:
-        if not 0 <= sample.paired_index < len(shard):
-            raise ValueError(f"paired index {sample.paired_index} outside shard of size {len(shard)}")
-        values.append(psnr(sample.x, shard.inputs[sample.paired_index]))
-    return float(np.mean(values))
+    paired = rows["paired_index"]
+    dangling = paired[(paired < 0) | (paired >= len(shard))]
+    if dangling.size:
+        raise ValueError(f"paired index {dangling[0]} outside shard of size {len(shard)}")
+    return float(np.mean(rows["psnr"]))
 
 
 def class_feature_means(model: Model, data: Dataset) -> dict[int, Array]:

@@ -14,7 +14,7 @@ from .config import ExperimentConfig, config_to_dict, derive_seed
 from .data import make_blobs, partition_dirichlet, partition_label_skew
 from .engine import ClientState, GlobalState, run_round
 from .metrics import export_features, write_metrics_csv
-from .synthesis import dump_synthetic_dataset
+from .synthesis import dump_synthetic_dataset, synthetic_rows
 
 
 @dataclass
@@ -55,6 +55,7 @@ def build_state(cfg: ExperimentConfig) -> tuple[GlobalState, dict]:
         clients=clients,
         test_data=test,
         server_rng=np.random.default_rng(seeds["server"]),
+        syn_samples=synthetic_rows(test, [], test.inputs[:0], np.zeros((0, test.class_count))),
     )
     return state, seeds
 
@@ -80,18 +81,17 @@ def run_experiment(cfg: ExperimentConfig) -> RunManifest:
     for event in state.events:
         event_dir = out / f"synthesis_round_{event.round_index:04d}"
         for ds in event.datasets:
-            shard = state.clients[ds.client_id].shard
-            for path in dump_synthetic_dataset(ds, shard, cfg.mu, cfg.lam, event_dir):
+            for path in dump_synthetic_dataset(ds, cfg.mu, cfg.lam, event_dir):
                 artifacts.append(str(path.relative_to(out)))
 
-    inputs = [state.test_data.inputs]
-    labels = list(state.test_data.labels)
-    origins = ["real"] * len(state.test_data)
-    for sample in state.syn_samples:
-        inputs.append(sample.x.reshape(1, -1))
-        labels.append(sample.label)
-        origins.append("synthetic")
-    export_features(state.model, np.concatenate(inputs, axis=0), labels, origins, out / "features.csv")
+    test, pool = state.test_data, state.syn_samples
+    export_features(
+        state.model,
+        np.concatenate([test.inputs, pool["x"]]),
+        np.concatenate([test.labels, pool["label"]]),
+        ["real"] * len(test) + ["synthetic"] * len(pool),
+        out / "features.csv",
+    )
     artifacts.append("features.csv")
 
     manifest = RunManifest(

@@ -8,10 +8,11 @@ mixup generator is included as the privacy baseline.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -46,8 +47,7 @@ class SynthesisConfig:
     """Knobs for one synthesis job.
 
     `scale` controls how far real features are pushed past their prototype
-    before matching (0 disables the push); `match_weight` is the fixed weight
-    of the feature-matching term relative to the classification term.
+    before matching (0 disables the push).
     """
 
     count: int = 100
@@ -55,7 +55,6 @@ class SynthesisConfig:
     adam_lr: float = 0.02
     scale: float = 0.5
     kl_eps: float = 1e-8
-    match_weight: float = 1.0
 
     def __post_init__(self):
         if self.count < 1:
@@ -70,29 +69,73 @@ class SynthesisConfig:
             raise ConfigError(f"kl_eps must be positive, got {self.kl_eps}")
 
 
-@dataclass
-class SyntheticSample:
-    """One optimized input with its hard label and provenance."""
+class SyntheticRow(np.record):
+    """One row of `synthetic_rows`; its scalar fields read as Python numbers.
 
-    x: Array
-    label: int
-    source_client: int
-    round_index: int
-    paired_index: int
-    initial_loss: float = 0.0
-    final_loss: float = 0.0
-    soft_label: Array | None = None
+    `row.final_loss < row.initial_loss` is then a Python bool, so a count
+    summed over rows is a plain, JSON-serialisable int.
+    """
+
+    def __getattribute__(self, attr):
+        value = super().__getattribute__(attr)
+        return value.item() if isinstance(value, np.generic) else value
+
+
+@functools.lru_cache(maxsize=None)
+def _row_dtype(dim: int, classes: int) -> np.dtype:
+    # one dtype object per shape: concatenating rows promotes equal but
+    # distinct structured dtypes to plain void rows, dropping `SyntheticRow`
+    fields = [
+        ("x", np.float64, (dim,)),
+        ("target", np.float64, (classes,)),
+        ("label", np.int64),
+        ("paired_index", np.int64),
+        ("initial_loss", np.float64),
+        ("final_loss", np.float64),
+        ("psnr", np.float64),
+    ]
+    return np.dtype((SyntheticRow, fields))
+
+
+def synthetic_rows(shard: Dataset, paired_index, x, target, initial_loss=0.0, final_loss=0.0) -> Array:
+    """The one row format of synthetic data, from synthesis to local training.
+
+    A numpy record array with columns `x` (n, dim), `target` (n, classes),
+    `label` and `psnr` (both taken against the paired real `shard` row),
+    `paired_index`, `initial_loss` and `final_loss`. Columns read as arrays
+    (`rows["x"]`) and rows as records (`rows[i].x`). Each target row must
+    sum to one; it is checked here, once, not per training step.
+    """
+    paired_index = np.asarray(paired_index, dtype=np.int64)
+    x = np.asarray(x, dtype=np.float64)
+    target = np.asarray(target, dtype=np.float64)
+    n, dim = len(paired_index), shard.inputs.shape[1]
+    if x.shape != (n, dim):
+        raise ValueError(f"inputs must have shape ({n}, {dim}), got {x.shape}")
+    if target.shape != (n, shard.class_count):
+        raise ValueError(f"targets must have shape ({n}, {shard.class_count}), got {target.shape}")
+    if not np.allclose(target.sum(axis=1), 1.0, atol=1e-6):
+        raise ValueError("target rows must sum to 1")
+    rows = np.empty(n, dtype=_row_dtype(dim, shard.class_count))
+    rows["x"] = x
+    rows["target"] = target
+    rows["label"] = shard.labels[paired_index]
+    rows["paired_index"] = paired_index
+    rows["initial_loss"] = initial_loss
+    rows["final_loss"] = final_loss
+    rows["psnr"] = [psnr(a, b) for a, b in zip(x, shard.inputs[paired_index])]
+    return rows
 
 
 @dataclass
 class SyntheticDataset:
-    """Samples produced by one client in one synthesis event.
+    """Rows produced by one client in one synthesis event (`synthetic_rows`).
 
     `feature_dim` is the extractor width used during synthesis (0 for the
     mixup baseline, which never touches feature space).
     """
 
-    samples: list[SyntheticSample] = field(default_factory=list)
+    samples: Array
     feature_dim: int = 0
     client_id: int = 0
     round_index: int = 0
@@ -203,7 +246,6 @@ def synthesis_loss(
     prototype,
     scale: float,
     eps: float = 1e-8,
-    match_weight: float = 1.0,
 ) -> Tensor:
     """Loss driving one synthetic sample: masked feature KL plus classification.
 
@@ -225,7 +267,7 @@ def synthesis_loss(
     features = model.extract(batch)
     kl = masked_kl(reshape(features, (model.feature_dim,)), target, cam, eps)
     ce = softmax_cross_entropy(model.classify(features), [int(label)])
-    return add(mul(kl, float(match_weight)), ce)
+    return add(kl, ce)
 
 
 def _stratified_indices(shard: Dataset, n: int, rng: np.random.Generator) -> Array:
@@ -255,10 +297,13 @@ def _matching_targets(
     features are.
     """
     z, _, _ = mlp_forward(model, reals)
-    targets = np.empty_like(z)
-    for i, y in enumerate(labels):
-        proto = prototypes.get(int(y)) if prototypes else None
-        targets[i] = hard_feature(z[i], proto, scale) if proto is not None else z[i]
+    prototypes = prototypes or {}
+    class_protos = np.zeros((model.class_count, z.shape[1]))
+    for c, proto in prototypes.items():
+        class_protos[c] = proto
+    hardened = np.isin(labels, list(prototypes))
+    targets = z.copy()
+    targets[hardened] = hard_feature(z[hardened], class_protos[labels[hardened]], scale)
     weight = model.params[f"dense{model._dense_count() - 1}.weight"].data
     masks = np.maximum(weight[:, labels].T, 0.0)
     return _softmax_np(targets * masks, axis=1), masks
@@ -282,7 +327,7 @@ def _input_grad(
     features, logits, cache = mlp_forward(model, x)
     q = _softmax_np(features * masks, axis=1)
     g = -target_probs / (q + cfg.kl_eps)
-    d_features = cfg.match_weight * (q * (g - (g * q).sum(axis=1, keepdims=True)) * masks)
+    d_features = q * (g - (g * q).sum(axis=1, keepdims=True)) * masks
     return mlp_backward(model, cache, _softmax_np(logits, axis=1) - onehot, d_features, wrt="input")
 
 
@@ -294,14 +339,14 @@ def _row_losses(
     labels: Array,
     cfg: SynthesisConfig,
 ) -> Array:
-    """Per-sample synthesis loss: match_weight * masked KL + cross entropy."""
+    """Per-sample synthesis loss: masked KL + cross entropy."""
     features, logits, _ = mlp_forward(model, x)
     q = _softmax_np(features * masks, axis=1)
     kl_rows = (target_probs * (np.log(target_probs + cfg.kl_eps) - np.log(q + cfg.kl_eps))).sum(axis=1)
     shifted = logits - logits.max(axis=1, keepdims=True)
     log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     ce_rows = -log_probs[np.arange(len(labels)), labels]
-    return cfg.match_weight * kl_rows + ce_rows
+    return kl_rows + ce_rows
 
 
 def synthesize(
@@ -341,18 +386,7 @@ def synthesize(
         np.clip(x_hat.data, 0.0, 1.0, out=x_hat.data)
     final = _row_losses(model, x_hat.data, target_probs, masks, labels, cfg)
 
-    samples = [
-        SyntheticSample(
-            x=x_hat.data[i].copy(),
-            label=int(labels[i]),
-            source_client=client_id,
-            round_index=round_index,
-            paired_index=int(pair_idx[i]),
-            initial_loss=float(initial[i]),
-            final_loss=float(final[i]),
-        )
-        for i in range(len(pair_idx))
-    ]
+    samples = synthetic_rows(shard, pair_idx, x_hat.data, onehot, initial, final)
     return SyntheticDataset(samples, model.feature_dim, client_id, round_index, model_fingerprint(model))
 
 
@@ -370,32 +404,18 @@ def mixup_generate(
     """
     if len(shard) < 2:
         raise ValueError("mixup requires at least two real samples")
-    samples = []
-    for _ in range(count):
-        i, j = (int(v) for v in rng.choice(len(shard), size=2, replace=False))
-        x = 0.5 * (shard.inputs[i] + shard.inputs[j])
-        yi, yj = int(shard.labels[i]), int(shard.labels[j])
-        soft = None
-        if yi != yj:
-            soft = np.zeros(shard.class_count)
-            soft[yi] = 0.5
-            soft[yj] = 0.5
-        samples.append(
-            SyntheticSample(
-                x=x,
-                label=yi,
-                source_client=client_id,
-                round_index=round_index,
-                paired_index=i,
-                soft_label=soft,
-            )
-        )
-    return SyntheticDataset(samples, 0, client_id, round_index, "")
+    parents = np.array([rng.choice(len(shard), size=2, replace=False) for _ in range(count)], dtype=np.int64)
+    first, second = parents.reshape(count, 2).T
+    rows = np.arange(count)
+    target = np.zeros((count, shard.class_count))
+    target[rows, shard.labels[first]] += 0.5
+    target[rows, shard.labels[second]] += 0.5
+    x = 0.5 * (shard.inputs[first] + shard.inputs[second])
+    return SyntheticDataset(synthetic_rows(shard, first, x, target), 0, client_id, round_index, "")
 
 
 def dump_synthetic_dataset(
     syn: SyntheticDataset,
-    shard: Dataset,
     scale: float,
     proto_momentum: float,
     out_dir: Path,
@@ -404,32 +424,28 @@ def dump_synthetic_dataset(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = f"client_{syn.client_id:02d}"
-    psnr_values = [psnr(s.x, shard.inputs[s.paired_index]) for s in syn.samples]
+    rows = syn.samples
+    initial, final = rows["initial_loss"].tolist(), rows["final_loss"].tolist()
     meta = {
         "client_id": syn.client_id,
         "round": syn.round_index,
-        "count": len(syn.samples),
+        "count": len(rows),
         "mu": scale,
         "lambda": proto_momentum,
         "feature_dim": syn.feature_dim,
         "model_fingerprint": syn.model_fingerprint,
-        "initial_loss": [s.initial_loss for s in syn.samples],
-        "final_loss": [s.final_loss for s in syn.samples],
-        "psnr": psnr_values,
+        "initial_loss": initial,
+        "final_loss": final,
+        "psnr": rows["psnr"].tolist(),
     }
     json_path = out_dir / f"{stem}.json"
     json_path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
-    dim = syn.samples[0].x.shape[0] if syn.samples else 0
-    header = [f"x{i}" for i in range(dim)] + ["label", "paired_index", "initial_loss", "final_loss"]
+    header = [f"x{i}" for i in range(rows["x"].shape[1])] + ["label", "paired_index", "initial_loss", "final_loss"]
     lines = [",".join(header)]
-    for s in syn.samples:
-        lines.append(
-            ",".join(
-                [repr(float(v)) for v in s.x]
-                + [str(s.label), str(s.paired_index), repr(s.initial_loss), repr(s.final_loss)]
-            )
-        )
+    columns = (rows["x"].tolist(), rows["label"].tolist(), rows["paired_index"].tolist(), initial, final)
+    for x, label, paired, a, b in zip(*columns):
+        lines.append(",".join([repr(v) for v in x] + [str(label), str(paired), repr(a), repr(b)]))
     csv_path = out_dir / f"{stem}.csv"
     csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return [json_path, csv_path]

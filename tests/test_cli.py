@@ -123,15 +123,13 @@ class TestSynthInspect:
 
     def test_identical_to_real_reports_cap(self, tmp_path, capsys):
         from fedsynth.data import make_blobs
-        from fedsynth.synthesis import SyntheticDataset, SyntheticSample, dump_synthetic_dataset
+        import numpy as np
+
+        from fedsynth.synthesis import SyntheticDataset, dump_synthetic_dataset, synthetic_rows
 
         shard, _ = make_blobs(3, 5, 10, 0.25, seed=1)
-        samples = [
-            SyntheticSample(x=shard.inputs[i].copy(), label=int(shard.labels[i]), source_client=0,
-                            round_index=2, paired_index=i)
-            for i in range(5)
-        ]
-        dump_synthetic_dataset(SyntheticDataset(samples, 4, 0, 2, ""), shard, 0.5, 0.5, tmp_path / "dump")
+        samples = synthetic_rows(shard, range(5), shard.inputs[:5], np.eye(3)[shard.labels[:5]])
+        dump_synthetic_dataset(SyntheticDataset(samples, 4, 0, 2, ""), 0.5, 0.5, tmp_path / "dump")
         assert main(["synth-inspect", "--dump", str(tmp_path / "dump")]) == 0
         assert "100.0" in capsys.readouterr().out
 

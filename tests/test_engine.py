@@ -5,12 +5,12 @@ import pytest
 
 from conftest import small_config
 
-from fedsynth.autodiff import Model, Sgd, add, backward_params, mul, softmax_cross_entropy
+from fedsynth.autodiff import Model, Sgd, add, backward_params, mlp_forward, mul, softmax_cross_entropy
 from fedsynth.data import make_blobs
 from fedsynth.engine import ClientState, aggregate, local_update, run_round, sample_clients
 from fedsynth.errors import ConfigError
 from fedsynth.metrics import alignment_score, class_feature_means
-from fedsynth.runner import build_state, execute
+from fedsynth.runner import build_state, execute, run_experiment
 from fedsynth.synthesis import mixup_generate
 
 
@@ -92,6 +92,8 @@ class TestLocalUpdate:
 
     def test_single_step_matches_single_shot_oracle(self):
         train, model, syn, client = self.setup(seed=99)
+        # the mixup pool blends soft (50/50) and hard (same-class) target rows
+        assert np.any(syn["target"] == 0.5) and np.any(syn["target"] == 1.0)
         n = len(train)
         updated, _ = local_update(
             model.copy(), train, syn, 0.4, 1, n, Sgd(0.1), client, proto_momentum=0.5
@@ -104,15 +106,8 @@ class TestLocalUpdate:
         base = model.copy()
         _, logits = base.forward(train.inputs[perm])
         real_loss = softmax_cross_entropy(logits, train.labels[perm])
-        syn_x = np.stack([syn[int(j)].x for j in syn_idx])
-        targets = np.zeros((n, 3))
-        for row, j in enumerate(syn_idx):
-            s = syn[int(j)]
-            if s.soft_label is not None:
-                targets[row] = s.soft_label
-            else:
-                targets[row, s.label] = 1.0
-        _, syn_logits = base.forward(syn_x)
+        _, syn_logits = base.forward(np.stack([syn[int(j)].x for j in syn_idx]))
+        targets = np.stack([syn[int(j)].target for j in syn_idx])
         loss = add(mul(real_loss, 0.4), mul(softmax_cross_entropy(syn_logits, targets), 0.6))
         grads = backward_params(loss, base)
         for name in base.params:
@@ -194,7 +189,25 @@ class TestRunRound:
         cfg = small_config(rounds=4, syn_interval=2, syn_per_client=5)
         state, _ = execute(cfg)
         assert len(state.syn_samples) == 20
-        assert all(s.round_index == 4 for s in state.syn_samples)
+        assert state.events[-1].round_index == 4
+        last = np.concatenate([ds.samples for ds in state.events[-1].datasets])
+        assert np.array_equal(state.syn_samples, last)
+        # the concatenated pool still reads row by row
+        assert [row.paired_index for row in state.syn_samples] == state.syn_samples["paired_index"].tolist()
+
+    def test_features_csv_ends_with_the_pool_in_order(self, tmp_path):
+        cfg = small_config(rounds=4, syn_interval=2, syn_per_client=5, out_dir=str(tmp_path))
+        state, _ = execute(cfg)
+        run_experiment(cfg)
+        lines = (tmp_path / "features.csv").read_text().strip().split("\n")[1:]
+        pool = state.syn_samples
+        tail = [line.split(",") for line in lines[len(state.test_data):]]
+        assert len(lines) == len(state.test_data) + len(pool) == len(state.test_data) + 20
+        assert [row[-1] for row in tail] == ["synthetic"] * len(pool)
+        assert [int(row[-2]) for row in tail] == pool["label"].tolist()
+        features, _, _ = mlp_forward(state.model, pool["x"])
+        exported = np.array([[float(v) for v in row[:-2]] for row in tail])
+        assert np.max(np.abs(exported - features)) <= 1e-12
 
     def test_shards_never_mutated(self):
         cfg = small_config(rounds=3, syn_interval=2)

@@ -15,7 +15,7 @@ from fedsynth.metrics import (
     psnr,
     write_metrics_csv,
 )
-from fedsynth.synthesis import SyntheticDataset, SyntheticSample
+from fedsynth.synthesis import SyntheticDataset, synthetic_rows
 
 
 def identity_model(width):
@@ -85,12 +85,8 @@ class TestPsnr:
 
 class TestDatasetPsnr:
     def make(self, xs, pair_indices, shard):
-        samples = [
-            SyntheticSample(x=np.asarray(x, float), label=int(shard.labels[i]), source_client=0,
-                            round_index=1, paired_index=i)
-            for x, i in zip(xs, pair_indices)
-        ]
-        return SyntheticDataset(samples, 0, 0, 1, "")
+        target = np.eye(shard.class_count)[shard.labels[pair_indices]]
+        return SyntheticDataset(synthetic_rows(shard, pair_indices, xs, target), 0, 0, 1, "")
 
     def test_identical_pairs_capped(self):
         shard, _ = make_blobs(3, 4, 5, 0.2, seed=0)
@@ -104,10 +100,10 @@ class TestDatasetPsnr:
         assert abs(dataset_psnr(syn, shard) - 10.0) < 1e-12
 
     def test_dangling_pair_index_rejected(self):
+        # rows paired into a 6-row shard, scored against a 2-row one
+        syn = self.make([np.zeros(2)], [5], Dataset(np.zeros((6, 2)), np.zeros(6, dtype=int), 1))
         shard = Dataset(np.zeros((2, 2)), np.zeros(2, dtype=int), 1)
-        sample = SyntheticSample(x=np.zeros(2), label=0, source_client=0, round_index=1, paired_index=5)
-        syn = SyntheticDataset([sample], 0, 0, 1, "")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="paired index 5"):
             dataset_psnr(syn, shard)
 
 

@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 from fedsynth.autodiff import Adam, Model, Tensor, backward_input, mlp_forward, softmax_cross_entropy
 from fedsynth.data import make_blobs
 from fedsynth.errors import ConfigError
+from fedsynth.metrics import psnr
 from fedsynth.synthesis import (
     SynthesisConfig,
+    SyntheticDataset,
     _input_grad,
     _matching_targets,
     _stratified_indices,
@@ -21,6 +23,7 @@ from fedsynth.synthesis import (
     mixup_generate,
     synthesis_loss,
     synthesize,
+    synthetic_rows,
     update_prototypes,
 )
 
@@ -331,11 +334,11 @@ class TestProductionPath:
         last.data[:, 0] = -np.abs(last.data[:, 0]) - 0.1
         shard, _ = make_blobs(3, 5, 20, 0.25, seed=41)
         protos = {1: np.random.default_rng(42).standard_normal(model.feature_dim)}
-        cfg = SynthesisConfig(count=12, steps=3, scale=0.5, match_weight=0.7)
+        cfg = SynthesisConfig(count=12, steps=3, scale=0.5)
         return model, shard, protos, cfg
 
     def per_row_loss(self, model, x_hat, real, label, protos, cfg):
-        return synthesis_loss(model, x_hat, real, label, protos.get(label), cfg.scale, cfg.kl_eps, cfg.match_weight)
+        return synthesis_loss(model, x_hat, real, label, protos.get(label), cfg.scale, cfg.kl_eps)
 
     def test_masks_equal_compute_cam_rows(self, arch):
         model, shard, protos, cfg = self.setup_case(arch)
@@ -406,7 +409,7 @@ class TestMixup:
         shard = Dataset(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([0, 1]), 2)
         syn = mixup_generate(shard, 1, np.random.default_rng(0))
         assert np.array_equal(syn.samples[0].x, [0.5, 0.5])
-        assert np.array_equal(syn.samples[0].soft_label, [0.5, 0.5])
+        assert np.array_equal(syn.samples[0].target, [0.5, 0.5])
 
     def test_same_class_parents_collapse_to_hard_label(self):
         from fedsynth.data import Dataset
@@ -414,7 +417,7 @@ class TestMixup:
         shard = Dataset(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([1, 1]), 2)
         syn = mixup_generate(shard, 3, np.random.default_rng(0))
         for s in syn.samples:
-            assert s.soft_label is None
+            assert np.array_equal(s.target, [0.0, 1.0])
             assert s.label == 1
 
     def test_output_count(self):
@@ -435,7 +438,7 @@ class TestDump:
         model = make_model(["dense(5,6)", "relu", "dense(6,3)"], seed=21)
         shard, _ = make_blobs(3, 5, 10, 0.25, seed=22)
         syn = synthesize(model, shard, {}, SynthesisConfig(count=6, steps=2), np.random.default_rng(4))
-        paths = dump_synthetic_dataset(syn, shard, 0.5, 0.5, tmp_path)
+        paths = dump_synthetic_dataset(syn, 0.5, 0.5, tmp_path)
         assert [p.name for p in paths] == ["client_00.json", "client_00.csv"]
         lines = paths[1].read_text().strip().split("\n")
         assert lines[0] == "x0,x1,x2,x3,x4,label,paired_index,initial_loss,final_loss"
@@ -444,15 +447,66 @@ class TestDump:
     def test_identical_samples_report_capped_psnr(self, tmp_path):
         import json
 
-        from fedsynth.synthesis import SyntheticDataset, SyntheticSample
-
         shard, _ = make_blobs(3, 5, 10, 0.25, seed=22)
-        samples = [
-            SyntheticSample(x=shard.inputs[i].copy(), label=int(shard.labels[i]), source_client=0,
-                            round_index=1, paired_index=i)
-            for i in range(4)
-        ]
+        samples = synthetic_rows(shard, range(4), shard.inputs[:4], np.eye(3)[shard.labels[:4]])
         syn = SyntheticDataset(samples, 6, 0, 1, "abc")
-        json_path, _ = dump_synthetic_dataset(syn, shard, 0.5, 0.5, tmp_path)
+        json_path, _ = dump_synthetic_dataset(syn, 0.5, 0.5, tmp_path)
         meta = json.loads(json_path.read_text())
         assert meta["psnr"] == [100.0, 100.0, 100.0, 100.0]
+
+    @pytest.mark.parametrize("generator", ["synthesize", "mixup"])
+    def test_psnr_list_is_per_row_psnr_against_paired_real(self, tmp_path, generator):
+        import json
+
+        shard, _ = make_blobs(3, 5, 10, 0.25, seed=22)
+        if generator == "synthesize":
+            model = make_model(["dense(5,6)", "relu", "dense(6,3)"], seed=21)
+            syn = synthesize(model, shard, {}, SynthesisConfig(count=6, steps=2), np.random.default_rng(4))
+        else:
+            syn = mixup_generate(shard, 7, np.random.default_rng(4))
+        json_path, csv_path = dump_synthetic_dataset(syn, 0.5, 0.5, tmp_path)
+        meta = json.loads(json_path.read_text())
+        rows = [line.split(",") for line in csv_path.read_text().strip().split("\n")[1:]]
+        expected = [psnr([float(v) for v in row[:5]], shard.inputs[int(row[6])]) for row in rows]
+        assert meta["psnr"] == expected
+        assert meta["psnr"] == [psnr(s.x, shard.inputs[s.paired_index]) for s in syn.samples]
+
+
+class TestSyntheticRows:
+    def make(self, **kw):
+        shard, _ = make_blobs(3, 4, 5, 0.2, seed=0)
+        args = dict(paired_index=[0, 7], x=shard.inputs[[0, 7]], target=np.eye(3)[shard.labels[[0, 7]]])
+        args.update(kw)
+        return shard, synthetic_rows(shard, **args)
+
+    def test_columns_and_rows(self):
+        shard, rows = self.make(initial_loss=[2.0, 3.0], final_loss=1.0)
+        assert rows["x"].shape == (2, 4) and rows["target"].shape == (2, 3)
+        assert rows["label"].tolist() == shard.labels[[0, 7]].tolist()
+        assert rows["paired_index"].tolist() == [0, 7]
+        assert rows["psnr"].tolist() == [100.0, 100.0]
+        assert np.array_equal(rows[1].x, shard.inputs[7])
+
+    def test_row_scalars_are_python_numbers(self):
+        import json
+
+        _, rows = self.make(initial_loss=[2.0, 3.0], final_loss=[1.0, 4.0])
+        assert (rows[1].initial_loss, rows[1].final_loss, rows[1].paired_index) == (3.0, 4.0, 7)
+        assert all(type(v) in (int, float) for v in (rows[0].label, rows[0].psnr, rows[0].final_loss))
+        improved = sum(row.final_loss < row.initial_loss for row in rows)
+        assert type(improved) is int and json.dumps(improved) == "1"
+
+    @pytest.mark.parametrize("shape", [(2, 4), (2,), (3, 3)])
+    def test_target_of_wrong_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match="targets must have shape"):
+            self.make(target=np.full(shape, 1.0 / shape[-1]))
+
+    def test_target_rows_must_sum_to_one(self):
+        with pytest.raises(ValueError, match="sum to 1"):
+            self.make(target=[[0.5, 0.5, 0.0], [0.5, 0.4, 0.0]])
+        _, rows = self.make(target=[[0.5, 0.5, 0.0], [0.5, 0.5 + 5e-7, 0.0]])  # within atol 1e-6
+        assert len(rows) == 2
+
+    def test_inputs_of_wrong_shape_rejected(self):
+        with pytest.raises(ValueError, match="inputs must have shape"):
+            self.make(x=np.zeros((2, 5)))
