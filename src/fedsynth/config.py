@@ -38,13 +38,19 @@ class DatasetSpec:
 class PartitionSpec:
     scheme: str = "label_skew"
     clients: int = 10
-    concentration: float | None = None
-    classes_per_client: int | None = 1
+    # each scheme reads one of these two; the other is None and is not serialized
+    concentration: float | None = field(default=None, metadata={"scheme": "dirichlet"})
+    classes_per_client: int | None = field(default=1, metadata={"scheme": "label_skew"})
 
 
 @dataclass
 class ExperimentConfig:
-    """Single source of truth for a run; defaults mirror the reference setup."""
+    """Single source of truth for a run; defaults mirror the reference setup.
+
+    The fields of this class and of its two sections are the config keys: a
+    JSON key is the field name unless the field's metadata gives another, and
+    its type check follows the field's annotation.
+    """
 
     dataset: DatasetSpec = field(default_factory=DatasetSpec)
     partition: PartitionSpec = field(default_factory=PartitionSpec)
@@ -59,7 +65,7 @@ class ExperimentConfig:
     weight_decay: float = 5e-4
     alpha: float = 0.1
     mu: float = 0.5
-    lam: float = 0.5
+    lam: float = field(default=0.5, metadata={"key": "lambda"})
     syn_per_client: int = 100
     syn_steps: int = 500
     syn_interval: int = 20
@@ -69,44 +75,44 @@ class ExperimentConfig:
     out_dir: str = "runs/default"
 
 
-_DATASET_KEYS = {"classes", "dim", "per_class", "spread"}
-_PARTITION_KEYS = {"scheme", "clients", "concentration", "classes_per_client"}
-_TOP_KEYS = {
-    "dataset": None,
-    "partition": None,
-    "algorithm": "algorithm",
-    "architecture": "architecture",
-    "rounds": "rounds",
-    "active_clients": "active_clients",
-    "local_epochs": "local_epochs",
-    "batch_size": "batch_size",
-    "learning_rate": "learning_rate",
-    "momentum": "momentum",
-    "weight_decay": "weight_decay",
-    "alpha": "alpha",
-    "mu": "mu",
-    "lambda": "lam",
-    "syn_per_client": "syn_per_client",
-    "syn_steps": "syn_steps",
-    "syn_interval": "syn_interval",
-    "adam_lr": "adam_lr",
-    "kl_eps": "kl_eps",
-    "seed": "seed",
-    "out_dir": "out_dir",
+_SECTIONS = {
+    f.name: f.default_factory
+    for f in dataclasses.fields(ExperimentConfig)
+    if dataclasses.is_dataclass(f.default_factory)
+}
+# JSON key -> field, per config class; the key is the field name unless the metadata renames it
+_KEYS = {
+    cls: {f.metadata.get("key", f.name): f for f in dataclasses.fields(cls)}
+    for cls in (ExperimentConfig, *_SECTIONS.values())
 }
 
+# annotation -> (what the message says a value must be, the test it must pass)
+_TYPES = {
+    "int": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    "float": (
+        "a finite number",
+        lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v),
+    ),
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "list[str]": (
+        "a list of layer strings",
+        lambda v: isinstance(v, (list, tuple)) and all(isinstance(s, str) for s in v),
+    ),
+}
 
-_INT_KEYS = (
-    "rounds",
-    "active_clients",
-    "local_epochs",
-    "batch_size",
-    "syn_per_client",
-    "syn_steps",
-    "syn_interval",
-    "seed",
-)
-_FLOAT_KEYS = ("learning_rate", "momentum", "weight_decay", "alpha", "mu", "lambda", "adam_lr", "kl_eps")
+# (key path, section attribute or None, field name, None allowed, (what, test)), built once
+_TYPED_FIELDS = [
+    (
+        f"{section}.{key}" if section else key,
+        section,
+        f.name,
+        f.type.endswith(" | None"),
+        _TYPES[f.type.removesuffix(" | None")],
+    )
+    for section, cls in [*_SECTIONS.items(), (None, ExperimentConfig)]
+    for key, f in _KEYS[cls].items()
+    if not dataclasses.is_dataclass(f.default_factory)
+]
 
 
 def _require(condition: bool, message: str) -> None:
@@ -114,38 +120,16 @@ def _require(condition: bool, message: str) -> None:
         raise ConfigError(message)
 
 
-def _check_int(value, key: str, optional: bool = False) -> None:
-    """Integers only: bool, str, float and (unless optional) null are rejected."""
-    if optional and value is None:
-        return
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-
-
-def _check_float(value, key: str, optional: bool = False) -> None:
-    """Finite numbers only (integers included); bool, str, NaN and infinities are rejected."""
-    if optional and value is None:
-        return
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise ConfigError(f"{key} must be a finite number, got {value!r}")
-
-
 def _check_types(cfg: ExperimentConfig) -> None:
-    """Reject values of the wrong type before any range check compares them."""
-    for key in ("classes", "dim", "per_class"):
-        _check_int(getattr(cfg.dataset, key), f"dataset.{key}")
-    _check_float(cfg.dataset.spread, "dataset.spread")
-    _check_int(cfg.partition.clients, "partition.clients")
-    _check_int(cfg.partition.classes_per_client, "partition.classes_per_client", optional=True)
-    _check_float(cfg.partition.concentration, "partition.concentration", optional=True)
-    for key in _INT_KEYS:
-        _check_int(getattr(cfg, _TOP_KEYS[key]), key)
-    for key in _FLOAT_KEYS:
-        _check_float(getattr(cfg, _TOP_KEYS[key]), key)
-    if not isinstance(cfg.architecture, (list, tuple)) or not all(isinstance(s, str) for s in cfg.architecture):
-        raise ConfigError(f"architecture must be a list of layer strings, got {cfg.architecture!r}")
-    if not isinstance(cfg.out_dir, str):
-        raise ConfigError(f"out_dir must be a string, got {cfg.out_dir!r}")
+    """Reject values of the wrong type before any range check compares them.
+
+    Integers exclude bool; finite numbers take integers but not bool, NaN or
+    infinities; a `X | None` field also takes null.
+    """
+    for path, section, name, optional, (what, accepts) in _TYPED_FIELDS:
+        value = getattr(getattr(cfg, section) if section else cfg, name)
+        if not (optional and value is None) and not accepts(value):
+            raise ConfigError(f"{path} must be {what}, got {value!r}")
 
 
 def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
@@ -168,6 +152,13 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
         f"partition.scheme must be one of {PARTITION_SCHEMES}, got {part.scheme!r}",
     )
     _require(part.clients >= 2, f"partition.clients must be at least 2, got {part.clients}")
+    # with at least one training row per client, either scheme can fill every shard
+    rows = ds.classes * ds.per_class
+    _require(
+        part.clients <= rows,
+        f"partition.clients must not exceed the {rows} training samples (dataset.classes * dataset.per_class), "
+        f"got {part.clients}",
+    )
     if part.scheme == "dirichlet":
         _require(part.concentration is not None, "partition.concentration is required for the dirichlet scheme")
         _require(part.concentration > 0, f"partition.concentration must be positive, got {part.concentration}")
@@ -235,78 +226,49 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
     return cfg
 
 
-def _check_section(raw: Mapping, allowed: set[str], section: str) -> None:
+def _field_values(raw, cls, section: str | None) -> dict:
+    """Field-name keyword arguments for `cls` from a JSON object; unknown keys are rejected."""
     if not isinstance(raw, Mapping):
-        raise ConfigError(f"{section} must be a JSON object, got {raw!r}")
+        raise ConfigError(
+            f"{section} must be a JSON object, got {raw!r}" if section else "config must be a JSON object"
+        )
+    keys = _KEYS[cls]
     for key in raw:
-        if key not in allowed:
-            raise ConfigError(f"unknown config key {section}.{key}")
+        if key not in keys:
+            raise ConfigError(f"unknown config key {section}.{key}" if section else f"unknown config key {key!r}")
+    return {keys[key].name: value for key, value in raw.items()}
 
 
 def config_from_dict(raw: Mapping) -> ExperimentConfig:
     """Build a validated config from a JSON-style mapping; unknown keys are rejected."""
-    if not isinstance(raw, Mapping):
-        raise ConfigError("config must be a JSON object")
-    for key in raw:
-        if key not in _TOP_KEYS:
-            raise ConfigError(f"unknown config key {key!r}")
-    kwargs = {}
-    if "dataset" in raw:
-        _check_section(raw["dataset"], _DATASET_KEYS, "dataset")
-        kwargs["dataset"] = DatasetSpec(**raw["dataset"])
-    if "partition" in raw:
-        _check_section(raw["partition"], _PARTITION_KEYS, "partition")
-        section = dict(raw["partition"])
-        # the scheme decides which optional field is live; unset the other default
-        if section.get("scheme") == "dirichlet" and "classes_per_client" not in section:
-            section["classes_per_client"] = None
-        kwargs["partition"] = PartitionSpec(**section)
-    for key, attr in _TOP_KEYS.items():
-        if attr is None or key not in raw:
+    kwargs = _field_values(raw, ExperimentConfig, None)
+    for key, cls in _SECTIONS.items():
+        if key in kwargs:
+            section = _field_values(kwargs[key], cls, key)
+            if section.get("scheme") == "dirichlet":
+                # the scheme decides which optional field is live; unset the other default
+                section.setdefault("classes_per_client", None)
+            kwargs[key] = cls(**section)
+    return validate_config(ExperimentConfig(**kwargs))
+
+
+def config_to_dict(cfg: ExperimentConfig | DatasetSpec | PartitionSpec) -> dict:
+    """Serialize a resolved config (or one of its sections) back to its JSON keys.
+
+    A partition field tagged with a scheme is left out under the other scheme.
+    """
+    scheme = getattr(cfg, "scheme", None)
+    out = {}
+    for key, f in _KEYS[type(cfg)].items():
+        if f.metadata.get("scheme", scheme) != scheme:
             continue
-        kwargs[attr] = raw[key]
-    try:
-        cfg = ExperimentConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
-    return validate_config(cfg)
-
-
-def config_to_dict(cfg: ExperimentConfig) -> dict:
-    """Serialize a resolved config back to its JSON key set."""
-    partition: dict = {"scheme": cfg.partition.scheme, "clients": cfg.partition.clients}
-    if cfg.partition.scheme == "dirichlet":
-        partition["concentration"] = cfg.partition.concentration
-    else:
-        partition["classes_per_client"] = cfg.partition.classes_per_client
-    return {
-        "algorithm": cfg.algorithm,
-        "dataset": {
-            "classes": cfg.dataset.classes,
-            "dim": cfg.dataset.dim,
-            "per_class": cfg.dataset.per_class,
-            "spread": cfg.dataset.spread,
-        },
-        "partition": partition,
-        "architecture": list(cfg.architecture),
-        "rounds": cfg.rounds,
-        "active_clients": cfg.active_clients,
-        "local_epochs": cfg.local_epochs,
-        "batch_size": cfg.batch_size,
-        "learning_rate": cfg.learning_rate,
-        "momentum": cfg.momentum,
-        "weight_decay": cfg.weight_decay,
-        "alpha": cfg.alpha,
-        "mu": cfg.mu,
-        "lambda": cfg.lam,
-        "syn_per_client": cfg.syn_per_client,
-        "syn_steps": cfg.syn_steps,
-        "syn_interval": cfg.syn_interval,
-        "adam_lr": cfg.adam_lr,
-        "kl_eps": cfg.kl_eps,
-        "seed": cfg.seed,
-        "out_dir": cfg.out_dir,
-    }
+        value = getattr(cfg, f.name)
+        if type(value) in _KEYS:
+            value = config_to_dict(value)
+        elif isinstance(value, (list, tuple)):
+            value = list(value)
+        out[key] = value
+    return out
 
 
 def parse_config(source: str | Path) -> ExperimentConfig:

@@ -88,6 +88,7 @@ def _sample_blobs(means: Array, per_class: int, spread: float, rng: np.random.Ge
     return np.concatenate(blocks, axis=0), labels
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a spread that overflows is reported as a config error
 def make_blobs(class_count: int, dim: int, per_class: int, spread: float, seed: int) -> tuple[Dataset, Dataset]:
     """Gaussian clusters on fixed means, min-max normalized to [0, 1].
 
@@ -115,6 +116,8 @@ def make_blobs(class_count: int, dim: int, per_class: int, spread: float, seed: 
     safe = np.where(span == 0, 1.0, span)
     x_train = np.where(span == 0, 0.0, (x_train - lo) / safe)
     x_test = np.clip(np.where(span == 0, 0.0, (x_test - lo) / safe), 0.0, 1.0)
+    if not (np.isfinite(x_train).all() and np.isfinite(x_test).all()):
+        raise ConfigError(f"dataset.spread {spread} is too large: the generated inputs are not finite")
     return Dataset(x_train, y_train, class_count), Dataset(x_test, y_test, class_count)
 
 

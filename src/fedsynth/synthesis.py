@@ -304,7 +304,7 @@ def _matching_targets(
     hardened = np.isin(labels, list(prototypes))
     targets = z.copy()
     targets[hardened] = hard_feature(z[hardened], class_protos[labels[hardened]], scale)
-    weight = model.params[f"dense{model._dense_count() - 1}.weight"].data
+    weight = next(p.data for name, p in model.classifier_params().items() if name.endswith(".weight"))
     masks = np.maximum(weight[:, labels].T, 0.0)
     return _softmax_np(targets * masks, axis=1), masks
 

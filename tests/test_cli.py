@@ -2,6 +2,7 @@ import json
 from pathlib import Path
 
 from conftest import small_config
+from test_config import MORE_CLIENTS_THAN_ROWS
 
 from fedsynth.cli import main
 from fedsynth.config import config_to_dict
@@ -40,6 +41,13 @@ class TestValidateCommand:
         path.write_text('{"rounds": "5"}')
         assert main(["validate", "--config", str(path)]) == 2
         assert "rounds must be an integer" in capsys.readouterr().err
+
+    def test_more_clients_than_training_rows_names_key(self, tmp_path, capsys):
+        for raw in MORE_CLIENTS_THAN_ROWS:
+            path = tmp_path / "bad.json"
+            path.write_text(json.dumps(raw))
+            assert main(["validate", "--config", str(path)]) == 2
+            assert "partition.clients" in capsys.readouterr().err
 
 
 class TestUsageErrors:
@@ -109,6 +117,12 @@ class TestRunCommand:
         a = strip_wall_clock((tmp_path / "a" / "metrics.csv").read_text())
         b = strip_wall_clock((tmp_path / "b" / "metrics.csv").read_text())
         assert a == b
+
+    def test_overflowing_spread_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"dataset": {"spread": 1e308}, "out_dir": str(tmp_path / "out")}))
+        assert main(["run", "--config", str(path)]) == 2
+        assert "dataset.spread" in capsys.readouterr().err
 
 
 class TestSynthInspect:

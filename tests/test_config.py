@@ -11,6 +11,7 @@ from fedsynth.config import (
     validate_config,
 )
 from fedsynth.errors import ConfigError
+from fedsynth.runner import build_state
 
 
 class TestDefaults:
@@ -204,3 +205,31 @@ class TestSeedDerivation:
         a = validate_config(ExperimentConfig(out_dir="runs/a"))
         b = validate_config(ExperimentConfig(out_dir="runs/b"))
         assert derive_seed(a.seed, "dataset") == derive_seed(b.seed, "dataset")
+
+
+TINY_DATASET = {"classes": 2, "dim": 2, "per_class": 2}
+MORE_CLIENTS_THAN_ROWS = [
+    {"dataset": TINY_DATASET, "partition": {"scheme": "dirichlet", "clients": 10, "concentration": 1.0}},
+    {"dataset": TINY_DATASET, "partition": {"scheme": "label_skew", "clients": 10, "classes_per_client": 1}},
+    {"partition": {"clients": 1000000000000}},
+]
+
+
+class TestClientBound:
+    """Every config that validation accepts can be partitioned."""
+
+    @pytest.mark.parametrize("raw", MORE_CLIENTS_THAN_ROWS, ids=["dirichlet", "label_skew", "huge"])
+    def test_more_clients_than_training_rows_rejected(self, raw):
+        with pytest.raises(ConfigError, match="partition.clients must not exceed"):
+            config_from_dict(raw)
+
+    @pytest.mark.parametrize("scheme", [{"scheme": "dirichlet", "concentration": 0.01}, {"classes_per_client": 1}])
+    def test_one_row_per_client_builds(self, scheme):
+        cfg = config_from_dict({"dataset": TINY_DATASET, "partition": {"clients": 4, **scheme}})
+        state, _ = build_state(cfg)
+        assert [len(client.shard) for client in state.clients] == [1, 1, 1, 1]
+
+    def test_spread_that_overflows_names_the_key(self):
+        cfg = config_from_dict({"dataset": {"spread": 1e308}})
+        with pytest.raises(ConfigError, match="dataset.spread"):
+            build_state(cfg)

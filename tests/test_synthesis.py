@@ -330,7 +330,7 @@ class TestProductionPath:
     def setup_case(self, arch):
         model = make_model(arch, seed=40)
         # class 0's classifier column is all negative: its rows get an all-zero CAM mask
-        last = model.params[f"dense{model._dense_count() - 1}.weight"]
+        last = next(p for name, p in model.classifier_params().items() if name.endswith(".weight"))
         last.data[:, 0] = -np.abs(last.data[:, 0]) - 0.1
         shard, _ = make_blobs(3, 5, 20, 0.25, seed=41)
         protos = {1: np.random.default_rng(42).standard_normal(model.feature_dim)}
