@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import re
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from contextlib import contextmanager
 
 import numpy as np
@@ -324,20 +324,18 @@ def backward(loss: Tensor) -> None:
     _run_backward(loss)
 
 
-def backward_params(loss: Tensor, model: "Model") -> dict[str, Array]:
-    """Gradient of a scalar loss w.r.t. every model parameter.
+def backward_params(loss: Tensor, model: "Model") -> Array:
+    """Gradient of a scalar loss w.r.t. the model's parameters, laid out like `model.flat`.
 
     Parameters the loss does not depend on get an explicit zero gradient.
     """
     reached = _run_backward(loss)
-    grads: dict[str, Array] = {}
-    for name, p in model.params.items():
-        if id(p) in reached:
-            grads[name] = p.grad
-        else:
+    grad = np.empty_like(model.flat)
+    for view, p in zip(model.views(grad).values(), model.params.values()):
+        if id(p) not in reached:
             p.grad = np.zeros_like(p.data)
-            grads[name] = p.grad
-    return grads
+        view[...] = p.grad
+    return grad
 
 
 def backward_input(loss: Tensor, x: Tensor) -> Array:
@@ -382,49 +380,47 @@ def parse_architecture(layers: Sequence[str]) -> list[tuple]:
 class Model:
     """MLP with value-semantic parameters, split as extractor + final dense classifier.
 
-    The last dense layer is the classifier; everything before it (including
-    any trailing relu) is the feature extractor.
+    All parameters live in one contiguous float64 vector, `flat`, in name
+    order (dense0.weight, dense0.bias, dense1.weight, ...); each `params`
+    leaf's data is a reshaped view into it. The last dense layer is the
+    classifier; everything before it (including any trailing relu) is the
+    feature extractor.
     """
 
-    def __init__(self, architecture: Sequence[str], params: Mapping[str, Tensor]):
+    def __init__(self, architecture: Sequence[str], flat: Array):
         self.architecture = [str(s) for s in architecture]
         self._layers = parse_architecture(self.architecture)
         self._split = max(i for i, layer in enumerate(self._layers) if layer[0] == "dense")
-        self.params = dict(params)
-        self._check_params()
-
-    def _check_params(self) -> None:
-        d = 0
-        for layer in self._layers:
-            if layer[0] != "dense":
-                continue
-            _, fan_in, fan_out = layer
+        self._layout = []  # (name, start, stop, shape) of every parameter, in `flat` order
+        start = 0
+        for d, (_, fan_in, fan_out) in enumerate(layer for layer in self._layers if layer[0] == "dense"):
             for suffix, shape in (("weight", (fan_in, fan_out)), ("bias", (fan_out,))):
-                name = f"dense{d}.{suffix}"
-                p = self.params.get(name)
-                if p is None or p.data.shape != shape:
-                    raise ValueError(f"parameter {name!r} missing or misshaped for {self.architecture}")
-            d += 1
+                stop = start + math.prod(shape)
+                self._layout.append((f"dense{d}.{suffix}", start, stop, shape))
+                start = stop
+        self.flat = np.ascontiguousarray(flat, dtype=np.float64)
+        if self.flat.shape != (start,):
+            raise ValueError(f"{self.architecture} has {start} parameters, got a vector of shape {self.flat.shape}")
+        self.params = {name: Tensor(view, requires_grad=True) for name, view in self.views(self.flat).items()}
+
+    def views(self, vector: Array) -> dict[str, Array]:
+        """Named, reshaped views into a vector laid out like `flat` (parameters or gradients)."""
+        return {name: vector[start:stop].reshape(shape) for name, start, stop, shape in self._layout}
 
     @classmethod
     def initialize(cls, architecture: Sequence[str], rng: np.random.Generator) -> "Model":
         """Seeded init: every weight and bias uniform in +/- sqrt(1/fan_in)."""
-        layers = parse_architecture(architecture)
-        params: dict[str, Tensor] = {}
-        d = 0
-        for layer in layers:
-            if layer[0] != "dense":
-                continue
-            _, fan_in, fan_out = layer
-            bound = math.sqrt(1.0 / fan_in)
-            params[f"dense{d}.weight"] = Tensor(rng.uniform(-bound, bound, size=(fan_in, fan_out)), requires_grad=True)
-            params[f"dense{d}.bias"] = Tensor(rng.uniform(-bound, bound, size=(fan_out,)), requires_grad=True)
-            d += 1
-        return cls(architecture, params)
+        draws = []
+        for layer in parse_architecture(architecture):
+            if layer[0] == "dense":
+                _, fan_in, fan_out = layer
+                bound = math.sqrt(1.0 / fan_in)
+                draws.append(rng.uniform(-bound, bound, size=fan_in * fan_out))
+                draws.append(rng.uniform(-bound, bound, size=fan_out))
+        return cls(architecture, np.concatenate(draws))
 
     def copy(self) -> "Model":
-        params = {name: Tensor(p.data.copy(), requires_grad=True) for name, p in self.params.items()}
-        return Model(self.architecture, params)
+        return Model(self.architecture, self.flat.copy())
 
     def _dense_count(self) -> int:
         return sum(1 for layer in self._layers if layer[0] == "dense")
@@ -507,21 +503,23 @@ def mlp_backward(
     d_logits: Array,
     d_features: Array | None = None,
     wrt: str = "params",
-) -> dict[str, Array] | Array:
+) -> Array:
     """Backpropagate through the pass `mlp_forward` cached.
 
     `d_logits` is the loss gradient w.r.t. the logits; `d_features`, when
     given, joins at the extractor/classifier split (for a single dense layer
-    the features are the input itself). With wrt="params" returns every
-    parameter's gradient by name, as `backward_params` does; with wrt="input"
-    returns the gradient w.r.t. the batch, as `backward_input` does. Each
-    step uses the graph's own operations, so a single loss term reproduces
-    the graph's gradients bit for bit.
+    the features are the input itself). With wrt="params" returns one
+    gradient vector laid out like `model.flat`, as `backward_params` does;
+    with wrt="input" returns the gradient w.r.t. the batch, as
+    `backward_input` does. Each step uses the graph's own operations, so a
+    single loss term reproduces the graph's gradients bit for bit.
     """
     if wrt not in ("params", "input"):
         raise ValueError(f"wrt must be 'params' or 'input', got {wrt!r}")
     want_params = wrt == "params"
-    grads: dict[str, Array] = {}
+    if want_params:
+        grad = np.empty_like(model.flat)
+        grads = model.views(grad)
     g = d_logits
     d = model._dense_count()
     for i in range(len(model._layers) - 1, -1, -1):
@@ -531,14 +529,14 @@ def mlp_backward(
         else:
             d -= 1
             if want_params:
-                grads[f"dense{d}.weight"] = h.T @ g
-                grads[f"dense{d}.bias"] = g.sum(axis=0)
+                grads[f"dense{d}.weight"][...] = h.T @ g
+                grads[f"dense{d}.bias"][...] = g.sum(axis=0)
                 if d == 0:
                     break  # nothing below the first dense layer has parameters
             g = g @ model.params[f"dense{d}.weight"].data.T
         if i == model._split and d_features is not None:
             g = g + d_features
-    return grads if want_params else g
+    return grad if want_params else g
 
 
 class Sgd:
@@ -548,23 +546,21 @@ class Sgd:
         self.learning_rate = float(learning_rate)
         self.momentum = float(momentum)
         self.weight_decay = float(weight_decay)
-        self.velocity: dict[str, Array] = {}
+        self.velocity: Array | None = None
 
-    def step(self, params: Mapping[str, Tensor], grads: Mapping[str, Array]) -> None:
-        for name, p in params.items():
-            g = np.asarray(grads[name], dtype=np.float64)
-            if np.isnan(g).any():
-                raise ValueError(f"NaN gradient for parameter {name!r}")
-            if g.shape != p.data.shape:
-                raise ValueError(f"gradient shape mismatch for parameter {name!r}")
-            if self.weight_decay:
-                g = g + self.weight_decay * p.data
-            v = self.velocity.get(name)
-            if v is None:
-                v = np.zeros_like(p.data)
-            v = self.momentum * v + g
-            self.velocity[name] = v
-            p.data = p.data - self.learning_rate * v
+    def step(self, model: Model, grad: Array) -> None:
+        """Update `model.flat` in place from a gradient laid out like it."""
+        if grad.shape != model.flat.shape:
+            raise ValueError(f"gradient shape {grad.shape} does not match the {model.flat.size} parameters")
+        if np.isnan(grad).any():
+            name = next(name for name, g in model.views(grad).items() if np.isnan(g).any())
+            raise ValueError(f"NaN gradient for parameter {name!r}")
+        if self.weight_decay:
+            grad = grad + self.weight_decay * model.flat
+        if self.velocity is None:
+            self.velocity = np.zeros_like(model.flat)
+        self.velocity = self.momentum * self.velocity + grad
+        model.flat -= self.learning_rate * self.velocity
 
 
 class Adam:
@@ -578,25 +574,20 @@ class Adam:
         self.beta2 = float(beta2)
         self.eps = float(eps)
         self.step_count = 0
-        self.moment1: dict[str, Array] = {}
-        self.moment2: dict[str, Array] = {}
+        self.moment1: Array | None = None
+        self.moment2: Array | None = None
 
-    def step(self, tensors: Mapping[str, Tensor], grads: Mapping[str, Array]) -> None:
+    def step(self, x: Array, grad: Array) -> None:
+        """Update the float64 array `x` in place."""
+        if grad.shape != x.shape:
+            raise ValueError(f"gradient shape {grad.shape} does not match {x.shape}")
         self.step_count += 1
         t = self.step_count
         c1 = 1.0 - self.beta1**t
         c2 = 1.0 - self.beta2**t
-        for name, p in tensors.items():
-            g = np.asarray(grads[name], dtype=np.float64)
-            if g.shape != p.data.shape:
-                raise ValueError(f"gradient shape mismatch for tensor {name!r}")
-            m = self.moment1.get(name)
-            v = self.moment2.get(name)
-            if m is None:
-                m = np.zeros_like(p.data)
-                v = np.zeros_like(p.data)
-            m = self.beta1 * m + (1.0 - self.beta1) * g
-            v = self.beta2 * v + (1.0 - self.beta2) * g * g
-            self.moment1[name] = m
-            self.moment2[name] = v
-            p.data = p.data - self.learning_rate * (m / c1) / (np.sqrt(v / c2) + self.eps)
+        if self.moment1 is None:
+            self.moment1 = np.zeros_like(x)
+            self.moment2 = np.zeros_like(x)
+        self.moment1 = self.beta1 * self.moment1 + (1.0 - self.beta1) * grad
+        self.moment2 = self.beta2 * self.moment2 + (1.0 - self.beta2) * grad * grad
+        x -= self.learning_rate * (self.moment1 / c1) / (np.sqrt(self.moment2 / c2) + self.eps)

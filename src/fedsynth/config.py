@@ -18,6 +18,10 @@ logger = logging.getLogger(__name__)
 
 ALGORITHMS = ("fedavg", "fmds_fl", "hfmds_fl")
 PARTITION_SCHEMES = ("dirichlet", "label_skew")
+# size bounds that keep a validated config from asking for memory no run can have
+MAX_INPUT_VALUES = 10**8  # dataset.classes * dataset.per_class * dataset.dim
+MAX_PARAMETERS = 10**7  # weights and biases of the architecture
+MAX_CLIENTS = 10**5  # runner.build_state derives one seed and one state per client
 
 
 def derive_seed(master: int, label: str) -> int:
@@ -145,6 +149,11 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
     _require(ds.dim >= 2, f"dataset.dim must be at least 2, got {ds.dim}")
     _require(ds.per_class >= 2, f"dataset.per_class must be at least 2, got {ds.per_class}")
     _require(ds.spread >= 0, f"dataset.spread must be non-negative, got {ds.spread}")
+    values = ds.classes * ds.per_class * ds.dim
+    _require(
+        values <= MAX_INPUT_VALUES,
+        f"dataset.classes * dataset.per_class * dataset.dim must be at most {MAX_INPUT_VALUES}, got {values}",
+    )
 
     part = cfg.partition
     _require(
@@ -159,6 +168,7 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
         f"partition.clients must not exceed the {rows} training samples (dataset.classes * dataset.per_class), "
         f"got {part.clients}",
     )
+    _require(part.clients <= MAX_CLIENTS, f"partition.clients must be at most {MAX_CLIENTS}, got {part.clients}")
     if part.scheme == "dirichlet":
         _require(part.concentration is not None, "partition.concentration is required for the dirichlet scheme")
         _require(part.concentration > 0, f"partition.concentration must be positive, got {part.concentration}")
@@ -213,6 +223,8 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
             f"dense(32,{ds.classes})",
         ]
     layers = parse_architecture(cfg.architecture)
+    count = sum(layer[1] * layer[2] + layer[2] for layer in layers if layer[0] == "dense")
+    _require(count <= MAX_PARAMETERS, f"architecture has {count} parameters, at most {MAX_PARAMETERS} are allowed")
     first = next(layer for layer in layers if layer[0] == "dense")
     _require(first[1] == ds.dim, f"architecture input width {first[1]} must equal dataset.dim {ds.dim}")
     _require(

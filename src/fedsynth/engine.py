@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Model, Sgd, Tensor, cross_entropy_grad, mlp_backward, mlp_forward
+from .autodiff import Model, Sgd, cross_entropy_grad, mlp_backward, mlp_forward
 from .config import ExperimentConfig, derive_seed
 from .data import Dataset
 from .errors import ConfigError
@@ -120,16 +120,15 @@ def local_update(
             # alpha is 1 without the synthetic branch, which keeps the real-only
             # step bitwise equal to the graph's
             loss, d_logits = cross_entropy_grad(logits, batch_labels, alpha)
-            grads = mlp_backward(model, cache, d_logits)
+            grad = mlp_backward(model, cache, d_logits)
             if use_syn:
                 syn_idx = state.rng.choice(len(syn_samples), size=batch_size, replace=len(syn_samples) < batch_size)
                 _, syn_logits, syn_cache = mlp_forward(model, syn_samples["x"][syn_idx])
                 syn_loss, d_syn_logits = cross_entropy_grad(syn_logits, syn_samples["target"][syn_idx], 1.0 - alpha)
-                syn_grads = mlp_backward(model, syn_cache, d_syn_logits)
-                grads = {name: grads[name] + syn_grads[name] for name in grads}
+                grad = grad + mlp_backward(model, syn_cache, d_syn_logits)
                 loss = loss + syn_loss
             _accumulate_features(state, features, batch_labels)
-            optimizer.step(model.params, grads)
+            optimizer.step(model, grad)
             losses.append(float(loss))
     state.prototypes = update_prototypes(state.feature_sums, state.feature_counts, state.prototypes, proto_momentum)
     return model, float(np.mean(losses))
@@ -141,19 +140,12 @@ def aggregate(models) -> Model:
     if not models:
         raise ValueError("aggregate requires at least one model")
     first = models[0]
+    total = first.flat.copy()
     for m in models[1:]:
         if m.architecture != first.architecture:
             raise ValueError("cannot aggregate models with differing architectures")
-    averaged: dict[str, Tensor] = {}
-    for name, p in first.params.items():
-        total = p.data.copy()
-        for m in models[1:]:
-            q = m.params.get(name)
-            if q is None or q.data.shape != p.data.shape:
-                raise ValueError(f"parameter {name!r} mismatch during aggregation")
-            total += q.data
-        averaged[name] = Tensor(total / len(models), requires_grad=True)
-    return Model(first.architecture, averaged)
+        total += m.flat
+    return Model(first.architecture, total / len(models))
 
 
 def _run_synthesis(state: GlobalState, config: ExperimentConfig, round_index: int) -> None:

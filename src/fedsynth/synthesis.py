@@ -378,15 +378,15 @@ def synthesize(
         logger.warning("synthesize: %d of %d samples have all-zero CAM masks", zero_rows, n)
     onehot = np.eye(model.class_count)[labels]
 
-    x_hat = Tensor(rng.standard_normal(reals.shape))
-    initial = _row_losses(model, x_hat.data, target_probs, masks, labels, cfg)
+    x_hat = rng.standard_normal(reals.shape)
+    initial = _row_losses(model, x_hat, target_probs, masks, labels, cfg)
     optimizer = Adam(cfg.adam_lr)
     for _ in range(cfg.steps):
-        optimizer.step({"x": x_hat}, {"x": _input_grad(model, x_hat.data, target_probs, masks, onehot, cfg)})
-        np.clip(x_hat.data, 0.0, 1.0, out=x_hat.data)
-    final = _row_losses(model, x_hat.data, target_probs, masks, labels, cfg)
+        optimizer.step(x_hat, _input_grad(model, x_hat, target_probs, masks, onehot, cfg))
+        np.clip(x_hat, 0.0, 1.0, out=x_hat)
+    final = _row_losses(model, x_hat, target_probs, masks, labels, cfg)
 
-    samples = synthetic_rows(shard, pair_idx, x_hat.data, onehot, initial, final)
+    samples = synthetic_rows(shard, pair_idx, x_hat, onehot, initial, final)
     return SyntheticDataset(samples, model.feature_dim, client_id, round_index, model_fingerprint(model))
 
 

@@ -191,7 +191,7 @@ def test_criterion_2_non_iid_improvement(bench_runs):
             idx = order[s * cfg.batch_size : (s + 1) * cfg.batch_size]
             _, logits = model.forward(train.inputs[idx])
             loss = softmax_cross_entropy(logits, train.labels[idx])
-            optimizer.step(model.params, backward_params(loss, model))
+            optimizer.step(model, backward_params(loss, model))
     central = accuracy(model, test)
 
     hfmds = np.mean([bench_runs[("hfmds_fl", s)][0].rows[-1].accuracy for s in BENCH_SEEDS])

@@ -56,17 +56,17 @@ class TestForward:
         model = make_mlp(["dense(2,2)", "dense(2,2)"])
         for name in model.params:
             if name.endswith("weight"):
-                model.params[name].data = np.eye(2)
+                model.params[name].data[...] = np.eye(2)
             else:
-                model.params[name].data = np.zeros(2)
+                model.params[name].data[...] = np.zeros(2)
         features, logits = model.forward(np.array([[1.0, 2.0]]))
         assert np.array_equal(features.data, [[1.0, 2.0]])
         assert np.array_equal(logits.data, [[1.0, 2.0]])
 
     def test_relu_clamps_negatives_in_features(self):
         model = make_mlp(["dense(2,2)", "relu", "dense(2,2)"])
-        model.params["dense0.weight"].data = np.eye(2)
-        model.params["dense0.bias"].data = np.zeros(2)
+        model.params["dense0.weight"].data[...] = np.eye(2)
+        model.params["dense0.bias"].data[...] = np.zeros(2)
         features, _ = model.forward(np.array([[-1.0, 3.0]]))
         assert np.array_equal(features.data, [[0.0, 3.0]])
 
@@ -101,7 +101,7 @@ class TestBackward:
     def test_sum_of_weight_gives_ones(self):
         model = make_mlp(["dense(3,4)", "dense(4,2)"])
         loss = reduce_sum(model.params["dense0.weight"])
-        grads = backward_params(loss, model)
+        grads = model.views(backward_params(loss, model))
         assert np.array_equal(grads["dense0.weight"], np.ones((3, 4)))
         assert np.array_equal(grads["dense1.weight"], np.zeros((4, 2)))
 
@@ -122,7 +122,7 @@ class TestBackward:
 
         _, logits = model.forward(batch)
         loss = softmax_cross_entropy(logits, labels)
-        grads = backward_params(loss, model)
+        grads = model.views(backward_params(loss, model))
 
         coord_rng = np.random.default_rng(13)
         names = list(model.params)
@@ -193,7 +193,7 @@ class TestBackward:
         assert np.any(model.params["dense0.weight"].grad != 0)
         # new loss that does not touch the extractor
         loss = reduce_sum(model.params["dense1.weight"])
-        grads = backward_params(loss, model)
+        grads = model.views(backward_params(loss, model))
         assert np.array_equal(grads["dense0.weight"], np.zeros((2, 3)))
 
 
@@ -226,60 +226,65 @@ class TestCrossEntropy:
         assert float(loss.data) >= 0.0
 
 
+def one_weight(value):
+    """A dense(1,1) model with weight `value` and bias 0; `flat` is [weight, bias]."""
+    return Model(["dense(1,1)"], np.array([value, 0.0]))
+
+
 class TestSgd:
     def test_plain_step(self):
-        p = {"w": Tensor(np.array(1.0), requires_grad=True)}
-        Sgd(0.1).step(p, {"w": np.array(0.5)})
-        assert abs(float(p["w"].data) - 0.95) < 1e-15
+        model = one_weight(1.0)
+        Sgd(0.1).step(model, np.array([0.5, 0.0]))
+        assert abs(float(model.flat[0]) - 0.95) < 1e-15
 
     def test_momentum_unrolled(self):
-        p = {"w": Tensor(np.array(0.0), requires_grad=True)}
+        model = one_weight(0.0)
         opt = Sgd(1.0, momentum=0.9)
-        opt.step(p, {"w": np.array(1.0)})
-        assert abs(float(p["w"].data) - (-1.0)) < 1e-15
-        opt.step(p, {"w": np.array(1.0)})
-        assert abs(float(p["w"].data) - (-2.9)) < 1e-12
+        opt.step(model, np.array([1.0, 0.0]))
+        assert abs(float(model.flat[0]) - (-1.0)) < 1e-15
+        opt.step(model, np.array([1.0, 0.0]))
+        assert abs(float(model.flat[0]) - (-2.9)) < 1e-12
 
     def test_pure_weight_decay(self):
-        p = {"w": Tensor(np.array(1.0), requires_grad=True)}
-        Sgd(0.1, weight_decay=0.1).step(p, {"w": np.array(0.0)})
-        assert abs(float(p["w"].data) - 0.99) < 1e-15
+        model = one_weight(1.0)
+        Sgd(0.1, weight_decay=0.1).step(model, np.array([0.0, 0.0]))
+        assert abs(float(model.flat[0]) - 0.99) < 1e-15
 
     def test_zero_momentum_equals_plain_gradient_descent(self):
-        data = np.random.default_rng(0).random((3, 2))
-        grad = np.random.default_rng(1).random((3, 2))
-        p = {"w": Tensor(data.copy(), requires_grad=True)}
-        Sgd(0.05).step(p, {"w": grad})
-        assert np.array_equal(p["w"].data, data - 0.05 * grad)
+        data = np.random.default_rng(0).random(8)
+        grad = np.random.default_rng(1).random(8)
+        model = Model(["dense(3,2)"], data.copy())
+        Sgd(0.05).step(model, grad)
+        assert np.array_equal(model.flat, data - 0.05 * grad)
 
     def test_nan_gradient_names_parameter(self):
-        p = {"dense0.weight": Tensor(np.ones(2), requires_grad=True)}
+        model = Model(["dense(2,1)"], np.ones(3))
         with pytest.raises(ValueError, match="dense0.weight"):
-            Sgd(0.1).step(p, {"dense0.weight": np.array([1.0, np.nan])})
+            Sgd(0.1).step(model, np.array([1.0, np.nan, 0.0]))
 
 
 class TestAdam:
     def test_first_step_magnitude_is_learning_rate(self):
-        p = {"x": Tensor(np.array([1.0, -2.0]), requires_grad=True)}
-        before = p["x"].data.copy()
-        Adam(0.02).step(p, {"x": np.array([0.3, -0.7])})
-        delta = p["x"].data - before
+        x = np.array([1.0, -2.0])
+        before = x.copy()
+        Adam(0.02).step(x, np.array([0.3, -0.7]))
+        delta = x - before
         assert np.all(np.abs(np.abs(delta) - 0.02) < 1e-6)
         assert np.array_equal(np.sign(delta), [-1.0, 1.0])
 
     def test_zero_gradient_is_identity(self):
         data = np.random.default_rng(0).random(4)
-        p = {"x": Tensor(data.copy(), requires_grad=True)}
+        x = data.copy()
         opt = Adam(0.1)
         for _ in range(3):
-            opt.step(p, {"x": np.zeros(4)})
-        assert np.array_equal(p["x"].data, data)
+            opt.step(x, np.zeros(4))
+        assert np.array_equal(x, data)
 
     def test_ten_steps_on_square_matches_reference_recursion(self):
-        p = {"x": Tensor(np.array(1.0), requires_grad=True)}
+        x_opt = np.array(1.0)
         opt = Adam(0.1)
         for _ in range(10):
-            opt.step(p, {"x": 2.0 * p["x"].data})
+            opt.step(x_opt, 2.0 * x_opt)
 
         # independent reference recursion
         x, m, v = 1.0, 0.0, 0.0
@@ -288,14 +293,14 @@ class TestAdam:
             m = 0.9 * m + 0.1 * g
             v = 0.999 * v + 0.001 * g * g
             x -= 0.1 * (m / (1 - 0.9**t)) / (math.sqrt(v / (1 - 0.999**t)) + 1e-8)
-        assert abs(float(p["x"].data) - x) < 1e-12
-        assert abs(float(p["x"].data)) < 1.0
+        assert abs(float(x_opt) - x) < 1e-12
+        assert abs(float(x_opt)) < 1.0
 
     def test_step_counter_increases(self):
         opt = Adam(0.1)
-        p = {"x": Tensor(np.array(1.0), requires_grad=True)}
+        x = np.array(1.0)
         for expected in (1, 2, 3):
-            opt.step(p, {"x": np.array(0.5)})
+            opt.step(x, np.array(0.5))
             assert opt.step_count == expected
 
     def test_nonpositive_eps_rejected(self):
@@ -402,11 +407,11 @@ class TestClosedForm:
             labels = soft_labels(rng, len(batch), 4)
         _, logits, cache = mlp_forward(model, batch)
         value, d_logits = cross_entropy_grad(logits, labels)
-        grads = mlp_backward(model, cache, d_logits)
+        grads = model.views(mlp_backward(model, cache, d_logits))
 
         _, graph_logits = model.forward(batch)
         loss = softmax_cross_entropy(graph_logits, labels)
-        expected = backward_params(loss, model)
+        expected = model.views(backward_params(loss, model))
         assert value == float(loss.data)
         assert set(grads) == set(expected)
         for name in expected:
@@ -421,8 +426,8 @@ class TestClosedForm:
         _, syn_logits, syn_cache = mlp_forward(model, syn_batch)
         real_value, d_real = cross_entropy_grad(logits, labels, alpha)
         syn_value, d_syn = cross_entropy_grad(syn_logits, syn_targets, 1.0 - alpha)
-        real_grads = mlp_backward(model, cache, d_real)
-        syn_grads = mlp_backward(model, syn_cache, d_syn)
+        real_grads = model.views(mlp_backward(model, cache, d_real))
+        syn_grads = model.views(mlp_backward(model, syn_cache, d_syn))
 
         _, graph_logits = model.forward(batch)
         _, graph_syn_logits = model.forward(syn_batch)
@@ -430,7 +435,7 @@ class TestClosedForm:
             mul(softmax_cross_entropy(graph_logits, labels), alpha),
             mul(softmax_cross_entropy(graph_syn_logits, syn_targets), 1.0 - alpha),
         )
-        expected = backward_params(loss, model)
+        expected = model.views(backward_params(loss, model))
         assert abs(real_value + syn_value - float(loss.data)) <= 1e-12 * abs(float(loss.data))
         for name in expected:
             assert_rel_close(real_grads[name] + syn_grads[name], expected[name])
@@ -453,11 +458,11 @@ class TestClosedForm:
         d_features = rng.standard_normal((len(batch), model.feature_dim))
         d_logits = rng.standard_normal((len(batch), model.class_count))
         _, _, cache = mlp_forward(model, batch)
-        grads = mlp_backward(model, cache, d_logits, d_features)
+        grads = model.views(mlp_backward(model, cache, d_logits, d_features))
 
         features, logits = model.forward(batch)
         loss = add(reduce_sum(mul(features, d_features)), reduce_sum(mul(logits, d_logits)))
-        expected = backward_params(loss, model)
+        expected = model.views(backward_params(loss, model))
         for name in expected:
             assert_rel_close(grads[name], expected[name])
 

@@ -50,6 +50,13 @@ class TestValidateCommand:
             assert "partition.clients" in capsys.readouterr().err
 
 
+    def test_oversized_config_names_key(self, tmp_path, capsys):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"dataset": {"per_class": 10**12}, "partition": {"clients": 10**12}}))
+        assert main(["validate", "--config", str(path)]) == 2
+        assert "dataset.per_class" in capsys.readouterr().err
+
+
 class TestUsageErrors:
     def test_run_without_config_is_usage_error(self, capsys):
         assert main(["run"]) != 0

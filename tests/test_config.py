@@ -233,3 +233,40 @@ class TestClientBound:
         cfg = config_from_dict({"dataset": {"spread": 1e308}})
         with pytest.raises(ConfigError, match="dataset.spread"):
             build_state(cfg)
+
+
+OVERSIZED = {
+    "inputs": (
+        {"dataset": {"per_class": 10**12}, "partition": {"clients": 10**12}},
+        "dataset.classes * dataset.per_class * dataset.dim must be at most 100000000",
+    ),
+    "dim": ({"dataset": {"dim": 10**8}}, "dataset.classes * dataset.per_class * dataset.dim"),
+    "parameters": (
+        {"dataset": {"dim": 1000}, "architecture": ["dense(1000,10000)", "relu", "dense(10000,6)"]},
+        "architecture has 10070006 parameters",
+    ),
+    "clients": (
+        {"dataset": {"classes": 2, "dim": 2, "per_class": 100000}, "partition": {"clients": 100001}},
+        "partition.clients must be at most 100000",
+    ),
+}
+
+
+class TestSizeBounds:
+    """Oversized configs fail validation naming the key; none of them is ever built."""
+
+    @pytest.mark.parametrize("raw, message", OVERSIZED.values(), ids=list(OVERSIZED))
+    def test_oversized_config_names_key(self, raw, message):
+        with pytest.raises(ConfigError, match=message.replace("*", r"\*")):
+            config_from_dict(raw)
+
+    def test_configs_at_the_bounds_validate(self):
+        at_inputs = config_from_dict({"dataset": {"classes": 2, "per_class": 5 * 10**6, "dim": 10}})
+        assert at_inputs.dataset.per_class == 5 * 10**6
+        at_clients = config_from_dict({"dataset": {"classes": 2, "per_class": 10**5}, "partition": {"clients": 10**5}})
+        assert at_clients.partition.clients == 10**5
+        # 992 * 10000 + 10000 + 10000 * 6 + 6 = 9,990,006 parameters, just under the bound
+        at_params = config_from_dict(
+            {"dataset": {"dim": 992}, "architecture": ["dense(992,10000)", "relu", "dense(10000,6)"]}
+        )
+        assert at_params.dataset.dim == 992

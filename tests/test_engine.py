@@ -57,10 +57,10 @@ class TestAggregate:
     def test_scalar_average(self):
         a = make_model(["dense(1,1)"])
         b = make_model(["dense(1,1)"])
-        a.params["dense0.weight"].data = np.array([[2.0]])
-        b.params["dense0.weight"].data = np.array([[4.0]])
-        a.params["dense0.bias"].data = np.zeros(1)
-        b.params["dense0.bias"].data = np.zeros(1)
+        a.params["dense0.weight"].data[...] = np.array([[2.0]])
+        b.params["dense0.weight"].data[...] = np.array([[4.0]])
+        a.params["dense0.bias"].data[...] = np.zeros(1)
+        b.params["dense0.bias"].data[...] = np.zeros(1)
         out = aggregate([a, b])
         assert out.params["dense0.weight"].data[0, 0] == 3.0
 
@@ -109,7 +109,7 @@ class TestLocalUpdate:
         _, syn_logits = base.forward(np.stack([syn[int(j)].x for j in syn_idx]))
         targets = np.stack([syn[int(j)].target for j in syn_idx])
         loss = add(mul(real_loss, 0.4), mul(softmax_cross_entropy(syn_logits, targets), 0.6))
-        grads = backward_params(loss, base)
+        grads = base.views(backward_params(loss, base))
         for name in base.params:
             expected = model.params[name].data - 0.1 * grads[name]
             assert np.max(np.abs(updated.params[name].data - expected)) < 1e-10

@@ -1,0 +1,71 @@
+"""The flat parameter layout: every named parameter is a view into `Model.flat`."""
+
+import numpy as np
+import pytest
+
+from fedsynth.autodiff import Model, Sgd, cross_entropy_grad, mlp_backward, mlp_forward
+from fedsynth.config import config_from_dict, derive_seed
+from fedsynth.engine import aggregate
+from fedsynth.synthesis import model_fingerprint
+
+DESK_ARCH = ["dense(16,32)", "relu", "dense(32,32)", "relu", "dense(32,6)"]
+
+
+def desk_model(seed=1):
+    return Model.initialize(DESK_ARCH, np.random.default_rng(derive_seed(seed, "model-init")))
+
+
+def assert_views_of_own_flat(model):
+    for name, p in model.params.items():
+        assert np.shares_memory(p.data, model.flat), name
+
+
+def test_desk_init_fingerprint_is_pinned():
+    model = desk_model()
+    assert config_from_dict({}).architecture == DESK_ARCH
+    assert model.flat.size == 1798
+    assert model_fingerprint(model) == "b394513a3658a6fc"
+
+
+def test_flat_follows_name_order():
+    model = desk_model()
+    assert list(model.params) == [f"dense{d}.{s}" for d in range(3) for s in ("weight", "bias")]
+    assert np.array_equal(np.concatenate([p.data.ravel() for p in model.params.values()]), model.flat)
+
+
+def test_sgd_step_updates_the_views():
+    model = desk_model()
+    rng = np.random.default_rng(0)
+    _, logits, cache = mlp_forward(model, rng.random((10, 16)))
+    _, d_logits = cross_entropy_grad(logits, rng.integers(0, 6, size=10))
+    before = model.flat.copy()
+    Sgd(0.1, momentum=0.9, weight_decay=5e-4).step(model, mlp_backward(model, cache, d_logits))
+    assert not np.array_equal(model.flat, before)
+    assert_views_of_own_flat(model)
+
+
+def test_copy_and_aggregate_own_their_vectors():
+    model = desk_model()
+    clone = model.copy()
+    assert_views_of_own_flat(clone)
+    assert not np.shares_memory(clone.flat, model.flat)
+    for p, q in zip(model.params.values(), clone.params.values()):
+        assert not np.shares_memory(p.data, q.data)
+    merged = aggregate([model, clone, desk_model(seed=2)])
+    assert_views_of_own_flat(merged)
+    assert not any(np.shares_memory(merged.flat, m.flat) for m in (model, clone))
+
+
+@pytest.mark.parametrize("size", [1797, 1799, 0])
+def test_wrong_length_flat_raises(size):
+    with pytest.raises(ValueError, match="1798 parameters"):
+        Model(DESK_ARCH, np.zeros(size))
+
+
+def test_nan_in_bias_names_the_bias():
+    model = desk_model()
+    grad = np.zeros_like(model.flat)
+    grad[-1] = np.nan
+    with pytest.raises(ValueError, match="dense2.bias"):
+        Sgd(0.1).step(model, grad)
+    assert np.array_equal(model.flat, desk_model().flat)

@@ -22,9 +22,9 @@ def identity_model(width):
     model = Model.initialize([f"dense({width},{width})", f"dense({width},{width})"], np.random.default_rng(0))
     for name in model.params:
         if name.endswith("weight"):
-            model.params[name].data = np.eye(width)
+            model.params[name].data[...] = np.eye(width)
         else:
-            model.params[name].data = np.zeros(width)
+            model.params[name].data[...] = np.zeros(width)
     return model
 
 
@@ -37,7 +37,7 @@ class TestAccuracy:
     def test_constant_logits_tie_break_to_class_zero(self):
         model = identity_model(4)
         for name in model.params:
-            model.params[name].data = np.zeros_like(model.params[name].data)
+            model.params[name].data[...] = np.zeros_like(model.params[name].data)
         labels = np.repeat(np.arange(4), 5)
         data = Dataset(np.random.default_rng(0).random((20, 4)), labels, 4)
         assert accuracy(model, data) == 0.25

@@ -51,7 +51,7 @@ class TestComputeCam:
     def make_linear_head(self, weight):
         # feature width 3, two classes; classifier is the last dense layer
         model = make_model(["dense(2,3)", "dense(3,2)"])
-        model.params["dense1.weight"].data = np.asarray(weight, dtype=float)
+        model.params["dense1.weight"].data[...] = np.asarray(weight, dtype=float)
         return model
 
     def test_linear_classifier_gradient_is_weight_column(self):
