@@ -233,10 +233,20 @@ def _target_matrix(labels, batch: int, classes: int) -> Array:
     return arr.astype(np.float64)
 
 
+def log_softmax_rows(z: Array) -> Array:
+    """Row-wise log-softmax of a (batch, classes) matrix, stabilized by max subtraction.
+
+    The one definition behind every cross entropy here: the graph op, its
+    closed form, and the per-row synthesis losses.
+    """
+    shifted = z - z.max(axis=1, keepdims=True)
+    shifted -= np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    return shifted
+
+
 def _cross_entropy_terms(z: Array, target: Array) -> tuple[float, Array]:
     """Mean cross entropy of row-wise softmax(z) against a target matrix, and softmax(z)."""
-    shifted = z - z.max(axis=1, keepdims=True)
-    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    log_probs = log_softmax_rows(z)
     return -(target * log_probs).sum() / z.shape[0], np.exp(log_probs)
 
 
@@ -263,11 +273,14 @@ def softmax_cross_entropy(logits, labels) -> Tensor:
     return _node(np.asarray(value), (logits,), backprop)
 
 
-def cross_entropy_grad(logits: Array, labels, weight: float = 1.0) -> tuple[float, Array]:
+def cross_entropy_grad(logits: Array, labels, weight=1.0) -> tuple[float, Array]:
     """Closed form of `weight * softmax_cross_entropy(logits, labels)`.
 
-    Returns the weighted loss value and its gradient w.r.t. the logits, each
-    computed with the same operations, in the same order, as the graph op.
+    Returns the weighted loss value and its gradient w.r.t. the logits. For a
+    scalar `weight` each is computed with the same operations, in the same
+    order, as the graph op. A vector `weight` holds one weight per row and
+    replaces the mean: the loss is then sum_r weight[r] * CE(row r), so one
+    call can blend rows from different batches.
     Soft-label rows are not checked to sum to one here: local training passes
     rows of the synthetic pool, checked once where `synthesis.synthetic_rows`
     builds them.
@@ -277,8 +290,18 @@ def cross_entropy_grad(logits: Array, labels, weight: float = 1.0) -> tuple[floa
         raise ValueError("logits must be a (batch, classes) matrix")
     batch, classes = z.shape
     target = _target_matrix(labels, batch, classes)
-    value, probs = _cross_entropy_terms(z, target)
-    return value * weight, weight * (probs - target) / batch
+    if np.ndim(weight) == 0:
+        value, probs = _cross_entropy_terms(z, target)
+        return value * weight, weight * (probs - target) / batch
+    row_weight = np.asarray(weight, dtype=np.float64)
+    if row_weight.shape != (batch,):
+        raise ValueError(f"expected {batch} row weights, got shape {row_weight.shape}")
+    row_weight = row_weight[:, None]
+    log_probs = log_softmax_rows(z)
+    d_logits = np.exp(log_probs)
+    d_logits -= target
+    d_logits *= row_weight
+    return -(row_weight * target * log_probs).sum(), d_logits
 
 
 def _toposort(root: Tensor) -> list[Tensor]:
@@ -391,6 +414,8 @@ class Model:
         self.architecture = [str(s) for s in architecture]
         self._layers = parse_architecture(self.architecture)
         self._split = max(i for i, layer in enumerate(self._layers) if layer[0] == "dense")
+        self._first_dense = next(i for i, layer in enumerate(self._layers) if layer[0] == "dense")
+        self.input_dim = self._layers[self._first_dense][1]
         self._layout = []  # (name, start, stop, shape) of every parameter, in `flat` order
         start = 0
         for d, (_, fan_in, fan_out) in enumerate(layer for layer in self._layers if layer[0] == "dense"):
@@ -402,6 +427,13 @@ class Model:
         if self.flat.shape != (start,):
             raise ValueError(f"{self.architecture} has {start} parameters, got a vector of shape {self.flat.shape}")
         self.params = {name: Tensor(view, requires_grad=True) for name, view in self.views(self.flat).items()}
+        # the layer plan `mlp_forward`/`mlp_backward` walk, built once: None for a
+        # relu, (weight view, bias view, weight slice, bias slice) for a dense layer
+        dense = iter(
+            (self.params[w[0]].data, self.params[b[0]].data, slice(w[1], w[2]), slice(b[1], b[2]))
+            for w, b in zip(self._layout[::2], self._layout[1::2])
+        )
+        self._plan = [None if layer[0] == "relu" else next(dense) for layer in self._layers]
 
     def views(self, vector: Array) -> dict[str, Array]:
         """Named, reshaped views into a vector laid out like `flat` (parameters or gradients)."""
@@ -423,11 +455,7 @@ class Model:
         return Model(self.architecture, self.flat.copy())
 
     def _dense_count(self) -> int:
-        return sum(1 for layer in self._layers if layer[0] == "dense")
-
-    @property
-    def input_dim(self) -> int:
-        return next(layer[1] for layer in self._layers if layer[0] == "dense")
+        return len(self._layout) // 2
 
     @property
     def feature_dim(self) -> int:
@@ -486,14 +514,13 @@ def mlp_forward(model: Model, batch) -> tuple[Array, Array, list[Array]]:
     if h.ndim != 2 or h.shape[1] != model.input_dim:
         raise ValueError(f"batch shape {h.shape} incompatible with input width {model.input_dim}")
     cache = []
-    d = 0
-    for layer in model._layers:
+    for layer in model._plan:
         cache.append(h)
-        if layer[0] == "relu":
+        if layer is None:
             h = np.where(h > 0, h, 0.0)
         else:
-            h = h @ model.params[f"dense{d}.weight"].data + model.params[f"dense{d}.bias"].data
-            d += 1
+            h = h @ layer[0]
+            h += layer[1]
     return cache[model._split], h, cache
 
 
@@ -512,30 +539,30 @@ def mlp_backward(
     gradient vector laid out like `model.flat`, as `backward_params` does;
     with wrt="input" returns the gradient w.r.t. the batch, as
     `backward_input` does. Each step uses the graph's own operations, so a
-    single loss term reproduces the graph's gradients bit for bit.
+    single loss term reproduces the graph's gradients bit for bit. Neither
+    `d_logits` nor `d_features` is written to.
     """
     if wrt not in ("params", "input"):
         raise ValueError(f"wrt must be 'params' or 'input', got {wrt!r}")
     want_params = wrt == "params"
     if want_params:
         grad = np.empty_like(model.flat)
-        grads = model.views(grad)
+    plan = model._plan
     g = d_logits
-    d = model._dense_count()
-    for i in range(len(model._layers) - 1, -1, -1):
-        h = cache[i]
-        if model._layers[i][0] == "relu":
-            g = g * (h > 0)
+    for i in range(len(plan) - 1, -1, -1):
+        layer = plan[i]
+        if layer is None:
+            g *= cache[i] > 0  # g is never the caller's: the top layer is dense
         else:
-            d -= 1
+            weight, _, w_slice, b_slice = layer
             if want_params:
-                grads[f"dense{d}.weight"][...] = h.T @ g
-                grads[f"dense{d}.bias"][...] = g.sum(axis=0)
-                if d == 0:
+                np.matmul(cache[i].T, g, out=grad[w_slice].reshape(weight.shape))
+                np.sum(g, axis=0, out=grad[b_slice])
+                if i == model._first_dense:
                     break  # nothing below the first dense layer has parameters
-            g = g @ model.params[f"dense{d}.weight"].data.T
+            g = g @ weight.T
         if i == model._split and d_features is not None:
-            g = g + d_features
+            g += d_features
     return grad if want_params else g
 
 
@@ -559,7 +586,8 @@ class Sgd:
             grad = grad + self.weight_decay * model.flat
         if self.velocity is None:
             self.velocity = np.zeros_like(model.flat)
-        self.velocity = self.momentum * self.velocity + grad
+        self.velocity *= self.momentum
+        self.velocity += grad
         model.flat -= self.learning_rate * self.velocity
 
 
@@ -588,6 +616,9 @@ class Adam:
         if self.moment1 is None:
             self.moment1 = np.zeros_like(x)
             self.moment2 = np.zeros_like(x)
-        self.moment1 = self.beta1 * self.moment1 + (1.0 - self.beta1) * grad
-        self.moment2 = self.beta2 * self.moment2 + (1.0 - self.beta2) * grad * grad
-        x -= self.learning_rate * (self.moment1 / c1) / (np.sqrt(self.moment2 / c2) + self.eps)
+        m, v = self.moment1, self.moment2
+        m *= self.beta1
+        m += (1.0 - self.beta1) * grad
+        v *= self.beta2
+        v += (1.0 - self.beta2) * grad * grad
+        x -= self.learning_rate * (m / c1) / (np.sqrt(v / c2) + self.eps)

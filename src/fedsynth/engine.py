@@ -67,15 +67,14 @@ def sample_clients(total: int, active_count: int, rng: np.random.Generator) -> l
 
 
 def _accumulate_features(state: ClientState, features: Array, labels: Array) -> None:
-    for c in np.unique(labels):
+    for c in np.flatnonzero(np.bincount(labels)).tolist():
         rows = features[labels == c]
-        key = int(c)
-        if key in state.feature_sums:
-            state.feature_sums[key] += rows.sum(axis=0)
-            state.feature_counts[key] += rows.shape[0]
+        if c in state.feature_sums:
+            state.feature_sums[c] += rows.sum(axis=0)
+            state.feature_counts[c] += rows.shape[0]
         else:
-            state.feature_sums[key] = rows.sum(axis=0)
-            state.feature_counts[key] = rows.shape[0]
+            state.feature_sums[c] = rows.sum(axis=0)
+            state.feature_counts[c] = rows.shape[0]
 
 
 def local_update(
@@ -94,8 +93,10 @@ def local_update(
     Each step draws a real mini-batch (shuffled without replacement per epoch)
     and, when alpha < 1, a synthetic mini-batch (with replacement if the pool
     is smaller than the batch); the step loss is
-    alpha * CE(real) + (1 - alpha) * CE(synthetic). Real-sample features are
-    accumulated per class along the way and folded into the client's
+    alpha * CE(real) + (1 - alpha) * CE(synthetic). A blended step runs both
+    batches as one forward/backward pass, each row's logit gradient weighted
+    by alpha / (real rows) or (1 - alpha) / batch_size. Real-sample features
+    are accumulated per class along the way and folded into the client's
     prototypes after the last step. Returns the model and the mean step loss.
     """
     if not 0.0 <= alpha <= 1.0:
@@ -110,25 +111,33 @@ def local_update(
     state.feature_counts = {}
     n = len(shard)
     steps = math.ceil(n / batch_size)
+    if use_syn:
+        onehot = np.eye(model.class_count)[shard.labels]
+        replace = len(syn_samples) < batch_size
+        # logit-gradient weights of a blended batch of k real rows: a full batch, and each epoch's last one
+        row_weights = {
+            k: np.repeat((alpha / k, (1.0 - alpha) / batch_size), (k, batch_size))
+            for k in (batch_size, n - (steps - 1) * batch_size)
+        }
     losses = []
     for _ in range(epochs):
         order = state.rng.permutation(n)
         for s in range(steps):
             idx = order[s * batch_size : (s + 1) * batch_size]
             batch_labels = shard.labels[idx]
-            features, logits, cache = mlp_forward(model, shard.inputs[idx])
-            # alpha is 1 without the synthetic branch, which keeps the real-only
-            # step bitwise equal to the graph's
-            loss, d_logits = cross_entropy_grad(logits, batch_labels, alpha)
-            grad = mlp_backward(model, cache, d_logits)
             if use_syn:
-                syn_idx = state.rng.choice(len(syn_samples), size=batch_size, replace=len(syn_samples) < batch_size)
-                _, syn_logits, syn_cache = mlp_forward(model, syn_samples["x"][syn_idx])
-                syn_loss, d_syn_logits = cross_entropy_grad(syn_logits, syn_samples["target"][syn_idx], 1.0 - alpha)
-                grad = grad + mlp_backward(model, syn_cache, d_syn_logits)
-                loss = loss + syn_loss
-            _accumulate_features(state, features, batch_labels)
-            optimizer.step(model, grad)
+                syn_idx = state.rng.choice(len(syn_samples), size=batch_size, replace=replace)
+                syn = syn_samples[syn_idx]
+                inputs = np.concatenate((shard.inputs[idx], syn["x"]))
+                targets = np.concatenate((onehot[idx], syn["target"]))
+                weight = row_weights[len(idx)]
+            else:
+                # the real-only step stays bitwise equal to the graph's
+                inputs, targets, weight = shard.inputs[idx], batch_labels, alpha
+            features, logits, cache = mlp_forward(model, inputs)
+            loss, d_logits = cross_entropy_grad(logits, targets, weight)
+            _accumulate_features(state, features[: len(idx)], batch_labels)
+            optimizer.step(model, mlp_backward(model, cache, d_logits))
             losses.append(float(loss))
     state.prototypes = update_prototypes(state.feature_sums, state.feature_counts, state.prototypes, proto_momentum)
     return model, float(np.mean(losses))

@@ -24,6 +24,7 @@ from .autodiff import (
     add,
     backward_input,
     log,
+    log_softmax_rows,
     mlp_backward,
     mlp_forward,
     mul,
@@ -208,9 +209,10 @@ def hard_feature(feature, prototype, scale: float) -> Array:
 
 
 def _softmax_np(v: Array, axis: int = -1) -> Array:
-    shifted = v - v.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
+    e = v - v.max(axis=axis, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=axis, keepdims=True)
+    return e
 
 
 def masked_kl(synthetic_features, target_features, cam, eps: float = 1e-8) -> Tensor:
@@ -326,9 +328,16 @@ def _input_grad(
     """
     features, logits, cache = mlp_forward(model, x)
     q = _softmax_np(features * masks, axis=1)
-    g = -target_probs / (q + cfg.kl_eps)
-    d_features = q * (g - (g * q).sum(axis=1, keepdims=True)) * masks
-    return mlp_backward(model, cache, _softmax_np(logits, axis=1) - onehot, d_features, wrt="input")
+    # d_features = q * (g - sum(g * q)) * masks with g = -p / (q + eps), in place
+    g = q + cfg.kl_eps
+    np.divide(target_probs, g, out=g)
+    np.negative(g, out=g)
+    g -= (g * q).sum(axis=1, keepdims=True)
+    g *= q
+    g *= masks
+    d_logits = _softmax_np(logits, axis=1)
+    d_logits -= onehot
+    return mlp_backward(model, cache, d_logits, g, wrt="input")
 
 
 def _row_losses(
@@ -343,9 +352,7 @@ def _row_losses(
     features, logits, _ = mlp_forward(model, x)
     q = _softmax_np(features * masks, axis=1)
     kl_rows = (target_probs * (np.log(target_probs + cfg.kl_eps) - np.log(q + cfg.kl_eps))).sum(axis=1)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    ce_rows = -log_probs[np.arange(len(labels)), labels]
+    ce_rows = -log_softmax_rows(logits)[np.arange(len(labels)), labels]
     return kl_rows + ce_rows
 
 

@@ -296,6 +296,24 @@ class TestAdam:
         assert abs(float(x_opt) - x) < 1e-12
         assert abs(float(x_opt)) < 1.0
 
+    def test_fifty_steps_on_a_matrix_match_the_allocating_recursion(self):
+        rng = np.random.default_rng(5)
+        start = rng.standard_normal((7, 3))
+        grads = [rng.standard_normal((7, 3)) for _ in range(50)]
+        x_opt = start.copy()
+        opt = Adam(0.02)
+        for g in grads:
+            opt.step(x_opt, g)
+
+        # the same recursion with a fresh array for every intermediate
+        x, m, v = start.copy(), np.zeros((7, 3)), np.zeros((7, 3))
+        for t, g in enumerate(grads, start=1):
+            m = 0.9 * m + (1.0 - 0.9) * g
+            v = 0.999 * v + (1.0 - 0.999) * g * g
+            x = x - 0.02 * (m / (1.0 - 0.9**t)) / (np.sqrt(v / (1.0 - 0.999**t)) + 1e-8)
+        assert np.array_equal(x_opt, x)
+        assert np.array_equal(opt.moment1, m) and np.array_equal(opt.moment2, v)
+
     def test_step_counter_increases(self):
         opt = Adam(0.1)
         x = np.array(1.0)
@@ -466,12 +484,30 @@ class TestClosedForm:
         for name in expected:
             assert_rel_close(grads[name], expected[name])
 
+    @pytest.mark.parametrize("wrt", ["params", "input"])
+    def test_backward_leaves_the_callers_gradients_alone(self, arch, wrt):
+        model, rng, batch, _ = self.setup_inputs(arch)
+        d_features = rng.standard_normal((len(batch), model.feature_dim))
+        d_logits = rng.standard_normal((len(batch), model.class_count))
+        kept = d_features.copy(), d_logits.copy()
+        _, _, cache = mlp_forward(model, batch)
+        cached = [h.copy() for h in cache]
+        for features_term in (None, d_features):
+            mlp_backward(model, cache, d_logits, features_term, wrt=wrt)
+        assert np.array_equal(d_features, kept[0]) and np.array_equal(d_logits, kept[1])
+        assert all(np.array_equal(h, c) for h, c in zip(cache, cached))
+
 
 def test_mlp_backward_rejects_unknown_target():
     model = make_mlp(["dense(2,3)", "dense(3,2)"])
     _, logits, cache = mlp_forward(model, np.ones((1, 2)))
     with pytest.raises(ValueError, match="wrt"):
         mlp_backward(model, cache, logits, wrt="features")
+
+
+def test_cross_entropy_row_weights_must_match_the_batch():
+    with pytest.raises(ValueError, match="3 row weights"):
+        cross_entropy_grad(np.zeros((3, 2)), [0, 1, 1], np.ones(2))
 
 
 def test_mlp_forward_rejects_wrong_width():

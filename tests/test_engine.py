@@ -5,13 +5,23 @@ import pytest
 
 from conftest import small_config
 
-from fedsynth.autodiff import Model, Sgd, add, backward_params, mlp_forward, mul, softmax_cross_entropy
+from fedsynth.autodiff import (
+    Model,
+    Sgd,
+    add,
+    backward_params,
+    cross_entropy_grad,
+    mlp_backward,
+    mlp_forward,
+    mul,
+    softmax_cross_entropy,
+)
 from fedsynth.data import make_blobs
 from fedsynth.engine import ClientState, aggregate, local_update, run_round, sample_clients
 from fedsynth.errors import ConfigError
 from fedsynth.metrics import alignment_score, class_feature_means
 from fedsynth.runner import build_state, execute, run_experiment
-from fedsynth.synthesis import mixup_generate
+from fedsynth.synthesis import mixup_generate, synthetic_rows
 
 
 def make_model(arch, seed=0):
@@ -153,6 +163,64 @@ class TestLocalUpdate:
             # 24 samples, batch 5 -> 5 steps per epoch, 2 epochs
             assert len(calls) == 2 * math.ceil(len(train) / 5) == 10
             assert sum(client.feature_counts.values()) == 2 * len(train)
+
+    def hard_pool(self, train):
+        """Four one-hot synthetic rows, fewer than a batch of 5: drawn with replacement."""
+        paired = np.array([0, 5, 11, 19])
+        x = np.random.default_rng(8).random((4, train.inputs.shape[1]))
+        return synthetic_rows(train, paired, x, np.eye(train.class_count)[train.labels[paired]])
+
+    @pytest.mark.parametrize("soft", [False, True], ids=["hard", "mixup"])
+    @pytest.mark.parametrize("alpha", [0.0, 0.4, 0.9])
+    def test_blended_step_is_the_two_pass_sum(self, alpha, soft, monkeypatch):
+        """One weighted forward/backward per blended step against the two passes it replaced."""
+        train, model, syn, client = self.setup(seed=17)
+        if not soft:
+            syn = self.hard_pool(train)
+        n, epochs, batch = len(train), 2, 5
+        assert n % batch  # every epoch ends on a short real batch
+        taken = []  # (parameters before the step, gradient) of every step
+        original = Sgd.step
+
+        def recording(self, m, grad):
+            taken.append((m.flat.copy(), grad.copy()))
+            return original(self, m, grad)
+
+        monkeypatch.setattr(Sgd, "step", recording)
+        optimizer = Sgd(0.1, momentum=0.9, weight_decay=5e-4)
+        _, mean_loss = local_update(model.copy(), train, syn, alpha, epochs, batch, optimizer, client, 0.5)
+
+        # replay the draws and form each step's gradient as two passes, at the
+        # parameters the step actually saw
+        rng = np.random.default_rng(17)
+        steps = iter(taken)
+        losses, sums, counts = [], {}, {}
+        for _ in range(epochs):
+            order = rng.permutation(n)
+            for s in range(math.ceil(n / batch)):
+                idx = order[s * batch : (s + 1) * batch]
+                syn_idx = rng.choice(len(syn), size=batch, replace=len(syn) < batch)
+                flat, grad = next(steps)
+                at = Model(model.architecture, flat)
+                features, logits, cache = mlp_forward(at, train.inputs[idx])
+                _, syn_logits, syn_cache = mlp_forward(at, syn["x"][syn_idx])
+                real_loss, d_real = cross_entropy_grad(logits, train.labels[idx], alpha)
+                syn_loss, d_syn = cross_entropy_grad(syn_logits, syn["target"][syn_idx], 1.0 - alpha)
+                expected = mlp_backward(at, cache, d_real) + mlp_backward(at, syn_cache, d_syn)
+                assert np.max(np.abs(grad - expected)) <= 1e-12 * np.max(np.abs(expected))
+                losses.append(real_loss + syn_loss)
+                for c in np.unique(train.labels[idx]).tolist():
+                    rows = features[train.labels[idx] == c]
+                    sums[c] = sums.get(c, 0.0) + rows.sum(axis=0)
+                    counts[c] = counts.get(c, 0) + len(rows)
+        assert next(steps, None) is None
+        assert abs(mean_loss - np.mean(losses)) <= 1e-12 * abs(np.mean(losses))
+        # prototypes come from the real rows only
+        assert client.feature_counts == counts and sum(counts.values()) == epochs * n
+        for c in counts:
+            assert np.max(np.abs(client.feature_sums[c] - sums[c])) <= 1e-12 * np.max(np.abs(sums[c]))
+        # the same draws in the same order: identical rng consumption afterwards
+        assert client.rng.bit_generator.state == rng.bit_generator.state
 
     def test_prototypes_update_with_momentum(self):
         train, model, _, client = self.setup()

@@ -15,9 +15,30 @@ def desk_model(seed=1):
     return Model.initialize(DESK_ARCH, np.random.default_rng(derive_seed(seed, "model-init")))
 
 
+def same_memory(a, b):
+    return a.ctypes.data == b.ctypes.data and a.nbytes == b.nbytes
+
+
 def assert_views_of_own_flat(model):
     for name, p in model.params.items():
         assert np.shares_memory(p.data, model.flat), name
+    # the layer plan's arrays are the same views, at the slices it writes gradients to
+    dense = [layer for layer in model._plan if layer is not None]
+    assert [layer is None for layer in model._plan] == [layer[0] == "relu" for layer in model._layers]
+    names = list(model.params)
+    for (weight, bias, w_slice, b_slice), w_name, b_name in zip(dense, names[::2], names[1::2], strict=True):
+        assert weight is model.params[w_name].data and bias is model.params[b_name].data
+        assert same_memory(weight, model.flat[w_slice]) and same_memory(bias, model.flat[b_slice])
+
+
+def assert_plan_is_live(model, batch, before):
+    """`mlp_forward` walks the plan; the graph reads `params`: both see the current weights."""
+    features, logits, _ = mlp_forward(model, batch)
+    graph_features, graph_logits = model.forward(batch)
+    assert np.array_equal(features, graph_features.data)
+    assert np.array_equal(logits, graph_logits.data)
+    assert not np.array_equal(logits, before), "the weights did not change"
+    assert_views_of_own_flat(model)
 
 
 def test_desk_init_fingerprint_is_pinned():
@@ -54,6 +75,30 @@ def test_copy_and_aggregate_own_their_vectors():
     merged = aggregate([model, clone, desk_model(seed=2)])
     assert_views_of_own_flat(merged)
     assert not any(np.shares_memory(merged.flat, m.flat) for m in (model, clone))
+
+
+def test_layer_plan_follows_every_weight_change():
+    model = desk_model()
+    batch = np.random.default_rng(3).random((10, 16))
+
+    _, before, cache = mlp_forward(model, batch)
+    _, d_logits = cross_entropy_grad(before, np.arange(10) % 6)
+    Sgd(0.5).step(model, mlp_backward(model, cache, d_logits))
+    assert_plan_is_live(model, batch, before)
+
+    before = mlp_forward(model, batch)[1]
+    model.params["dense2.bias"].data[...] = 1.0
+    model.params["dense0.weight"].data[0, :] *= -1.0
+    assert_plan_is_live(model, batch, before)
+
+    before = mlp_forward(model, batch)[1]
+    clone = model.copy()
+    clone.flat *= 0.5  # a clone walking its source's plan would still read the source's weights
+    assert_plan_is_live(clone, batch, before)
+    assert np.array_equal(mlp_forward(model, batch)[1], before)
+
+    merged = aggregate([model, clone, desk_model(seed=2)])
+    assert_plan_is_live(merged, batch, before)
 
 
 @pytest.mark.parametrize("size", [1797, 1799, 0])
