@@ -12,12 +12,9 @@ from .autodiff import (
     Adam,
     Model,
     Sgd,
-    Tensor,
     backward,
     backward_input,
     backward_params,
-    no_grad,
-    softmax_cross_entropy,
 )
 from .config import ExperimentConfig, derive_seed, parse_config
 from .data import Dataset, make_blobs, partition_dirichlet, partition_label_skew
@@ -28,11 +25,8 @@ from .runner import RunManifest, execute, run_experiment
 from .synthesis import (
     SynthesisConfig,
     SyntheticDataset,
-    compute_cam,
     hard_feature,
-    masked_kl,
     mixup_generate,
-    synthesis_loss,
     synthesize,
     synthetic_rows,
     update_prototypes,
@@ -50,23 +44,19 @@ __all__ = [
     "Sgd",
     "SynthesisConfig",
     "SyntheticDataset",
-    "Tensor",
     "accuracy",
     "aggregate",
     "alignment_score",
     "backward",
     "backward_input",
     "backward_params",
-    "compute_cam",
     "dataset_psnr",
     "derive_seed",
     "execute",
     "hard_feature",
     "local_update",
     "make_blobs",
-    "masked_kl",
     "mixup_generate",
-    "no_grad",
     "parse_config",
     "partition_dirichlet",
     "partition_label_skew",
@@ -74,8 +64,6 @@ __all__ = [
     "run_experiment",
     "run_round",
     "sample_clients",
-    "softmax_cross_entropy",
-    "synthesis_loss",
     "synthesize",
     "synthetic_rows",
     "update_prototypes",

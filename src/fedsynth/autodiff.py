@@ -1,23 +1,21 @@
-"""Reverse-mode automatic differentiation over dense float64 arrays.
+"""The MLP, its closed-form forward and backward passes, and the optimizers.
 
-A computation graph is built per forward pass and discarded after the
-backward call. Leaf tensors (model parameters, optimized inputs) persist
-across passes; interior nodes hold a backward closure and references to
-their parents. Everything is float64 so gradient checks can run at tight
-tolerances. Graphs are confined to a single thread; leaves and models are
-value-semantic and may be copied across threads freely.
-
-The hot loops (local training and synthesis) skip the graph: `mlp_forward`
-and `mlp_backward` are the closed-form forward/backward of the same MLP,
-and the graph is the reference the tests compare them against.
+Gradients are written out by hand: `backward` walks the model's layers in
+reverse over the layer inputs a forward pass cached, with cross entropy
+entering at the logits (`cross_entropy_grad`) and any feature-space loss at
+the extractor/classifier split. Everything is float64 so gradient checks
+can run at tight tolerances. Models are value-semantic and may be copied
+across threads freely. The tests keep a graph autodiff as the reference
+these closed forms are pinned against.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from collections.abc import Sequence
-from contextlib import contextmanager
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,350 +23,48 @@ from .errors import ConfigError
 
 Array = np.ndarray
 
-_grad_enabled = True
-
-
-@contextmanager
-def no_grad():
-    """Disable graph construction inside the block (forward values only)."""
-    global _grad_enabled
-    previous = _grad_enabled
-    _grad_enabled = False
-    try:
-        yield
-    finally:
-        _grad_enabled = previous
-
-
-class Tensor:
-    """Dense n-dimensional float64 array, optionally part of a computation graph.
-
-    ``data`` is always a C-contiguous (row-major) float64 ndarray; ``grad``
-    mirrors its shape once a backward pass has reached the tensor.
-    """
-
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backprop")
-
-    def __init__(self, data, requires_grad: bool = False):
-        arr = np.asarray(data, dtype=np.float64)
-        if arr.ndim and not arr.flags["C_CONTIGUOUS"]:
-            arr = np.ascontiguousarray(arr)
-        self.data: Array = arr
-        self.requires_grad = bool(requires_grad)
-        self.grad: Array | None = None
-        self._parents: tuple[Tensor, ...] = ()
-        self._backprop = None
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
-    def item(self) -> float:
-        return float(self.data)
-
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return add(self, mul(other, -1.0))
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-
-def _lift(value) -> Tensor:
-    return value if isinstance(value, Tensor) else Tensor(value)
-
-
-def _node(data, parents: tuple[Tensor, ...], backprop) -> Tensor:
-    out = Tensor(data)
-    if _grad_enabled and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = parents
-        out._backprop = backprop
-    return out
-
-
-def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
-    """Reduce a gradient back to the shape of a broadcast operand."""
-    if grad.shape == shape:
-        return grad
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad
-
-
-def add(a, b) -> Tensor:
-    a, b = _lift(a), _lift(b)
-
-    def backprop(g: Array) -> None:
-        if a.requires_grad:
-            a.grad += _unbroadcast(g, a.data.shape)
-        if b.requires_grad:
-            b.grad += _unbroadcast(g, b.data.shape)
-
-    return _node(a.data + b.data, (a, b), backprop)
-
-
-def mul(a, b) -> Tensor:
-    a, b = _lift(a), _lift(b)
-
-    def backprop(g: Array) -> None:
-        if a.requires_grad:
-            a.grad += _unbroadcast(g * b.data, a.data.shape)
-        if b.requires_grad:
-            b.grad += _unbroadcast(g * a.data, b.data.shape)
-
-    return _node(a.data * b.data, (a, b), backprop)
-
-
-def matmul(a, b) -> Tensor:
-    a, b = _lift(a), _lift(b)
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ValueError("matmul expects 2-D operands")
-    if a.data.shape[1] != b.data.shape[0]:
-        raise ValueError(f"matmul shapes {a.data.shape} and {b.data.shape} are incompatible")
-
-    def backprop(g: Array) -> None:
-        if a.requires_grad:
-            a.grad += g @ b.data.T
-        if b.requires_grad:
-            b.grad += a.data.T @ g
-
-    return _node(a.data @ b.data, (a, b), backprop)
-
-
-def relu(a) -> Tensor:
-    a = _lift(a)
-    mask = a.data > 0
-
-    def backprop(g: Array) -> None:
-        if a.requires_grad:
-            a.grad += g * mask
-
-    return _node(np.where(mask, a.data, 0.0), (a,), backprop)
-
-
-def log(a) -> Tensor:
-    a = _lift(a)
-
-    def backprop(g: Array) -> None:
-        if a.requires_grad:
-            a.grad += g / a.data
-
-    return _node(np.log(a.data), (a,), backprop)
-
-
-def reshape(a, shape) -> Tensor:
-    a = _lift(a)
-    shape = tuple(shape)
-
-    def backprop(g: Array) -> None:
-        if a.requires_grad:
-            a.grad += g.reshape(a.data.shape)
-
-    return _node(a.data.reshape(shape), (a,), backprop)
-
-
-def reduce_sum(a, axis: int | None = None) -> Tensor:
-    a = _lift(a)
-
-    def backprop(g: Array) -> None:
-        if not a.requires_grad:
-            return
-        if axis is None:
-            a.grad += np.broadcast_to(g, a.data.shape)
-        else:
-            a.grad += np.expand_dims(g, axis)
-
-    return _node(np.asarray(a.data.sum(axis=axis)), (a,), backprop)
-
-
-def softmax(a, axis: int = -1) -> Tensor:
-    a = _lift(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=axis, keepdims=True)
-
-    def backprop(g: Array) -> None:
-        if a.requires_grad:
-            inner = (g * s).sum(axis=axis, keepdims=True)
-            a.grad += s * (g - inner)
-
-    return _node(s, (a,), backprop)
-
-
-def _target_matrix(labels, batch: int, classes: int) -> Array:
-    arr = np.asarray(labels)
-    if arr.ndim == 1:
-        idx = arr.astype(np.int64)
-        if idx.shape[0] != batch:
-            raise ValueError(f"expected {batch} labels, got {idx.shape[0]}")
-        if idx.size and (idx.min() < 0 or idx.max() >= classes):
-            raise ValueError(f"label index out of range for {classes} classes")
-        target = np.zeros((batch, classes))
-        target[np.arange(batch), idx] = 1.0
-        return target
-    if arr.shape != (batch, classes):
-        raise ValueError(f"soft labels must have shape ({batch}, {classes}), got {arr.shape}")
-    return arr.astype(np.float64)
-
 
 def log_softmax_rows(z: Array) -> Array:
     """Row-wise log-softmax of a (batch, classes) matrix, stabilized by max subtraction.
 
-    The one definition behind every cross entropy here: the graph op, its
-    closed form, and the per-row synthesis losses.
+    The one definition behind every cross entropy here: `cross_entropy_grad`
+    and the per-row synthesis losses.
     """
     shifted = z - z.max(axis=1, keepdims=True)
     shifted -= np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     return shifted
 
 
-def _cross_entropy_terms(z: Array, target: Array) -> tuple[float, Array]:
-    """Mean cross entropy of row-wise softmax(z) against a target matrix, and softmax(z)."""
-    log_probs = log_softmax_rows(z)
-    return -(target * log_probs).sum() / z.shape[0], np.exp(log_probs)
+def cross_entropy_grad(logits: Array, target: Array, weight=1.0) -> tuple[float, Array]:
+    """Weighted mean cross entropy of row-wise softmax(logits) against a target matrix.
 
-
-def softmax_cross_entropy(logits, labels) -> Tensor:
-    """Mean cross entropy between softmax(logits) and hard or soft labels.
-
-    Hard labels are a length-B sequence of class indices; soft labels are a
-    (B, Y) matrix whose rows sum to one. Stabilized by max subtraction.
-    """
-    logits = _lift(logits)
-    z = logits.data
-    if z.ndim != 2:
-        raise ValueError("logits must be a (batch, classes) matrix")
-    batch, classes = z.shape
-    target = _target_matrix(labels, batch, classes)
-    if not np.allclose(target.sum(axis=1), 1.0, atol=1e-6):
-        raise ValueError("soft label rows must sum to 1")
-    value, probs = _cross_entropy_terms(z, target)
-
-    def backprop(g: Array) -> None:
-        if logits.requires_grad:
-            logits.grad += g * (probs - target) / batch
-
-    return _node(np.asarray(value), (logits,), backprop)
-
-
-def cross_entropy_grad(logits: Array, labels, weight=1.0) -> tuple[float, Array]:
-    """Closed form of `weight * softmax_cross_entropy(logits, labels)`.
-
-    Returns the weighted loss value and its gradient w.r.t. the logits. For a
-    scalar `weight` each is computed with the same operations, in the same
-    order, as the graph op. A vector `weight` holds one weight per row and
+    `target` is a (batch, classes) matrix: one-hot rows for hard labels,
+    soft rows otherwise. Returns the weighted loss value and its gradient
+    w.r.t. the logits. A vector `weight` holds one weight per row and
     replaces the mean: the loss is then sum_r weight[r] * CE(row r), so one
     call can blend rows from different batches.
-    Soft-label rows are not checked to sum to one here: local training passes
-    rows of the synthetic pool, checked once where `synthesis.synthetic_rows`
-    builds them.
+    Target rows are not checked to sum to one here: local training passes
+    one-hot rows built once per update and rows of the synthetic pool,
+    checked once where `synthesis.synthetic_rows` builds them.
     """
     z = np.asarray(logits, dtype=np.float64)
     if z.ndim != 2:
         raise ValueError("logits must be a (batch, classes) matrix")
-    batch, classes = z.shape
-    target = _target_matrix(labels, batch, classes)
+    batch = z.shape[0]
+    target = np.asarray(target, dtype=np.float64)
+    if target.shape != z.shape:
+        raise ValueError(f"targets must have shape {z.shape}, got {target.shape}")
+    log_probs = log_softmax_rows(z)
     if np.ndim(weight) == 0:
-        value, probs = _cross_entropy_terms(z, target)
-        return value * weight, weight * (probs - target) / batch
+        return -(target * log_probs).sum() / batch * weight, weight * (np.exp(log_probs) - target) / batch
     row_weight = np.asarray(weight, dtype=np.float64)
     if row_weight.shape != (batch,):
         raise ValueError(f"expected {batch} row weights, got shape {row_weight.shape}")
     row_weight = row_weight[:, None]
-    log_probs = log_softmax_rows(z)
     d_logits = np.exp(log_probs)
     d_logits -= target
     d_logits *= row_weight
     return -(row_weight * target * log_probs).sum(), d_logits
-
-
-def _toposort(root: Tensor) -> list[Tensor]:
-    order: list[Tensor] = []
-    seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for parent in node._parents:
-            if parent.requires_grad and id(parent) not in seen:
-                stack.append((parent, False))
-    return order
-
-
-def _run_backward(loss: Tensor) -> set[int]:
-    if loss.data.shape != ():
-        raise ValueError("backward requires a scalar (0-d) loss")
-    if not loss.requires_grad:
-        return set()
-    order = _toposort(loss)
-    for node in order:
-        node.grad = np.zeros_like(node.data)
-    loss.grad = np.ones_like(loss.data)
-    for node in reversed(order):
-        if node._backprop is not None:
-            node._backprop(node.grad)
-    return {id(node) for node in order}
-
-
-def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(leaf) into .grad for every reachable leaf.
-
-    Grads are zeroed at the start of each call, so repeated calls never
-    accumulate across passes.
-    """
-    _run_backward(loss)
-
-
-def backward_params(loss: Tensor, model: "Model") -> Array:
-    """Gradient of a scalar loss w.r.t. the model's parameters, laid out like `model.flat`.
-
-    Parameters the loss does not depend on get an explicit zero gradient.
-    """
-    reached = _run_backward(loss)
-    grad = np.empty_like(model.flat)
-    for view, p in zip(model.views(grad).values(), model.params.values()):
-        if id(p) not in reached:
-            p.grad = np.zeros_like(p.data)
-        view[...] = p.grad
-    return grad
-
-
-def backward_input(loss: Tensor, x: Tensor) -> Array:
-    """Gradient of a scalar loss w.r.t. an input leaf that fed the graph."""
-    if not x.requires_grad:
-        raise ValueError("input tensor does not require gradients")
-    reached = _run_backward(loss)
-    if id(x) not in reached:
-        raise ValueError("input did not participate in the loss graph")
-    return x.grad
 
 
 _DENSE = re.compile(r"^dense\((\d+)\s*,\s*(\d+)\)$")
@@ -400,37 +96,55 @@ def parse_architecture(layers: Sequence[str]) -> list[tuple]:
     return parsed
 
 
+class _Layout(NamedTuple):
+    """What an architecture fixes for every model built from it."""
+
+    layers: tuple  # parse_architecture's layers
+    split: int  # index of the classifier, the last dense layer
+    first_dense: int
+    params: tuple  # (name, start, stop, shape) of every parameter, in `flat` order
+
+
+@functools.lru_cache(maxsize=None)
+def _architecture_layout(architecture: tuple[str, ...]) -> _Layout:
+    # parsed once per architecture: `Model.copy` and `aggregate` build models
+    # of a known architecture every round
+    layers = tuple(parse_architecture(architecture))
+    dense = [i for i, layer in enumerate(layers) if layer[0] == "dense"]
+    params = []
+    start = 0
+    for d, i in enumerate(dense):
+        _, fan_in, fan_out = layers[i]
+        for suffix, shape in (("weight", (fan_in, fan_out)), ("bias", (fan_out,))):
+            stop = start + math.prod(shape)
+            params.append((f"dense{d}.{suffix}", start, stop, shape))
+            start = stop
+    return _Layout(layers, dense[-1], dense[0], tuple(params))
+
+
 class Model:
     """MLP with value-semantic parameters, split as extractor + final dense classifier.
 
     All parameters live in one contiguous float64 vector, `flat`, in name
     order (dense0.weight, dense0.bias, dense1.weight, ...); each `params`
-    leaf's data is a reshaped view into it. The last dense layer is the
+    entry is a reshaped view into it. The last dense layer is the
     classifier; everything before it (including any trailing relu) is the
     feature extractor.
     """
 
     def __init__(self, architecture: Sequence[str], flat: Array):
         self.architecture = [str(s) for s in architecture]
-        self._layers = parse_architecture(self.architecture)
-        self._split = max(i for i, layer in enumerate(self._layers) if layer[0] == "dense")
-        self._first_dense = next(i for i, layer in enumerate(self._layers) if layer[0] == "dense")
+        self._layers, self._split, self._first_dense, self._layout = _architecture_layout(tuple(self.architecture))
         self.input_dim = self._layers[self._first_dense][1]
-        self._layout = []  # (name, start, stop, shape) of every parameter, in `flat` order
-        start = 0
-        for d, (_, fan_in, fan_out) in enumerate(layer for layer in self._layers if layer[0] == "dense"):
-            for suffix, shape in (("weight", (fan_in, fan_out)), ("bias", (fan_out,))):
-                stop = start + math.prod(shape)
-                self._layout.append((f"dense{d}.{suffix}", start, stop, shape))
-                start = stop
         self.flat = np.ascontiguousarray(flat, dtype=np.float64)
-        if self.flat.shape != (start,):
-            raise ValueError(f"{self.architecture} has {start} parameters, got a vector of shape {self.flat.shape}")
-        self.params = {name: Tensor(view, requires_grad=True) for name, view in self.views(self.flat).items()}
-        # the layer plan `mlp_forward`/`mlp_backward` walk, built once: None for a
+        size = self._layout[-1][2]
+        if self.flat.shape != (size,):
+            raise ValueError(f"{self.architecture} has {size} parameters, got a vector of shape {self.flat.shape}")
+        self.params = self.views(self.flat)
+        # the layer plan the forward and backward walks follow: None for a
         # relu, (weight view, bias view, weight slice, bias slice) for a dense layer
         dense = iter(
-            (self.params[w[0]].data, self.params[b[0]].data, slice(w[1], w[2]), slice(b[1], b[2]))
+            (self.params[w[0]], self.params[b[0]], slice(w[1], w[2]), slice(b[1], b[2]))
             for w, b in zip(self._layout[::2], self._layout[1::2])
         )
         self._plan = [None if layer[0] == "relu" else next(dense) for layer in self._layers]
@@ -442,20 +156,16 @@ class Model:
     @classmethod
     def initialize(cls, architecture: Sequence[str], rng: np.random.Generator) -> "Model":
         """Seeded init: every weight and bias uniform in +/- sqrt(1/fan_in)."""
+        weights = _architecture_layout(tuple(str(s) for s in architecture)).params[::2]
         draws = []
-        for layer in parse_architecture(architecture):
-            if layer[0] == "dense":
-                _, fan_in, fan_out = layer
-                bound = math.sqrt(1.0 / fan_in)
-                draws.append(rng.uniform(-bound, bound, size=fan_in * fan_out))
-                draws.append(rng.uniform(-bound, bound, size=fan_out))
+        for _, _, _, (fan_in, fan_out) in weights:
+            bound = math.sqrt(1.0 / fan_in)
+            draws.append(rng.uniform(-bound, bound, size=fan_in * fan_out))
+            draws.append(rng.uniform(-bound, bound, size=fan_out))
         return cls(architecture, np.concatenate(draws))
 
     def copy(self) -> "Model":
         return Model(self.architecture, self.flat.copy())
-
-    def _dense_count(self) -> int:
-        return len(self._layout) // 2
 
     @property
     def feature_dim(self) -> int:
@@ -465,88 +175,58 @@ class Model:
     def class_count(self) -> int:
         return self._layers[self._split][2]
 
-    def extractor_params(self) -> dict[str, Tensor]:
-        last = f"dense{self._dense_count() - 1}."
-        return {k: v for k, v in self.params.items() if not k.startswith(last)}
-
-    def classifier_params(self) -> dict[str, Tensor]:
-        last = f"dense{self._dense_count() - 1}."
-        return {k: v for k, v in self.params.items() if k.startswith(last)}
-
-    def _apply(self, x: Tensor, start: int, stop: int, dense_offset: int) -> Tensor:
-        h = x
-        d = dense_offset
-        for layer in self._layers[start:stop]:
-            if layer[0] == "relu":
-                h = relu(h)
+    def _walk(self, h: Array, start: int, stop: int, cache: list | None) -> Array:
+        for layer in self._plan[start:stop]:
+            if cache is not None:
+                cache.append(h)
+            if layer is None:
+                h = np.where(h > 0, h, 0.0)
             else:
-                h = add(matmul(h, self.params[f"dense{d}.weight"]), self.params[f"dense{d}.bias"])
-                d += 1
+                h = h @ layer[0]
+                h += layer[1]
         return h
 
-    def extract(self, batch) -> Tensor:
-        """Extractor forward pass; returns the feature node."""
-        x = _lift(batch)
-        if x.data.ndim != 2 or x.data.shape[1] != self.input_dim:
-            raise ValueError(f"batch shape {x.data.shape} incompatible with input width {self.input_dim}")
-        return self._apply(x, 0, self._split, 0)
+    def extract(self, batch, cache: list | None = None) -> Array:
+        """Extractor forward pass; returns the features.
 
-    def classify(self, features) -> Tensor:
-        """Classifier forward pass from a feature node or a raw feature batch."""
-        f = _lift(features)
-        if f.data.ndim != 2 or f.data.shape[1] != self.feature_dim:
-            raise ValueError(f"feature shape {f.data.shape} incompatible with classifier width {self.feature_dim}")
-        return self._apply(f, self._split, len(self._layers), self._dense_count() - 1)
+        With a `cache` list, appends the input of every layer walked, all
+        that `backward` needs. For a single dense layer the features are the
+        batch itself.
+        """
+        h = np.ascontiguousarray(batch, dtype=np.float64)
+        if h.ndim != 2 or h.shape[1] != self.input_dim:
+            raise ValueError(f"batch shape {h.shape} incompatible with input width {self.input_dim}")
+        return self._walk(h, 0, self._split, cache)
 
-    def forward(self, batch) -> tuple[Tensor, Tensor]:
-        """Full forward pass; returns (features, logits) attached to one graph."""
-        features = self.extract(batch)
-        return features, self.classify(features)
+    def classify(self, features, cache: list | None = None) -> Array:
+        """Classifier forward pass from a feature batch; returns the logits."""
+        f = np.ascontiguousarray(features, dtype=np.float64)
+        if f.ndim != 2 or f.shape[1] != self.feature_dim:
+            raise ValueError(f"feature shape {f.shape} incompatible with classifier width {self.feature_dim}")
+        return self._walk(f, self._split, len(self._plan), cache)
 
-
-def mlp_forward(model: Model, batch) -> tuple[Array, Array, list[Array]]:
-    """Closed-form forward pass over plain arrays; builds no graph.
-
-    Returns (features, logits, cache) with the values `model.forward` gives;
-    `cache[i]` is the input of layer i, all that `mlp_backward` needs.
-    """
-    h = np.ascontiguousarray(batch, dtype=np.float64)
-    if h.ndim != 2 or h.shape[1] != model.input_dim:
-        raise ValueError(f"batch shape {h.shape} incompatible with input width {model.input_dim}")
-    cache = []
-    for layer in model._plan:
-        cache.append(h)
-        if layer is None:
-            h = np.where(h > 0, h, 0.0)
-        else:
-            h = h @ layer[0]
-            h += layer[1]
-    return cache[model._split], h, cache
+    def forward(self, batch, cache: list | None = None) -> tuple[Array, Array]:
+        """Full forward pass; returns (features, logits), caching like `extract`."""
+        features = self.extract(batch, cache)
+        return features, self._walk(features, self._split, len(self._plan), cache)
 
 
-def mlp_backward(
+def backward(
     model: Model,
     cache: list[Array],
     d_logits: Array,
     d_features: Array | None = None,
-    wrt: str = "params",
+    grad: Array | None = None,
 ) -> Array:
-    """Backpropagate through the pass `mlp_forward` cached.
+    """Backpropagate through the forward pass whose layer inputs are in `cache`.
 
     `d_logits` is the loss gradient w.r.t. the logits; `d_features`, when
     given, joins at the extractor/classifier split (for a single dense layer
-    the features are the input itself). With wrt="params" returns one
-    gradient vector laid out like `model.flat`, as `backward_params` does;
-    with wrt="input" returns the gradient w.r.t. the batch, as
-    `backward_input` does. Each step uses the graph's own operations, so a
-    single loss term reproduces the graph's gradients bit for bit. Neither
-    `d_logits` nor `d_features` is written to.
+    the features are the input itself). With a `grad` vector laid out like
+    `model.flat`, fills it with the parameter gradients and returns it,
+    stopping at the first dense layer; without, returns the gradient w.r.t.
+    the batch. Neither `d_logits` nor `d_features` is written to.
     """
-    if wrt not in ("params", "input"):
-        raise ValueError(f"wrt must be 'params' or 'input', got {wrt!r}")
-    want_params = wrt == "params"
-    if want_params:
-        grad = np.empty_like(model.flat)
     plan = model._plan
     g = d_logits
     for i in range(len(plan) - 1, -1, -1):
@@ -555,15 +235,25 @@ def mlp_backward(
             g *= cache[i] > 0  # g is never the caller's: the top layer is dense
         else:
             weight, _, w_slice, b_slice = layer
-            if want_params:
+            if grad is not None:
                 np.matmul(cache[i].T, g, out=grad[w_slice].reshape(weight.shape))
                 np.sum(g, axis=0, out=grad[b_slice])
                 if i == model._first_dense:
-                    break  # nothing below the first dense layer has parameters
+                    return grad  # nothing below the first dense layer has parameters
             g = g @ weight.T
         if i == model._split and d_features is not None:
             g += d_features
-    return grad if want_params else g
+    return g
+
+
+def backward_params(model: Model, cache: list[Array], d_logits: Array, d_features: Array | None = None) -> Array:
+    """Gradient w.r.t. the model's parameters, one vector laid out like `model.flat`."""
+    return backward(model, cache, d_logits, d_features, np.empty_like(model.flat))
+
+
+def backward_input(model: Model, cache: list[Array], d_logits: Array, d_features: Array | None = None) -> Array:
+    """Gradient w.r.t. the batch the cached forward pass started from."""
+    return backward(model, cache, d_logits, d_features)
 
 
 class Sgd:

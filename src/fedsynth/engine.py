@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Model, Sgd, cross_entropy_grad, mlp_backward, mlp_forward
+from .autodiff import Model, Sgd, backward_params, cross_entropy_grad
 from .config import ExperimentConfig, derive_seed
 from .data import Dataset
 from .errors import ConfigError
@@ -111,8 +111,8 @@ def local_update(
     state.feature_counts = {}
     n = len(shard)
     steps = math.ceil(n / batch_size)
+    onehot = np.eye(model.class_count)[shard.labels]
     if use_syn:
-        onehot = np.eye(model.class_count)[shard.labels]
         replace = len(syn_samples) < batch_size
         # logit-gradient weights of a blended batch of k real rows: a full batch, and each epoch's last one
         row_weights = {
@@ -132,12 +132,12 @@ def local_update(
                 targets = np.concatenate((onehot[idx], syn["target"]))
                 weight = row_weights[len(idx)]
             else:
-                # the real-only step stays bitwise equal to the graph's
-                inputs, targets, weight = shard.inputs[idx], batch_labels, alpha
-            features, logits, cache = mlp_forward(model, inputs)
+                inputs, targets, weight = shard.inputs[idx], onehot[idx], alpha
+            cache = []
+            features, logits = model.forward(inputs, cache)
             loss, d_logits = cross_entropy_grad(logits, targets, weight)
             _accumulate_features(state, features[: len(idx)], batch_labels)
-            optimizer.step(model, mlp_backward(model, cache, d_logits))
+            optimizer.step(model, backward_params(model, cache, d_logits))
             losses.append(float(loss))
     state.prototypes = update_prototypes(state.feature_sums, state.feature_counts, state.prototypes, proto_momentum)
     return model, float(np.mean(losses))

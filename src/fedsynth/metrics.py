@@ -9,7 +9,7 @@ from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
-from .autodiff import Model, no_grad
+from .autodiff import Model
 from .data import Dataset
 
 if TYPE_CHECKING:
@@ -41,9 +41,8 @@ def accuracy(model: Model, data: Dataset) -> float:
     """Fraction of argmax-correct predictions; ties resolve to the lowest class."""
     if len(data) == 0:
         raise ValueError("accuracy requires a nonempty dataset")
-    with no_grad():
-        _, logits = model.forward(data.inputs)
-    predictions = np.argmax(logits.data, axis=1)
+    _, logits = model.forward(data.inputs)
+    predictions = np.argmax(logits, axis=1)
     return float(np.mean(predictions == data.labels))
 
 
@@ -77,8 +76,7 @@ def dataset_psnr(syn: "SyntheticDataset", shard: Dataset) -> float:
 
 def class_feature_means(model: Model, data: Dataset) -> dict[int, Array]:
     """Per-class mean extractor feature over a dataset, under the given model."""
-    with no_grad():
-        features = model.extract(data.inputs).data
+    features = model.extract(data.inputs)
     return {int(c): features[data.labels == c].mean(axis=0) for c in np.unique(data.labels)}
 
 
@@ -119,8 +117,7 @@ def export_features(model: Model, inputs, labels, origins, path: Path) -> Path:
     origins = [str(v) for v in origins]
     if len(labels) != x.shape[0] or len(origins) != x.shape[0]:
         raise ValueError("inputs, labels, and origins must have matching lengths")
-    with no_grad():
-        features = model.extract(x).data
+    features = model.extract(x)
     width = features.shape[1]
     lines = [",".join([f"f{i}" for i in range(width)] + ["label", "origin"])]
     for row, label, origin in zip(features, labels, origins):

@@ -17,23 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import (
-    Adam,
-    Model,
-    Tensor,
-    add,
-    backward_input,
-    log,
-    log_softmax_rows,
-    mlp_backward,
-    mlp_forward,
-    mul,
-    no_grad,
-    reduce_sum,
-    reshape,
-    softmax,
-    softmax_cross_entropy,
-)
+from .autodiff import Adam, Model, backward_input, log_softmax_rows
 from .data import Dataset, largest_remainder
 from .errors import ConfigError
 from .metrics import psnr
@@ -150,27 +134,8 @@ def model_fingerprint(model: Model) -> str:
     digest = hashlib.sha256()
     for name, p in model.params.items():
         digest.update(name.encode())
-        digest.update(p.data.tobytes())
+        digest.update(p.tobytes())
     return digest.hexdigest()[:16]
-
-
-def compute_cam(model: Model, features, class_index: int) -> Array:
-    """Gradient of the pre-softmax logit of `class_index` w.r.t. the features.
-
-    Runs a backward pass through the classifier head only. Positive entries
-    mark feature coordinates that support the class.
-    """
-    if not 0 <= class_index < model.class_count:
-        raise ValueError(f"class index {class_index} out of range for {model.class_count} classes")
-    z = np.asarray(features.data if isinstance(features, Tensor) else features, dtype=np.float64)
-    flat = z.ndim == 1
-    leaf = Tensor(z.reshape(1, -1) if flat else z, requires_grad=True)
-    logits = model.classify(leaf)
-    onehot = np.zeros(logits.data.shape)
-    onehot[:, class_index] = 1.0
-    picked = reduce_sum(mul(logits, onehot))
-    grad = backward_input(picked, leaf)
-    return grad.reshape(z.shape).copy()
 
 
 def update_prototypes(sums, counts, previous, momentum: float) -> dict[int, Array]:
@@ -215,63 +180,6 @@ def _softmax_np(v: Array, axis: int = -1) -> Array:
     return e
 
 
-def masked_kl(synthetic_features, target_features, cam, eps: float = 1e-8) -> Tensor:
-    """KL divergence between softmax-normalized, CAM-masked feature vectors.
-
-    Both vectors are multiplied by ReLU(cam), softmax-normalized over the
-    feature axis, and compared with `eps` inside each log. Differentiable with
-    respect to `synthetic_features` only; an all-zero mask yields a constant 0.
-    """
-    feats = synthetic_features if isinstance(synthetic_features, Tensor) else Tensor(synthetic_features)
-    target = np.asarray(
-        target_features.data if isinstance(target_features, Tensor) else target_features, dtype=np.float64
-    )
-    g = np.asarray(cam.data if isinstance(cam, Tensor) else cam, dtype=np.float64)
-    if feats.data.shape != target.shape or target.shape != g.shape or target.ndim != 1:
-        raise ValueError("masked_kl expects three equal-length vectors")
-    mask = np.maximum(g, 0.0)
-    if not mask.any():
-        logger.warning("masked_kl: CAM mask is all zero; no class-relevant features at this sample")
-        return Tensor(0.0)
-    p = _softmax_np(target * mask)
-    q = softmax(mul(feats, mask), axis=-1)
-    cross = reduce_sum(mul(log(add(q, float(eps))), p))
-    entropy = float(np.sum(p * np.log(p + eps)))
-    return add(mul(cross, -1.0), entropy)
-
-
-def synthesis_loss(
-    model: Model,
-    synthetic_input: Tensor,
-    real_input,
-    label: int,
-    prototype,
-    scale: float,
-    eps: float = 1e-8,
-) -> Tensor:
-    """Loss driving one synthetic sample: masked feature KL plus classification.
-
-    The real feature is computed without gradient tracking, hardened against
-    the prototype when one is available (falling back to plain matching
-    otherwise), and masked by its own CAM; the synthetic input is the only
-    optimization variable.
-    """
-    x = np.asarray(real_input, dtype=np.float64)
-    x_hat = synthetic_input if isinstance(synthetic_input, Tensor) else Tensor(synthetic_input, requires_grad=True)
-    if x_hat.data.shape != x.shape:
-        raise ValueError(f"synthetic shape {x_hat.data.shape} and real shape {x.shape} differ")
-    with no_grad():
-        z = model.extract(x.reshape(1, -1)).data[0]
-    target = hard_feature(z, prototype, scale) if prototype is not None else z
-    cam = compute_cam(model, target, int(label))
-    flat = x_hat.data.ndim == 1
-    batch = reshape(x_hat, (1, x.size)) if flat else x_hat
-    features = model.extract(batch)
-    kl = masked_kl(reshape(features, (model.feature_dim,)), target, cam, eps)
-    ce = softmax_cross_entropy(model.classify(features), [int(label)])
-    return add(kl, ce)
-
-
 def _stratified_indices(shard: Dataset, n: int, rng: np.random.Generator) -> Array:
     """Sample n pair indices, stratified to the shard's class histogram."""
     hist = shard.class_histogram()
@@ -293,12 +201,12 @@ def _matching_targets(
     """Per-row matching distribution p = softmax(target * mask) and the mask.
 
     The target is each real's feature, hardened against its class prototype
-    when one exists; the mask is ReLU of the CAM at the row's label, as in
-    `synthesis_loss`. The classifier is exactly the last dense layer, so the
-    CAM of class y (`compute_cam`) is column y of its weight, whatever the
-    features are.
+    when one exists; the mask is ReLU of the CAM at the row's label. The CAM
+    of class y is the gradient of logit y w.r.t. the features (Grad-CAM,
+    arXiv:1610.02391); the classifier is exactly the last dense layer, so it
+    is column y of that layer's weight, whatever the features are.
     """
-    z, _, _ = mlp_forward(model, reals)
+    z = model.extract(reals)
     prototypes = prototypes or {}
     class_protos = np.zeros((model.class_count, z.shape[1]))
     for c, proto in prototypes.items():
@@ -306,7 +214,7 @@ def _matching_targets(
     hardened = np.isin(labels, list(prototypes))
     targets = z.copy()
     targets[hardened] = hard_feature(z[hardened], class_protos[labels[hardened]], scale)
-    weight = next(p.data for name, p in model.classifier_params().items() if name.endswith(".weight"))
+    weight = model._plan[model._split][0]
     masks = np.maximum(weight[:, labels].T, 0.0)
     return _softmax_np(targets * masks, axis=1), masks
 
@@ -326,7 +234,8 @@ def _input_grad(
     d/dq of -sum p*log(q+eps) is -p/(q+eps), followed by the softmax and mask
     backward passes. An all-zero mask gives the row no matching gradient.
     """
-    features, logits, cache = mlp_forward(model, x)
+    cache = []
+    features, logits = model.forward(x, cache)
     q = _softmax_np(features * masks, axis=1)
     # d_features = q * (g - sum(g * q)) * masks with g = -p / (q + eps), in place
     g = q + cfg.kl_eps
@@ -337,7 +246,7 @@ def _input_grad(
     g *= masks
     d_logits = _softmax_np(logits, axis=1)
     d_logits -= onehot
-    return mlp_backward(model, cache, d_logits, g, wrt="input")
+    return backward_input(model, cache, d_logits, g)
 
 
 def _row_losses(
@@ -349,7 +258,7 @@ def _row_losses(
     cfg: SynthesisConfig,
 ) -> Array:
     """Per-sample synthesis loss: masked KL + cross entropy."""
-    features, logits, _ = mlp_forward(model, x)
+    features, logits = model.forward(x)
     q = _softmax_np(features * masks, axis=1)
     kl_rows = (target_probs * (np.log(target_probs + cfg.kl_eps) - np.log(q + cfg.kl_eps))).sum(axis=1)
     ce_rows = -log_softmax_rows(logits)[np.arange(len(labels)), labels]

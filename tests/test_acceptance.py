@@ -11,22 +11,32 @@ import time
 import numpy as np
 import pytest
 
-from fedsynth.autodiff import (
-    Model,
-    Sgd,
+from graph_reference import (
+    GraphModel,
     Tensor,
     backward,
-    backward_params,
+    compute_cam,
+    masked_kl,
     no_grad,
     reshape,
     softmax_cross_entropy,
+    synthesis_loss,
 )
+
+from fedsynth.autodiff import Model, Sgd, backward_params, cross_entropy_grad
 from fedsynth.config import config_from_dict, derive_seed
 from fedsynth.data import make_blobs
 from fedsynth.engine import aggregate
 from fedsynth.metrics import accuracy, alignment_score, class_feature_means, dataset_psnr
 from fedsynth.runner import execute, run_experiment
-from fedsynth.synthesis import compute_cam, hard_feature, masked_kl, mixup_generate, synthesis_loss
+from fedsynth.synthesis import (
+    SynthesisConfig,
+    _input_grad,
+    _matching_targets,
+    _row_losses,
+    hard_feature,
+    mixup_generate,
+)
 
 BENCH_SEEDS = (1, 2, 3)
 BENCH_SPREAD = 0.25
@@ -72,6 +82,7 @@ def test_criterion_1_gradient_integrity():
     rng = np.random.default_rng(4242)
     start = time.perf_counter()
     worst = 0.0
+    worst_closed = 0.0
     h = 1e-5
     for trial in range(20):
         depth = int(rng.integers(2, 4))  # 2 or 3 dense layers
@@ -85,6 +96,7 @@ def test_criterion_1_gradient_integrity():
             prev = w
         arch.append(f"dense({prev},{classes})")
         model = Model.initialize(arch, np.random.default_rng(int(rng.integers(1 << 31))))
+        graph = GraphModel(model)
 
         x = rng.random(in_dim)
         y = int(rng.integers(classes))
@@ -92,25 +104,37 @@ def test_criterion_1_gradient_integrity():
         prototype = rng.standard_normal(model.feature_dim) if trial % 2 == 0 else None
         x_hat = Tensor(rng.standard_normal(in_dim), requires_grad=True)
 
-        loss = synthesis_loss(model, x_hat, x, y, prototype, scale)
+        loss = synthesis_loss(graph, x_hat, x, y, prototype, scale)
         backward(loss)
         input_grad = x_hat.grad.copy()
         param_grads = {name: p.grad.copy() if p.grad is not None else np.zeros_like(p.data)
-                       for name, p in model.params.items()}
+                       for name, p in graph.params.items()}
 
         # the matching target and CAM are stop-gradient constants of the loss;
         # the finite-difference oracle must evaluate the same frozen-target
         # function whose derivative the graph computes
         with no_grad():
-            z = model.extract(x.reshape(1, -1)).data[0]
+            z = graph.extract(x.reshape(1, -1)).data[0]
         target = hard_feature(z, prototype, scale) if prototype is not None else z
-        cam = compute_cam(model, target, y)
+        cam = compute_cam(graph, target, y)
 
         def loss_value(m, x_hat_data):
             features = m.extract(x_hat_data.reshape(1, -1))
             kl = masked_kl(reshape(features, (m.feature_dim,)), target, cam)
             ce = softmax_cross_entropy(m.classify(features), [y])
             return float(kl.data) + float(ce.data)
+
+        # the closed form synthesis runs: the per-row loss it records and the
+        # input gradient its Adam steps follow, with the same frozen target
+        cfg = SynthesisConfig(scale=scale)
+        protos = {} if prototype is None else {y: prototype}
+        labels = np.array([y])
+        target_probs, masks = _matching_targets(model, x.reshape(1, -1), labels, protos, scale)
+        onehot = np.eye(classes)[labels]
+        closed_grad = _input_grad(model, x_hat.data.reshape(1, -1), target_probs, masks, onehot, cfg)[0]
+
+        def closed_value(x_hat_data):
+            return float(_row_losses(model, x_hat_data.reshape(1, -1), target_probs, masks, labels, cfg)[0])
 
         def central(step, plus, minus):
             return (plus(step) - minus(step)) / (2 * step)
@@ -124,25 +148,27 @@ def test_criterion_1_gradient_integrity():
                 return None
             return full
 
+        def rel(fd, ad):
+            return abs(fd - ad) / max(abs(fd), abs(ad), 1e-6)
+
         # 30 random input coordinates (with replacement; kink hits resampled)
         checked = 0
         while checked < 30:
             i = int(rng.integers(in_dim))
 
-            def plus(step, i=i):
+            def shifted(step, i=i):
                 v = x_hat.data.copy()
                 v[i] += step
-                return loss_value(model, v)
+                return v
 
-            def minus(step, i=i):
-                v = x_hat.data.copy()
-                v[i] -= step
-                return loss_value(model, v)
-
-            fd = smooth_fd(plus, minus)
+            fd = smooth_fd(lambda step: loss_value(graph, shifted(step)), lambda step: loss_value(graph, shifted(-step)))
             if fd is None:
                 continue
-            worst = max(worst, abs(fd - input_grad[i]) / max(abs(fd), abs(input_grad[i]), 1e-6))
+            worst = max(worst, rel(fd, input_grad[i]))
+            # the closed form at the same coordinate: no draws of its own
+            fd_closed = smooth_fd(lambda step: closed_value(shifted(step)), lambda step: closed_value(shifted(-step)))
+            if fd_closed is not None:
+                worst_closed = max(worst_closed, rel(fd_closed, closed_grad[i]))
             checked += 1
 
         # 30 random parameter coordinates
@@ -150,31 +176,31 @@ def test_criterion_1_gradient_integrity():
         checked = 0
         while checked < 30:
             name = names[int(rng.integers(len(names)))]
-            flat = int(rng.integers(model.params[name].data.size))
-            v = model.params[name].data.flat[flat]
+            flat = int(rng.integers(model.params[name].size))
+            v = model.params[name].flat[flat]
 
             def plus(step, name=name, flat=flat, v=v):
                 clone = model.copy()
-                clone.params[name].data.flat[flat] = v + step
-                return loss_value(clone, x_hat.data)
+                clone.params[name].flat[flat] = v + step
+                return loss_value(GraphModel(clone), x_hat.data)
 
             def minus(step, name=name, flat=flat, v=v):
                 clone = model.copy()
-                clone.params[name].data.flat[flat] = v - step
-                return loss_value(clone, x_hat.data)
+                clone.params[name].flat[flat] = v - step
+                return loss_value(GraphModel(clone), x_hat.data)
 
             fd = smooth_fd(plus, minus)
             if fd is None:
                 continue
-            ad = param_grads[name].flat[flat]
-            worst = max(worst, abs(fd - ad) / max(abs(fd), abs(ad), 1e-6))
+            worst = max(worst, rel(fd, param_grads[name].flat[flat]))
             checked += 1
 
     elapsed = time.perf_counter() - start
     report(
         1,
-        f"max relative gradient error {worst:.2e} < 1e-4 over 20 models in {elapsed:.1f}s < 30s",
-        worst < 1e-4 and elapsed < 30.0,
+        f"max relative gradient error {worst:.2e} (closed-form _input_grad {worst_closed:.2e}) < 1e-4 "
+        f"over 20 models in {elapsed:.1f}s < 30s",
+        worst < 1e-4 and worst_closed < 1e-4 and elapsed < 30.0,
     )
 
 
@@ -185,13 +211,15 @@ def test_criterion_2_non_iid_improvement(bench_runs):
     model = Model.initialize(cfg.architecture, np.random.default_rng(derive_seed(1, "model-init")))
     optimizer = Sgd(cfg.learning_rate, cfg.momentum, cfg.weight_decay)
     rng = np.random.default_rng(0)
+    onehot = np.eye(6)[train.labels]
     for _ in range(60):
         order = rng.permutation(len(train))
         for s in range(len(train) // cfg.batch_size):
             idx = order[s * cfg.batch_size : (s + 1) * cfg.batch_size]
-            _, logits = model.forward(train.inputs[idx])
-            loss = softmax_cross_entropy(logits, train.labels[idx])
-            optimizer.step(model, backward_params(loss, model))
+            cache = []
+            _, logits = model.forward(train.inputs[idx], cache)
+            _, d_logits = cross_entropy_grad(logits, onehot[idx])
+            optimizer.step(model, backward_params(model, cache, d_logits))
     central = accuracy(model, test)
 
     hfmds = np.mean([bench_runs[("hfmds_fl", s)][0].rows[-1].accuracy for s in BENCH_SEEDS])
@@ -306,19 +334,19 @@ def test_criterion_8_reduction_sanity():
     s_h, _ = execute(bench_config("hfmds_fl", 1, **{**short, "alpha": 1.0, "syn_interval": 99}))
     s_f, _ = execute(bench_config("fedavg", 1, **short))
     fedavg_bitwise = all(
-        np.array_equal(s_h.model.params[k].data, s_f.model.params[k].data) for k in s_h.model.params
+        np.array_equal(s_h.model.params[k], s_f.model.params[k]) for k in s_h.model.params
     ) and [r.accuracy for r in s_h.rows] == [r.accuracy for r in s_f.rows]
 
     # aggregate of identical models is the identity (x + x then / 2 is exact)
     model = s_f.model
     agg = aggregate([model, model.copy()])
-    aggregate_identity = all(np.array_equal(agg.params[k].data, model.params[k].data) for k in model.params)
+    aggregate_identity = all(np.array_equal(agg.params[k], model.params[k]) for k in model.params)
 
     # the zero-scale path is bitwise identical to fmds_fl
     s_mu0, _ = execute(bench_config("hfmds_fl", 1, mu=0.0, **short))
     s_fm, _ = execute(bench_config("fmds_fl", 1, **short))
     mu0_bitwise = all(
-        np.array_equal(s_mu0.model.params[k].data, s_fm.model.params[k].data) for k in s_mu0.model.params
+        np.array_equal(s_mu0.model.params[k], s_fm.model.params[k]) for k in s_mu0.model.params
     ) and all(np.array_equal(a.x, b.x) for a, b in zip(s_mu0.syn_samples, s_fm.syn_samples))
 
     report(
@@ -366,16 +394,16 @@ def test_criterion_9_oracle_equivalence():
         )
         z = rng.standard_normal(feature_dim)
         y = int(rng.integers(classes))
-        expected = model.params["dense1.weight"].data[:, y]
-        cam_exact = cam_exact and np.array_equal(compute_cam(model, z, y), expected)
+        expected = model.params["dense1.weight"][:, y]
+        cam_exact = cam_exact and np.array_equal(compute_cam(GraphModel(model), z, y), expected)
 
     # aggregate against a plain stacked mean
     agg_worst = 0.0
     models = [Model.initialize(["dense(5,7)", "relu", "dense(7,4)"], np.random.default_rng(s)) for s in range(5)]
     merged = aggregate(models)
     for name in merged.params:
-        expected = np.mean(np.stack([m.params[name].data for m in models]), axis=0)
-        agg_worst = max(agg_worst, float(np.max(np.abs(merged.params[name].data - expected))))
+        expected = np.mean(np.stack([m.params[name] for m in models]), axis=0)
+        agg_worst = max(agg_worst, float(np.max(np.abs(merged.params[name] - expected))))
 
     report(
         9,

@@ -5,28 +5,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedsynth.autodiff import (
-    Adam,
-    Model,
-    Sgd,
+import graph_reference as gr
+from graph_reference import (
+    GraphModel,
     Tensor,
     add,
-    backward,
-    backward_input,
-    backward_params,
-    cross_entropy_grad,
     log,
     matmul,
-    mlp_backward,
-    mlp_forward,
     mul,
     no_grad,
-    parse_architecture,
     reduce_sum,
     relu,
     reshape,
     softmax,
     softmax_cross_entropy,
+)
+
+from fedsynth.autodiff import (
+    Adam,
+    Model,
+    Sgd,
+    backward,
+    backward_input,
+    backward_params,
+    cross_entropy_grad,
+    parse_architecture,
 )
 from fedsynth.errors import ConfigError
 
@@ -56,19 +59,19 @@ class TestForward:
         model = make_mlp(["dense(2,2)", "dense(2,2)"])
         for name in model.params:
             if name.endswith("weight"):
-                model.params[name].data[...] = np.eye(2)
+                model.params[name][...] = np.eye(2)
             else:
-                model.params[name].data[...] = np.zeros(2)
+                model.params[name][...] = np.zeros(2)
         features, logits = model.forward(np.array([[1.0, 2.0]]))
-        assert np.array_equal(features.data, [[1.0, 2.0]])
-        assert np.array_equal(logits.data, [[1.0, 2.0]])
+        assert np.array_equal(features, [[1.0, 2.0]])
+        assert np.array_equal(logits, [[1.0, 2.0]])
 
     def test_relu_clamps_negatives_in_features(self):
         model = make_mlp(["dense(2,2)", "relu", "dense(2,2)"])
-        model.params["dense0.weight"].data[...] = np.eye(2)
-        model.params["dense0.bias"].data[...] = np.zeros(2)
+        model.params["dense0.weight"][...] = np.eye(2)
+        model.params["dense0.bias"][...] = np.zeros(2)
         features, _ = model.forward(np.array([[-1.0, 3.0]]))
-        assert np.array_equal(features.data, [[0.0, 3.0]])
+        assert np.array_equal(features, [[0.0, 3.0]])
 
     def test_forward_matches_plain_numpy_oracle(self):
         model = make_mlp(["dense(5,16)", "relu", "dense(16,8)", "relu", "dense(8,3)"], seed=7)
@@ -76,20 +79,22 @@ class TestForward:
 
         # independent plain matrix-multiply forward
         h = batch
-        h = np.maximum(h @ model.params["dense0.weight"].data + model.params["dense0.bias"].data, 0.0)
-        h = np.maximum(h @ model.params["dense1.weight"].data + model.params["dense1.bias"].data, 0.0)
-        expected = h @ model.params["dense2.weight"].data + model.params["dense2.bias"].data
+        h = np.maximum(h @ model.params["dense0.weight"] + model.params["dense0.bias"], 0.0)
+        h = np.maximum(h @ model.params["dense1.weight"] + model.params["dense1.bias"], 0.0)
+        expected = h @ model.params["dense2.weight"] + model.params["dense2.bias"]
 
         _, logits = model.forward(batch)
-        assert logits.data.shape == (4, 3)
-        assert np.max(np.abs(logits.data - expected)) < 1e-12
+        assert logits.shape == (4, 3)
+        assert np.max(np.abs(logits - expected)) < 1e-12
 
     def test_forward_is_pure(self):
         model = make_mlp(["dense(3,6)", "relu", "dense(6,2)"], seed=5)
         batch = np.random.default_rng(1).random((3, 3))
+        kept = batch.copy()
         _, a = model.forward(batch)
-        _, b = model.forward(batch)
-        assert np.array_equal(a.data, b.data)
+        _, b = model.forward(batch, [])
+        assert np.array_equal(a, b)
+        assert np.array_equal(batch, kept)
 
     def test_batch_shape_mismatch_raises(self):
         model = make_mlp(["dense(3,6)", "relu", "dense(6,2)"])
@@ -98,10 +103,12 @@ class TestForward:
 
 
 class TestBackward:
+    """The graph reference's own backward pass."""
+
     def test_sum_of_weight_gives_ones(self):
-        model = make_mlp(["dense(3,4)", "dense(4,2)"])
-        loss = reduce_sum(model.params["dense0.weight"])
-        grads = model.views(backward_params(loss, model))
+        graph = GraphModel(make_mlp(["dense(3,4)", "dense(4,2)"]))
+        loss = reduce_sum(graph.params["dense0.weight"])
+        grads = graph.model.views(gr.backward_params(loss, graph))
         assert np.array_equal(grads["dense0.weight"], np.ones((3, 4)))
         assert np.array_equal(grads["dense1.weight"], np.zeros((4, 2)))
 
@@ -111,44 +118,45 @@ class TestBackward:
         x = np.random.default_rng(3).random((3, 1))
         y = matmul(w, x)
         loss = mul(reduce_sum(mul(y, y)), 0.5)
-        backward(loss)
+        gr.backward(loss)
         expected = (w.data @ x) @ x.T
         assert np.max(np.abs(w.grad - expected)) < 1e-12
 
     def test_mlp_cross_entropy_matches_finite_differences(self):
         model = make_mlp(["dense(4,12)", "relu", "dense(12,6)", "relu", "dense(6,3)"], seed=11)
+        graph = GraphModel(model)
         batch = np.random.default_rng(12).random((5, 4))
         labels = np.array([0, 1, 2, 1, 0])
 
-        _, logits = model.forward(batch)
+        _, logits = graph.forward(batch)
         loss = softmax_cross_entropy(logits, labels)
-        grads = model.views(backward_params(loss, model))
+        grads = model.views(gr.backward_params(loss, graph))
 
         coord_rng = np.random.default_rng(13)
         names = list(model.params)
         for _ in range(30):
             name = names[coord_rng.integers(len(names))]
-            flat_index = int(coord_rng.integers(model.params[name].data.size))
+            flat_index = int(coord_rng.integers(model.params[name].size))
 
             def loss_at(value):
                 clone = model.copy()
-                clone.params[name].data.flat[flat_index] = value
-                _, lg = clone.forward(batch)
+                clone.params[name].flat[flat_index] = value
+                _, lg = GraphModel(clone).forward(batch)
                 return float(softmax_cross_entropy(lg, labels).data)
 
-            v = model.params[name].data.flat[flat_index]
+            v = model.params[name].flat[flat_index]
             fd = (loss_at(v + 1e-5) - loss_at(v - 1e-5)) / 2e-5
             assert rel_err(fd, grads[name].flat[flat_index]) < 1e-4
 
     def test_input_gradient_sum_is_ones(self):
         x = Tensor(np.random.default_rng(0).random(5), requires_grad=True)
         loss = reduce_sum(x)
-        assert np.array_equal(backward_input(loss, x), np.ones(5))
+        assert np.array_equal(gr.backward_input(loss, x), np.ones(5))
 
     def test_input_gradient_half_square_norm_is_input(self):
         x = Tensor(np.random.default_rng(1).random(5), requires_grad=True)
         loss = mul(reduce_sum(mul(x, x)), 0.5)
-        assert np.max(np.abs(backward_input(loss, x) - x.data)) < 1e-15
+        assert np.max(np.abs(gr.backward_input(loss, x) - x.data)) < 1e-15
 
     def test_elementwise_graph_matches_finite_differences(self):
         # composition of mul, add, log, softmax, reduce_sum
@@ -162,38 +170,38 @@ class TestBackward:
 
         t = Tensor(v, requires_grad=True)
         node = reduce_sum(mul(log(Tensor(1.0) + softmax(mul(t, weights))), weights))
-        grad = backward_input(node, t)
+        grad = gr.backward_input(node, t)
         fd = finite_diff(value_at, v)
         assert np.max(np.abs(grad - fd)) < 1e-7
 
     def test_non_scalar_loss_raises(self):
         x = Tensor(np.ones(3), requires_grad=True)
         with pytest.raises(ValueError):
-            backward(mul(x, 2.0))
+            gr.backward(mul(x, 2.0))
 
     def test_unreachable_input_raises(self):
         x = Tensor(np.ones(3), requires_grad=True)
         y = Tensor(np.ones(3), requires_grad=True)
         loss = reduce_sum(y)
         with pytest.raises(ValueError):
-            backward_input(loss, x)
+            gr.backward_input(loss, x)
 
     def test_repeated_backward_does_not_accumulate(self):
         x = Tensor(np.ones(3), requires_grad=True)
         loss = reduce_sum(mul(x, 2.0))
-        backward(loss)
+        gr.backward(loss)
         first = x.grad.copy()
-        backward(loss)
+        gr.backward(loss)
         assert np.array_equal(x.grad, first)
 
     def test_stale_grads_zeroed_for_unused_params(self):
-        model = make_mlp(["dense(2,3)", "dense(3,2)"])
-        feats = model.extract(np.ones((1, 2)))
-        backward_params(reduce_sum(feats), model)
-        assert np.any(model.params["dense0.weight"].grad != 0)
+        graph = GraphModel(make_mlp(["dense(2,3)", "dense(3,2)"]))
+        feats = graph.extract(np.ones((1, 2)))
+        gr.backward_params(reduce_sum(feats), graph)
+        assert np.any(graph.params["dense0.weight"].grad != 0)
         # new loss that does not touch the extractor
-        loss = reduce_sum(model.params["dense1.weight"])
-        grads = model.views(backward_params(loss, model))
+        loss = reduce_sum(graph.params["dense1.weight"])
+        grads = graph.model.views(gr.backward_params(loss, graph))
         assert np.array_equal(grads["dense0.weight"], np.zeros((2, 3)))
 
 
@@ -329,26 +337,27 @@ class TestAdam:
 class TestModel:
     def test_parameter_split(self):
         model = make_mlp(["dense(4,8)", "relu", "dense(8,8)", "relu", "dense(8,3)"])
-        assert set(model.extractor_params()) == {
-            "dense0.weight",
-            "dense0.bias",
-            "dense1.weight",
-            "dense1.bias",
-        }
-        assert set(model.classifier_params()) == {"dense2.weight", "dense2.bias"}
+        batch = np.random.default_rng(6).standard_normal((5, 4))
+        features, logits = model.forward(batch)
         assert model.feature_dim == 8
         assert model.class_count == 3
+        # the classifier is the last dense layer alone; the extractor is everything before it
+        assert np.array_equal(logits, features @ model.params["dense2.weight"] + model.params["dense2.bias"])
+        assert np.array_equal(model.classify(features), logits)
+        model.params["dense2.weight"][...] = 0.0
+        model.params["dense2.bias"][...] = 0.0
+        assert np.array_equal(model.extract(batch), features)
 
     def test_copy_is_value_semantic(self):
         model = make_mlp(["dense(2,3)", "dense(3,2)"])
         clone = model.copy()
-        clone.params["dense0.weight"].data[0, 0] += 1.0
-        assert model.params["dense0.weight"].data[0, 0] != clone.params["dense0.weight"].data[0, 0]
+        clone.params["dense0.weight"][0, 0] += 1.0
+        assert model.params["dense0.weight"][0, 0] != clone.params["dense0.weight"][0, 0]
 
     def test_init_respects_fan_in_bound(self):
         model = make_mlp(["dense(16,8)", "dense(8,4)"], seed=3)
         bound = math.sqrt(1 / 16)
-        w = model.params["dense0.weight"].data
+        w = model.params["dense0.weight"]
         assert np.all(np.abs(w) <= bound)
 
     def test_architecture_must_end_with_dense(self):
@@ -360,20 +369,20 @@ class TestModel:
             parse_architecture(["dense(3,4)", "dense(5,2)"])
 
     def test_no_grad_suppresses_graph(self):
-        model = make_mlp(["dense(2,3)", "dense(3,2)"])
+        graph = GraphModel(make_mlp(["dense(2,3)", "dense(3,2)"]))
         with no_grad():
-            _, logits = model.forward(np.ones((1, 2)))
+            _, logits = graph.forward(np.ones((1, 2)))
         assert not logits.requires_grad
 
     def test_reshape_roundtrip_gradient(self):
         x = Tensor(np.arange(6.0), requires_grad=True)
         loss = reduce_sum(mul(reshape(x, (2, 3)), 2.0))
-        assert np.array_equal(backward_input(loss, x), np.full(6, 2.0))
+        assert np.array_equal(gr.backward_input(loss, x), np.full(6, 2.0))
 
     def test_relu_gradient_mask(self):
         x = Tensor(np.array([-1.0, 2.0]), requires_grad=True)
         loss = reduce_sum(relu(x))
-        assert np.array_equal(backward_input(loss, x), [0.0, 1.0])
+        assert np.array_equal(gr.backward_input(loss, x), [0.0, 1.0])
 
 
 CLOSED_FORM_ARCHS = {
@@ -402,7 +411,7 @@ def soft_labels(rng, batch, classes):
 
 @pytest.mark.parametrize("arch", list(CLOSED_FORM_ARCHS.values()), ids=list(CLOSED_FORM_ARCHS))
 class TestClosedForm:
-    """`mlp_forward`/`mlp_backward` against the graph they replace in the hot loops."""
+    """`Model.forward` and `backward` against the graph reference."""
 
     def setup_inputs(self, arch):
         model = make_mlp(arch, seed=31)
@@ -412,24 +421,32 @@ class TestClosedForm:
 
     def test_forward_is_bitwise_the_graph(self, arch):
         model, _, batch, _ = self.setup_inputs(arch)
-        features, logits, cache = mlp_forward(model, batch)
-        graph_features, graph_logits = model.forward(batch)
-        assert np.array_equal(features, graph_features.data)
-        assert np.array_equal(logits, graph_logits.data)
-        assert len(cache) == len(model._layers)
+        graph_features, graph_logits = GraphModel(model).forward(batch)
+        for cache in (None, []):
+            features, logits = model.forward(batch, cache)
+            assert np.array_equal(features, graph_features.data)
+            assert np.array_equal(logits, graph_logits.data)
+            assert np.array_equal(model.extract(batch, cache), graph_features.data)
+            assert np.array_equal(model.classify(graph_features.data, cache), graph_logits.data)
+        # forward, extract and classify appended each layer's input once per walk
+        assert len(cache) == 2 * len(model._layers)
+        assert np.array_equal(cache[model._split], graph_features.data)
+        if model._split == 0:  # a single dense layer: the features are the input itself
+            assert np.array_equal(features, batch)
 
     @pytest.mark.parametrize("soft", [False, True], ids=["hard", "soft"])
     def test_real_only_param_grads_are_bitwise(self, arch, soft):
         model, rng, batch, labels = self.setup_inputs(arch)
-        if soft:
-            labels = soft_labels(rng, len(batch), 4)
-        _, logits, cache = mlp_forward(model, batch)
-        value, d_logits = cross_entropy_grad(logits, labels)
-        grads = model.views(mlp_backward(model, cache, d_logits))
+        targets = soft_labels(rng, len(batch), 4) if soft else np.eye(4)[labels]
+        cache = []
+        _, logits = model.forward(batch, cache)
+        value, d_logits = cross_entropy_grad(logits, targets)
+        grads = model.views(backward_params(model, cache, d_logits))
 
-        _, graph_logits = model.forward(batch)
-        loss = softmax_cross_entropy(graph_logits, labels)
-        expected = model.views(backward_params(loss, model))
+        graph = GraphModel(model)
+        _, graph_logits = graph.forward(batch)
+        loss = softmax_cross_entropy(graph_logits, targets if soft else labels)
+        expected = model.views(gr.backward_params(loss, graph))
         assert value == float(loss.data)
         assert set(grads) == set(expected)
         for name in expected:
@@ -440,20 +457,22 @@ class TestClosedForm:
         model, rng, batch, labels = self.setup_inputs(arch)
         syn_batch = rng.random((6, 5))
         syn_targets = soft_labels(rng, 6, 4)
-        _, logits, cache = mlp_forward(model, batch)
-        _, syn_logits, syn_cache = mlp_forward(model, syn_batch)
-        real_value, d_real = cross_entropy_grad(logits, labels, alpha)
+        cache, syn_cache = [], []
+        _, logits = model.forward(batch, cache)
+        _, syn_logits = model.forward(syn_batch, syn_cache)
+        real_value, d_real = cross_entropy_grad(logits, np.eye(4)[labels], alpha)
         syn_value, d_syn = cross_entropy_grad(syn_logits, syn_targets, 1.0 - alpha)
-        real_grads = model.views(mlp_backward(model, cache, d_real))
-        syn_grads = model.views(mlp_backward(model, syn_cache, d_syn))
+        real_grads = model.views(backward_params(model, cache, d_real))
+        syn_grads = model.views(backward_params(model, syn_cache, d_syn))
 
-        _, graph_logits = model.forward(batch)
-        _, graph_syn_logits = model.forward(syn_batch)
+        graph = GraphModel(model)
+        _, graph_logits = graph.forward(batch)
+        _, graph_syn_logits = graph.forward(syn_batch)
         loss = add(
             mul(softmax_cross_entropy(graph_logits, labels), alpha),
             mul(softmax_cross_entropy(graph_syn_logits, syn_targets), 1.0 - alpha),
         )
-        expected = model.views(backward_params(loss, model))
+        expected = model.views(gr.backward_params(loss, graph))
         assert abs(real_value + syn_value - float(loss.data)) <= 1e-12 * abs(float(loss.data))
         for name in expected:
             assert_rel_close(real_grads[name] + syn_grads[name], expected[name])
@@ -463,24 +482,27 @@ class TestClosedForm:
         model, rng, batch, _ = self.setup_inputs(arch)
         d_features = rng.standard_normal((len(batch), model.feature_dim))
         d_logits = rng.standard_normal((len(batch), model.class_count))
-        _, _, cache = mlp_forward(model, batch)
-        grad = mlp_backward(model, cache, d_logits, d_features, wrt="input")
+        cache = []
+        model.forward(batch, cache)
+        grad = backward_input(model, cache, d_logits, d_features)
 
         leaf = Tensor(batch, requires_grad=True)
-        features, logits = model.forward(leaf)
+        features, logits = GraphModel(model).forward(leaf)
         loss = add(reduce_sum(mul(features, d_features)), reduce_sum(mul(logits, d_logits)))
-        assert_rel_close(grad, backward_input(loss, leaf))
+        assert_rel_close(grad, gr.backward_input(loss, leaf))
 
     def test_param_grads_with_feature_term_match_graph(self, arch):
         model, rng, batch, _ = self.setup_inputs(arch)
         d_features = rng.standard_normal((len(batch), model.feature_dim))
         d_logits = rng.standard_normal((len(batch), model.class_count))
-        _, _, cache = mlp_forward(model, batch)
-        grads = model.views(mlp_backward(model, cache, d_logits, d_features))
+        cache = []
+        model.forward(batch, cache)
+        grads = model.views(backward_params(model, cache, d_logits, d_features))
 
-        features, logits = model.forward(batch)
+        graph = GraphModel(model)
+        features, logits = graph.forward(batch)
         loss = add(reduce_sum(mul(features, d_features)), reduce_sum(mul(logits, d_logits)))
-        expected = model.views(backward_params(loss, model))
+        expected = model.views(gr.backward_params(loss, graph))
         for name in expected:
             assert_rel_close(grads[name], expected[name])
 
@@ -490,27 +512,64 @@ class TestClosedForm:
         d_features = rng.standard_normal((len(batch), model.feature_dim))
         d_logits = rng.standard_normal((len(batch), model.class_count))
         kept = d_features.copy(), d_logits.copy()
-        _, _, cache = mlp_forward(model, batch)
+        cache = []
+        model.forward(batch, cache)
         cached = [h.copy() for h in cache]
+        entry = backward_params if wrt == "params" else backward_input
         for features_term in (None, d_features):
-            mlp_backward(model, cache, d_logits, features_term, wrt=wrt)
+            entry(model, cache, d_logits, features_term)
         assert np.array_equal(d_features, kept[0]) and np.array_equal(d_logits, kept[1])
         assert all(np.array_equal(h, c) for h, c in zip(cache, cached))
 
-
-def test_mlp_backward_rejects_unknown_target():
-    model = make_mlp(["dense(2,3)", "dense(3,2)"])
-    _, logits, cache = mlp_forward(model, np.ones((1, 2)))
-    with pytest.raises(ValueError, match="wrt"):
-        mlp_backward(model, cache, logits, wrt="features")
+    def test_both_entry_points_are_one_walk(self, arch):
+        model, rng, batch, _ = self.setup_inputs(arch)
+        d_features = rng.standard_normal((len(batch), model.feature_dim))
+        d_logits = rng.standard_normal((len(batch), model.class_count))
+        cache = []
+        model.forward(batch, cache)
+        grad = np.empty_like(model.flat)
+        assert backward(model, cache, d_logits, d_features, grad) is grad
+        assert np.array_equal(grad, backward_params(model, cache, d_logits, d_features))
+        by_input = backward_input(model, cache, d_logits, d_features)
+        assert np.array_equal(backward(model, cache, d_logits, d_features), by_input)
 
 
 def test_cross_entropy_row_weights_must_match_the_batch():
     with pytest.raises(ValueError, match="3 row weights"):
-        cross_entropy_grad(np.zeros((3, 2)), [0, 1, 1], np.ones(2))
+        cross_entropy_grad(np.zeros((3, 2)), np.eye(2)[[0, 1, 1]], np.ones(2))
 
 
-def test_mlp_forward_rejects_wrong_width():
+def test_cross_entropy_takes_a_target_matrix_only():
+    with pytest.raises(ValueError, match=r"targets must have shape \(3, 2\)"):
+        cross_entropy_grad(np.zeros((3, 2)), [0, 1, 1])
+
+
+def test_extract_and_classify_reject_wrong_width():
     model = make_mlp(["dense(3,6)", "relu", "dense(6,2)"])
-    with pytest.raises(ValueError):
-        mlp_forward(model, np.zeros((2, 4)))
+    with pytest.raises(ValueError, match="input width 3"):
+        model.extract(np.zeros((2, 4)))
+    with pytest.raises(ValueError, match="classifier width 6"):
+        model.classify(np.zeros((2, 3)))
+
+
+def test_copy_and_aggregate_parse_no_architecture(monkeypatch):
+    import fedsynth.autodiff as ad
+    from fedsynth.engine import aggregate
+
+    calls = []
+    original = ad.parse_architecture
+
+    def counting(layers):
+        calls.append(list(layers))
+        return original(layers)
+
+    monkeypatch.setattr(ad, "parse_architecture", counting)
+    ad._architecture_layout.cache_clear()
+    arch = ["dense(3,11)", "relu", "dense(11,11)", "relu", "dense(11,2)"]
+    model = make_mlp(arch)
+    assert calls == [arch]
+    clones = [model.copy() for _ in range(3)]
+    merged = aggregate([model, *clones])
+    merged.copy()
+    Model(arch, model.flat)
+    assert calls == [arch]

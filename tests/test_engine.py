@@ -5,17 +5,10 @@ import pytest
 
 from conftest import small_config
 
-from fedsynth.autodiff import (
-    Model,
-    Sgd,
-    add,
-    backward_params,
-    cross_entropy_grad,
-    mlp_backward,
-    mlp_forward,
-    mul,
-    softmax_cross_entropy,
-)
+import graph_reference as gr
+from graph_reference import GraphModel, add, mul, softmax_cross_entropy
+
+from fedsynth.autodiff import Model, Sgd, backward_params, cross_entropy_grad
 from fedsynth.data import make_blobs
 from fedsynth.engine import ClientState, aggregate, local_update, run_round, sample_clients
 from fedsynth.errors import ConfigError
@@ -62,24 +55,24 @@ class TestAggregate:
         model = make_model(["dense(3,4)", "relu", "dense(4,2)"], seed=1)
         out = aggregate([model, model.copy()])
         for name in model.params:
-            assert np.array_equal(out.params[name].data, model.params[name].data)
+            assert np.array_equal(out.params[name], model.params[name])
 
     def test_scalar_average(self):
         a = make_model(["dense(1,1)"])
         b = make_model(["dense(1,1)"])
-        a.params["dense0.weight"].data[...] = np.array([[2.0]])
-        b.params["dense0.weight"].data[...] = np.array([[4.0]])
-        a.params["dense0.bias"].data[...] = np.zeros(1)
-        b.params["dense0.bias"].data[...] = np.zeros(1)
+        a.params["dense0.weight"][...] = np.array([[2.0]])
+        b.params["dense0.weight"][...] = np.array([[4.0]])
+        a.params["dense0.bias"][...] = np.zeros(1)
+        b.params["dense0.bias"][...] = np.zeros(1)
         out = aggregate([a, b])
-        assert out.params["dense0.weight"].data[0, 0] == 3.0
+        assert out.params["dense0.weight"][0, 0] == 3.0
 
     def test_matches_plain_averaging_oracle(self):
         models = [make_model(["dense(4,6)", "relu", "dense(6,3)"], seed=s) for s in range(3)]
         out = aggregate(models)
         for name in models[0].params:
-            expected = np.mean(np.stack([m.params[name].data for m in models]), axis=0)
-            assert np.max(np.abs(out.params[name].data - expected)) < 1e-15
+            expected = np.mean(np.stack([m.params[name] for m in models]), axis=0)
+            assert np.max(np.abs(out.params[name] - expected)) < 1e-15
 
     def test_architecture_mismatch_rejected(self):
         a = make_model(["dense(3,4)", "dense(4,2)"])
@@ -113,16 +106,16 @@ class TestLocalUpdate:
         rng = np.random.default_rng(99)
         perm = rng.permutation(n)
         syn_idx = rng.choice(len(syn), size=n, replace=len(syn) < n)
-        base = model.copy()
+        base = GraphModel(model.copy())
         _, logits = base.forward(train.inputs[perm])
         real_loss = softmax_cross_entropy(logits, train.labels[perm])
         _, syn_logits = base.forward(np.stack([syn[int(j)].x for j in syn_idx]))
         targets = np.stack([syn[int(j)].target for j in syn_idx])
         loss = add(mul(real_loss, 0.4), mul(softmax_cross_entropy(syn_logits, targets), 0.6))
-        grads = base.views(backward_params(loss, base))
+        grads = model.views(gr.backward_params(loss, base))
         for name in base.params:
-            expected = model.params[name].data - 0.1 * grads[name]
-            assert np.max(np.abs(updated.params[name].data - expected)) < 1e-10
+            expected = model.params[name] - 0.1 * grads[name]
+            assert np.max(np.abs(updated.params[name] - expected)) < 1e-10
 
     def test_alpha_one_ignores_synthetic_pool(self):
         train, model, syn, _ = self.setup()
@@ -131,7 +124,7 @@ class TestLocalUpdate:
         a, _ = local_update(model.copy(), train, syn, 1.0, 1, 4, Sgd(0.05), client_a, 0.5)
         b, _ = local_update(model.copy(), train, [], 1.0, 1, 4, Sgd(0.05), client_b, 0.5)
         for name in a.params:
-            assert np.array_equal(a.params[name].data, b.params[name].data)
+            assert np.array_equal(a.params[name], b.params[name])
         # identical rng consumption afterwards
         assert client_a.rng.integers(1 << 30) == client_b.rng.integers(1 << 30)
 
@@ -202,11 +195,12 @@ class TestLocalUpdate:
                 syn_idx = rng.choice(len(syn), size=batch, replace=len(syn) < batch)
                 flat, grad = next(steps)
                 at = Model(model.architecture, flat)
-                features, logits, cache = mlp_forward(at, train.inputs[idx])
-                _, syn_logits, syn_cache = mlp_forward(at, syn["x"][syn_idx])
-                real_loss, d_real = cross_entropy_grad(logits, train.labels[idx], alpha)
+                cache, syn_cache = [], []
+                features, logits = at.forward(train.inputs[idx], cache)
+                _, syn_logits = at.forward(syn["x"][syn_idx], syn_cache)
+                real_loss, d_real = cross_entropy_grad(logits, np.eye(3)[train.labels[idx]], alpha)
                 syn_loss, d_syn = cross_entropy_grad(syn_logits, syn["target"][syn_idx], 1.0 - alpha)
-                expected = mlp_backward(at, cache, d_real) + mlp_backward(at, syn_cache, d_syn)
+                expected = backward_params(at, cache, d_real) + backward_params(at, syn_cache, d_syn)
                 assert np.max(np.abs(grad - expected)) <= 1e-12 * np.max(np.abs(expected))
                 losses.append(real_loss + syn_loss)
                 for c in np.unique(train.labels[idx]).tolist():
@@ -273,7 +267,7 @@ class TestRunRound:
         assert len(lines) == len(state.test_data) + len(pool) == len(state.test_data) + 20
         assert [row[-1] for row in tail] == ["synthetic"] * len(pool)
         assert [int(row[-2]) for row in tail] == pool["label"].tolist()
-        features, _, _ = mlp_forward(state.model, pool["x"])
+        features = state.model.extract(pool["x"])
         exported = np.array([[float(v) for v in row[:-2]] for row in tail])
         assert np.max(np.abs(exported - features)) <= 1e-12
 
@@ -319,7 +313,7 @@ class TestRunRound:
         state, _ = execute(small_config(rounds=3, algorithm="fedavg"))
         assert sorted(state.local_models) == [0, 1, 2, 3]
         merged = aggregate(state.local_models.values())
-        assert all(np.array_equal(merged.params[k].data, state.model.params[k].data) for k in merged.params)
+        assert all(np.array_equal(merged.params[k], state.model.params[k]) for k in merged.params)
         assert self.local_alignment(state) is not None
 
     def test_rows_deterministic_across_runs(self):

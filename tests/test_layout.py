@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from fedsynth.autodiff import Model, Sgd, cross_entropy_grad, mlp_backward, mlp_forward
+from graph_reference import GraphModel
+
+from fedsynth.autodiff import Model, Sgd, backward_params, cross_entropy_grad
 from fedsynth.config import config_from_dict, derive_seed
 from fedsynth.engine import aggregate
 from fedsynth.synthesis import model_fingerprint
@@ -21,20 +23,20 @@ def same_memory(a, b):
 
 def assert_views_of_own_flat(model):
     for name, p in model.params.items():
-        assert np.shares_memory(p.data, model.flat), name
+        assert np.shares_memory(p, model.flat), name
     # the layer plan's arrays are the same views, at the slices it writes gradients to
     dense = [layer for layer in model._plan if layer is not None]
     assert [layer is None for layer in model._plan] == [layer[0] == "relu" for layer in model._layers]
     names = list(model.params)
     for (weight, bias, w_slice, b_slice), w_name, b_name in zip(dense, names[::2], names[1::2], strict=True):
-        assert weight is model.params[w_name].data and bias is model.params[b_name].data
+        assert weight is model.params[w_name] and bias is model.params[b_name]
         assert same_memory(weight, model.flat[w_slice]) and same_memory(bias, model.flat[b_slice])
 
 
 def assert_plan_is_live(model, batch, before):
-    """`mlp_forward` walks the plan; the graph reads `params`: both see the current weights."""
-    features, logits, _ = mlp_forward(model, batch)
-    graph_features, graph_logits = model.forward(batch)
+    """`Model.forward` walks the plan; the graph reads `params`: both see the current weights."""
+    features, logits = model.forward(batch)
+    graph_features, graph_logits = GraphModel(model).forward(batch)
     assert np.array_equal(features, graph_features.data)
     assert np.array_equal(logits, graph_logits.data)
     assert not np.array_equal(logits, before), "the weights did not change"
@@ -51,16 +53,17 @@ def test_desk_init_fingerprint_is_pinned():
 def test_flat_follows_name_order():
     model = desk_model()
     assert list(model.params) == [f"dense{d}.{s}" for d in range(3) for s in ("weight", "bias")]
-    assert np.array_equal(np.concatenate([p.data.ravel() for p in model.params.values()]), model.flat)
+    assert np.array_equal(np.concatenate([p.ravel() for p in model.params.values()]), model.flat)
 
 
 def test_sgd_step_updates_the_views():
     model = desk_model()
     rng = np.random.default_rng(0)
-    _, logits, cache = mlp_forward(model, rng.random((10, 16)))
-    _, d_logits = cross_entropy_grad(logits, rng.integers(0, 6, size=10))
+    cache = []
+    _, logits = model.forward(rng.random((10, 16)), cache)
+    _, d_logits = cross_entropy_grad(logits, np.eye(6)[rng.integers(0, 6, size=10)])
     before = model.flat.copy()
-    Sgd(0.1, momentum=0.9, weight_decay=5e-4).step(model, mlp_backward(model, cache, d_logits))
+    Sgd(0.1, momentum=0.9, weight_decay=5e-4).step(model, backward_params(model, cache, d_logits))
     assert not np.array_equal(model.flat, before)
     assert_views_of_own_flat(model)
 
@@ -71,7 +74,7 @@ def test_copy_and_aggregate_own_their_vectors():
     assert_views_of_own_flat(clone)
     assert not np.shares_memory(clone.flat, model.flat)
     for p, q in zip(model.params.values(), clone.params.values()):
-        assert not np.shares_memory(p.data, q.data)
+        assert not np.shares_memory(p, q)
     merged = aggregate([model, clone, desk_model(seed=2)])
     assert_views_of_own_flat(merged)
     assert not any(np.shares_memory(merged.flat, m.flat) for m in (model, clone))
@@ -81,21 +84,22 @@ def test_layer_plan_follows_every_weight_change():
     model = desk_model()
     batch = np.random.default_rng(3).random((10, 16))
 
-    _, before, cache = mlp_forward(model, batch)
-    _, d_logits = cross_entropy_grad(before, np.arange(10) % 6)
-    Sgd(0.5).step(model, mlp_backward(model, cache, d_logits))
+    cache = []
+    _, before = model.forward(batch, cache)
+    _, d_logits = cross_entropy_grad(before, np.eye(6)[np.arange(10) % 6])
+    Sgd(0.5).step(model, backward_params(model, cache, d_logits))
     assert_plan_is_live(model, batch, before)
 
-    before = mlp_forward(model, batch)[1]
-    model.params["dense2.bias"].data[...] = 1.0
-    model.params["dense0.weight"].data[0, :] *= -1.0
+    before = model.forward(batch)[1]
+    model.params["dense2.bias"][...] = 1.0
+    model.params["dense0.weight"][0, :] *= -1.0
     assert_plan_is_live(model, batch, before)
 
-    before = mlp_forward(model, batch)[1]
+    before = model.forward(batch)[1]
     clone = model.copy()
     clone.flat *= 0.5  # a clone walking its source's plan would still read the source's weights
     assert_plan_is_live(clone, batch, before)
-    assert np.array_equal(mlp_forward(model, batch)[1], before)
+    assert np.array_equal(model.forward(batch)[1], before)
 
     merged = aggregate([model, clone, desk_model(seed=2)])
     assert_plan_is_live(merged, batch, before)

@@ -6,7 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedsynth.autodiff import Adam, Model, Tensor, backward_input, mlp_forward, softmax_cross_entropy
+from graph_reference import (
+    GraphModel,
+    Tensor,
+    backward_input,
+    compute_cam,
+    masked_kl,
+    softmax_cross_entropy,
+    synthesis_loss,
+)
+
+from fedsynth.autodiff import Adam, Model
 from fedsynth.data import make_blobs
 from fedsynth.errors import ConfigError
 from fedsynth.metrics import psnr
@@ -16,12 +26,9 @@ from fedsynth.synthesis import (
     _input_grad,
     _matching_targets,
     _stratified_indices,
-    compute_cam,
     dump_synthetic_dataset,
     hard_feature,
-    masked_kl,
     mixup_generate,
-    synthesis_loss,
     synthesize,
     synthetic_rows,
     update_prototypes,
@@ -48,11 +55,13 @@ def kl_oracle(z_hat, z_target, cam, eps=1e-8):
 
 
 class TestComputeCam:
+    """The graph reference's CAM; `synthesis` reads it off the classifier weight."""
+
     def make_linear_head(self, weight):
         # feature width 3, two classes; classifier is the last dense layer
         model = make_model(["dense(2,3)", "dense(3,2)"])
-        model.params["dense1.weight"].data[...] = np.asarray(weight, dtype=float)
-        return model
+        model.params["dense1.weight"][...] = np.asarray(weight, dtype=float)
+        return GraphModel(model)
 
     def test_linear_classifier_gradient_is_weight_column(self):
         # classifier rows per class: [[1,-2,0],[0,3,1]] stored column-wise
@@ -69,7 +78,7 @@ class TestComputeCam:
     def test_matches_finite_differences(self):
         model = make_model(["dense(4,6)", "relu", "dense(6,3)"], seed=4)
         z = np.random.default_rng(5).standard_normal(6)
-        g = compute_cam(model, z, 2)
+        g = compute_cam(GraphModel(model), z, 2)
         h = 1e-5
         for i in range(6):
             up, down = z.copy(), z.copy()
@@ -77,7 +86,7 @@ class TestComputeCam:
             down[i] -= h
 
             def logit(v):
-                return float(model.classify(Tensor(v.reshape(1, -1))).data[0, 2])
+                return float(model.classify(v.reshape(1, -1))[0, 2])
 
             fd = (logit(up) - logit(down)) / (2 * h)
             assert abs(fd - g[i]) / max(abs(fd), abs(g[i]), 1e-6) < 1e-4
@@ -85,7 +94,7 @@ class TestComputeCam:
     def test_class_out_of_range_raises(self):
         model = make_model(["dense(2,3)", "dense(3,2)"])
         with pytest.raises(ValueError):
-            compute_cam(model, np.zeros(3), 2)
+            compute_cam(GraphModel(model), np.zeros(3), 2)
 
 
 class TestUpdatePrototypes:
@@ -190,7 +199,7 @@ class TestMaskedKl:
         assert float(loss.data) >= -1e-12
 
     def test_all_zero_mask_returns_zero_with_warning(self, caplog):
-        with caplog.at_level(logging.WARNING, logger="fedsynth.synthesis"):
+        with caplog.at_level(logging.WARNING, logger="graph_reference"):
             loss = masked_kl(
                 Tensor(np.ones(3), requires_grad=True), np.zeros(3), -np.ones(3)
             )
@@ -213,7 +222,7 @@ class TestMaskedKl:
 
 class TestSynthesisLoss:
     def setup_method(self):
-        self.model = make_model(["dense(5,8)", "relu", "dense(8,8)", "relu", "dense(8,3)"], seed=9)
+        self.model = GraphModel(make_model(["dense(5,8)", "relu", "dense(8,8)", "relu", "dense(8,3)"], seed=9))
         self.x = np.random.default_rng(10).random(5)
         self.proto = np.random.default_rng(11).standard_normal(8)
 
@@ -330,26 +339,26 @@ class TestProductionPath:
     def setup_case(self, arch):
         model = make_model(arch, seed=40)
         # class 0's classifier column is all negative: its rows get an all-zero CAM mask
-        last = next(p for name, p in model.classifier_params().items() if name.endswith(".weight"))
-        last.data[:, 0] = -np.abs(last.data[:, 0]) - 0.1
+        last = model.params[f"dense{len(model.params) // 2 - 1}.weight"]
+        last[:, 0] = -np.abs(last[:, 0]) - 0.1
         shard, _ = make_blobs(3, 5, 20, 0.25, seed=41)
         protos = {1: np.random.default_rng(42).standard_normal(model.feature_dim)}
         cfg = SynthesisConfig(count=12, steps=3, scale=0.5)
         return model, shard, protos, cfg
 
     def per_row_loss(self, model, x_hat, real, label, protos, cfg):
-        return synthesis_loss(model, x_hat, real, label, protos.get(label), cfg.scale, cfg.kl_eps)
+        return synthesis_loss(GraphModel(model), x_hat, real, label, protos.get(label), cfg.scale, cfg.kl_eps)
 
     def test_masks_equal_compute_cam_rows(self, arch):
         model, shard, protos, cfg = self.setup_case(arch)
         labels = shard.labels
         target_probs, masks = _matching_targets(model, shard.inputs, labels, protos, cfg.scale)
-        features, _, _ = mlp_forward(model, shard.inputs)
+        features = model.extract(shard.inputs)
         assert not masks[labels == 0].any()
         for i, y in enumerate(labels):
             proto = protos.get(int(y))
             target = hard_feature(features[i], proto, cfg.scale) if proto is not None else features[i]
-            mask = np.maximum(compute_cam(model, target, int(y)), 0.0)
+            mask = np.maximum(compute_cam(GraphModel(model), target, int(y)), 0.0)
             assert np.array_equal(masks[i], mask)
             e = np.exp(target * mask - (target * mask).max())
             assert np.max(np.abs(target_probs[i] - e / e.sum())) <= 1e-15
