@@ -3,10 +3,13 @@
 Gradients are written out by hand: `backward` walks the model's layers in
 reverse over the layer inputs a forward pass cached, with cross entropy
 entering at the logits (`cross_entropy_grad`) and any feature-space loss at
-the extractor/classifier split. Everything is float64 so gradient checks
-can run at tight tolerances. Models are value-semantic and may be copied
-across threads freely. The tests keep a graph autodiff as the reference
-these closed forms are pinned against.
+the extractor/classifier split. A `Model` is one MLP or a stack of them
+(local training runs a round's clients as one stack); the walks run over
+the leading stack axis, so one forward and one backward serve both.
+Everything is float64 so gradient checks can run at tight tolerances.
+Models are value-semantic and may be copied across threads freely. The
+tests keep a graph autodiff as the reference these closed forms are pinned
+against.
 """
 
 from __future__ import annotations
@@ -25,17 +28,17 @@ Array = np.ndarray
 
 
 def log_softmax_rows(z: Array) -> Array:
-    """Row-wise log-softmax of a (batch, classes) matrix, stabilized by max subtraction.
+    """Row-wise log-softmax over the last axis, stabilized by max subtraction.
 
     The one definition behind every cross entropy here: `cross_entropy_grad`
     and the per-row synthesis losses.
     """
-    shifted = z - z.max(axis=1, keepdims=True)
-    shifted -= np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = z - z.max(axis=-1, keepdims=True)
+    shifted -= np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     return shifted
 
 
-def cross_entropy_grad(logits: Array, target: Array, weight=1.0) -> tuple[float, Array]:
+def cross_entropy_grad(logits: Array, target: Array, weight=1.0, rows: Array | None = None) -> tuple:
     """Weighted mean cross entropy of row-wise softmax(logits) against a target matrix.
 
     `target` is a (batch, classes) matrix: one-hot rows for hard labels,
@@ -43,28 +46,45 @@ def cross_entropy_grad(logits: Array, target: Array, weight=1.0) -> tuple[float,
     w.r.t. the logits. A vector `weight` holds one weight per row and
     replaces the mean: the loss is then sum_r weight[r] * CE(row r), so one
     call can blend rows from different batches.
+
+    For a stack of models the logits and targets are (models, batch,
+    classes), a `weight` array is (models, batch), and the loss is one value
+    per model. `rows`, with a scalar weight, holds each model's count of
+    real rows: its mean runs over them, and the rows past it are padding,
+    which must carry all-zero targets and get a zero gradient.
     Target rows are not checked to sum to one here: local training passes
     one-hot rows built once per update and rows of the synthetic pool,
     checked once where `synthesis.synthetic_rows` builds them.
     """
     z = np.asarray(logits, dtype=np.float64)
-    if z.ndim != 2:
-        raise ValueError("logits must be a (batch, classes) matrix")
-    batch = z.shape[0]
+    if z.ndim not in (2, 3):
+        raise ValueError("logits must be a (batch, classes) matrix or a (models, batch, classes) stack")
+    batch = z.shape[-2]
     target = np.asarray(target, dtype=np.float64)
     if target.shape != z.shape:
         raise ValueError(f"targets must have shape {z.shape}, got {target.shape}")
     log_probs = log_softmax_rows(z)
     if np.ndim(weight) == 0:
-        return -(target * log_probs).sum() / batch * weight, weight * (np.exp(log_probs) - target) / batch
+        d_logits = np.exp(log_probs)
+        d_logits -= target
+        d_logits *= weight
+        if rows is None:
+            count = batch
+            d_logits /= batch
+        else:
+            count = np.asarray(rows)
+            d_logits /= count[:, None, None]
+            d_logits[np.arange(batch) >= count[:, None]] = 0.0
+        return -(target * log_probs).sum(axis=(-2, -1)) / count * weight, d_logits
     row_weight = np.asarray(weight, dtype=np.float64)
-    if row_weight.shape != (batch,):
-        raise ValueError(f"expected {batch} row weights, got shape {row_weight.shape}")
-    row_weight = row_weight[:, None]
+    if row_weight.shape != z.shape[:-1]:
+        expected = " x ".join(map(str, z.shape[:-1]))
+        raise ValueError(f"expected {expected} row weights, got shape {row_weight.shape}")
+    row_weight = row_weight[..., None]
     d_logits = np.exp(log_probs)
     d_logits -= target
     d_logits *= row_weight
-    return -(row_weight * target * log_probs).sum(), d_logits
+    return -(row_weight * target * log_probs).sum(axis=(-2, -1)), d_logits
 
 
 _DENSE = re.compile(r"^dense\((\d+)\s*,\s*(\d+)\)$")
@@ -130,6 +150,10 @@ class Model:
     entry is a reshaped view into it. The last dense layer is the
     classifier; everything before it (including any trailing relu) is the
     feature extractor.
+
+    A (models, parameters) `flat` makes a stack of models that train side by
+    side: each `params` entry gains a leading models axis, and the forward
+    pass maps a (models, batch, width) input to per-model outputs.
     """
 
     def __init__(self, architecture: Sequence[str], flat: Array):
@@ -138,20 +162,28 @@ class Model:
         self.input_dim = self._layers[self._first_dense][1]
         self.flat = np.ascontiguousarray(flat, dtype=np.float64)
         size = self._layout[-1][2]
-        if self.flat.shape != (size,):
+        if self.flat.ndim not in (1, 2) or self.flat.shape[-1] != size:
             raise ValueError(f"{self.architecture} has {size} parameters, got a vector of shape {self.flat.shape}")
         self.params = self.views(self.flat)
         # the layer plan the forward and backward walks follow: None for a
-        # relu, (weight view, bias view, weight slice, bias slice) for a dense layer
+        # relu, (weight view, bias view, weight slice, bias slice) for a
+        # dense layer; a stack's biases broadcast over each model's batch
+        stacked = self.flat.ndim == 2
         dense = iter(
-            (self.params[w[0]], self.params[b[0]], slice(w[1], w[2]), slice(b[1], b[2]))
+            (
+                self.params[w[0]],
+                self.params[b[0]][:, None] if stacked else self.params[b[0]],
+                slice(w[1], w[2]),
+                slice(b[1], b[2]),
+            )
             for w, b in zip(self._layout[::2], self._layout[1::2])
         )
         self._plan = [None if layer[0] == "relu" else next(dense) for layer in self._layers]
 
     def views(self, vector: Array) -> dict[str, Array]:
         """Named, reshaped views into a vector laid out like `flat` (parameters or gradients)."""
-        return {name: vector[start:stop].reshape(shape) for name, start, stop, shape in self._layout}
+        lead = vector.shape[:-1]
+        return {name: vector[..., start:stop].reshape(lead + shape) for name, start, stop, shape in self._layout}
 
     @classmethod
     def initialize(cls, architecture: Sequence[str], rng: np.random.Generator) -> "Model":
@@ -194,14 +226,14 @@ class Model:
         batch itself.
         """
         h = np.ascontiguousarray(batch, dtype=np.float64)
-        if h.ndim != 2 or h.shape[1] != self.input_dim:
+        if h.ndim != self.flat.ndim + 1 or h.shape[:-2] != self.flat.shape[:-1] or h.shape[-1] != self.input_dim:
             raise ValueError(f"batch shape {h.shape} incompatible with input width {self.input_dim}")
         return self._walk(h, 0, self._split, cache)
 
     def classify(self, features, cache: list | None = None) -> Array:
         """Classifier forward pass from a feature batch; returns the logits."""
         f = np.ascontiguousarray(features, dtype=np.float64)
-        if f.ndim != 2 or f.shape[1] != self.feature_dim:
+        if f.ndim != self.flat.ndim + 1 or f.shape[:-2] != self.flat.shape[:-1] or f.shape[-1] != self.feature_dim:
             raise ValueError(f"feature shape {f.shape} incompatible with classifier width {self.feature_dim}")
         return self._walk(f, self._split, len(self._plan), cache)
 
@@ -236,11 +268,11 @@ def backward(
         else:
             weight, _, w_slice, b_slice = layer
             if grad is not None:
-                np.matmul(cache[i].T, g, out=grad[w_slice].reshape(weight.shape))
-                np.sum(g, axis=0, out=grad[b_slice])
+                np.matmul(cache[i].swapaxes(-1, -2), g, out=grad[..., w_slice].reshape(weight.shape))
+                np.sum(g, axis=-2, out=grad[..., b_slice])
                 if i == model._first_dense:
                     return grad  # nothing below the first dense layer has parameters
-            g = g @ weight.T
+            g = g @ weight.swapaxes(-1, -2)
         if i == model._split and d_features is not None:
             g += d_features
     return g
@@ -265,20 +297,37 @@ class Sgd:
         self.weight_decay = float(weight_decay)
         self.velocity: Array | None = None
 
-    def step(self, model: Model, grad: Array) -> None:
-        """Update `model.flat` in place from a gradient laid out like it."""
+    def step(self, model: Model, grad: Array, clients: Sequence[int] | None = None) -> None:
+        """Update `model.flat` in place from a gradient laid out like it.
+
+        For a stack, a later step may update a prefix of the stack the first
+        step saw (models that finished drop off its end): it then moves the
+        first rows of the velocity and leaves the others alone. `clients`
+        names the stacked models in a NaN error (default: their row).
+        """
         if grad.shape != model.flat.shape:
             raise ValueError(f"gradient shape {grad.shape} does not match the {model.flat.size} parameters")
-        if np.isnan(grad).any():
+        nan = np.isnan(grad)
+        if nan.any():
+            where = ""
+            if grad.ndim == 2:
+                row = int(nan.any(axis=1).argmax())
+                grad, where = grad[row], f" of client {row if clients is None else clients[row]}"
             name = next(name for name, g in model.views(grad).items() if np.isnan(g).any())
-            raise ValueError(f"NaN gradient for parameter {name!r}")
+            raise ValueError(f"NaN gradient for parameter {name!r}{where}")
+        decayed = None
         if self.weight_decay:
-            grad = grad + self.weight_decay * model.flat
+            decayed = self.weight_decay * model.flat
+            decayed += grad
+            grad = decayed
         if self.velocity is None:
             self.velocity = np.zeros_like(model.flat)
-        self.velocity *= self.momentum
-        self.velocity += grad
-        model.flat -= self.learning_rate * self.velocity
+        velocity = self.velocity[: len(model.flat)] if model.flat.ndim == 2 else self.velocity
+        if velocity.shape != model.flat.shape:
+            raise ValueError(f"velocity shape {self.velocity.shape} does not cover parameters {model.flat.shape}")
+        velocity *= self.momentum
+        velocity += grad
+        model.flat -= np.multiply(velocity, self.learning_rate, out=decayed)
 
 
 class Adam:

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-import math
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,38 +66,61 @@ def sample_clients(total: int, active_count: int, rng: np.random.Generator) -> l
     return sorted(int(k) for k in picked)
 
 
-def _accumulate_features(state: ClientState, features: Array, labels: Array) -> None:
-    for c in np.flatnonzero(np.bincount(labels)).tolist():
-        rows = features[labels == c]
-        if c in state.feature_sums:
-            state.feature_sums[c] += rows.sum(axis=0)
-            state.feature_counts[c] += rows.shape[0]
-        else:
-            state.feature_sums[c] = rows.sum(axis=0)
-            state.feature_counts[c] = rows.shape[0]
+def _draw_batches(clients, sizes: Array, pad: int, pool: int, epochs: int, batch_size: int) -> Array:
+    """Every client's batches as rows of one gather table, drawn up front.
+
+    Client i's shard occupies the table rows after the shards before it,
+    `pad` is an all-zero row, and a synthetic pool of `pool` rows follows
+    it. Each client draws from its own generator in the order of a
+    one-client loop: per epoch one permutation of its shard, then one pool
+    choice per step when `pool` is nonzero. Returns (clients, steps, width)
+    indices: per step a batch of real rows filled up with `pad`, then the
+    synthetic rows.
+    """
+    per_epoch = -(-sizes // batch_size)
+    index = np.full((len(clients), epochs * int(per_epoch.max()), 2 * batch_size if pool else batch_size), pad)
+    replace = pool < batch_size
+    for i, (client, n, k, offset) in enumerate(zip(clients, sizes, per_epoch, np.cumsum(sizes) - sizes)):
+        for e in range(epochs):
+            real = np.full(k * batch_size, pad)
+            real[:n] = client.rng.permutation(n) + offset
+            index[i, e * k : (e + 1) * k, :batch_size] = real.reshape(k, batch_size)
+            if pool:
+                for s in range(e * k, (e + 1) * k):
+                    index[i, s, batch_size:] = pad + 1 + client.rng.choice(pool, size=batch_size, replace=replace)
+    return index
 
 
 def local_update(
     model: Model,
-    shard: Dataset,
+    clients: Sequence[ClientState],
     syn_samples: Array,
     alpha: float,
     epochs: int,
     batch_size: int,
     optimizer: Sgd,
-    state: ClientState,
     proto_momentum: float,
-) -> tuple[Model, float]:
-    """Run epochs * ceil(|shard| / batch) SGD steps on the blended objective.
+) -> tuple[list[Model], Array]:
+    """Train every client from `model` on its blended objective, all of them as one stack.
 
-    Each step draws a real mini-batch (shuffled without replacement per epoch)
-    and, when alpha < 1, a synthetic mini-batch (with replacement if the pool
-    is smaller than the batch); the step loss is
+    A client runs epochs * ceil(|shard| / batch) SGD steps. Each step draws
+    a real mini-batch (shuffled without replacement per epoch) and, when
+    alpha < 1, a synthetic mini-batch (with replacement if the pool is
+    smaller than the batch); the step loss is
     alpha * CE(real) + (1 - alpha) * CE(synthetic). A blended step runs both
     batches as one forward/backward pass, each row's logit gradient weighted
-    by alpha / (real rows) or (1 - alpha) / batch_size. Real-sample features
-    are accumulated per class along the way and folded into the client's
-    prototypes after the last step. Returns the model and the mean step loss.
+    by alpha / (real rows) or (1 - alpha) / batch_size.
+
+    The clients train as a stack of models: one stack step is one forward,
+    one backward and one SGD step for every client still training. The
+    stack holds the largest shard first, so those clients are a prefix of
+    it, and the others keep their parameters and velocity. A short batch is
+    padded to full size with rows that get no gradient and stay out of the
+    loss and the prototypes. Real-row features are summed per class, per
+    step in row order, and folded into each client's prototypes at the end.
+
+    Returns the local models (views into the stack) and the mean step loss
+    of each client, both in the order of `clients`.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
@@ -107,40 +130,62 @@ def local_update(
     if epochs < 1 or batch_size < 1:
         raise ConfigError(f"epochs {epochs} and batch_size {batch_size} must be positive")
 
-    state.feature_sums = {}
-    state.feature_counts = {}
-    n = len(shard)
-    steps = math.ceil(n / batch_size)
-    onehot = np.eye(model.class_count)[shard.labels]
+    order = sorted(range(len(clients)), key=lambda c: -len(clients[c].shard))  # the stack's rows
+    stacked = [clients[c] for c in order]
+    shards = [client.shard for client in stacked]
+    sizes = np.array([len(shard) for shard in shards])
+    classes, width = model.class_count, model.feature_dim
+    # the gather table: every shard's rows, one all-zero padding row, then the synthetic pool
+    pad = int(sizes.sum())
+    parts = [(s.inputs, np.eye(classes)[s.labels]) for s in shards]
+    parts.append((np.zeros((1, model.input_dim)), np.zeros((1, classes))))
     if use_syn:
-        replace = len(syn_samples) < batch_size
-        # logit-gradient weights of a blended batch of k real rows: a full batch, and each epoch's last one
-        row_weights = {
-            k: np.repeat((alpha / k, (1.0 - alpha) / batch_size), (k, batch_size))
-            for k in (batch_size, n - (steps - 1) * batch_size)
-        }
-    losses = []
-    for _ in range(epochs):
-        order = state.rng.permutation(n)
-        for s in range(steps):
-            idx = order[s * batch_size : (s + 1) * batch_size]
-            batch_labels = shard.labels[idx]
-            if use_syn:
-                syn_idx = state.rng.choice(len(syn_samples), size=batch_size, replace=replace)
-                syn = syn_samples[syn_idx]
-                inputs = np.concatenate((shard.inputs[idx], syn["x"]))
-                targets = np.concatenate((onehot[idx], syn["target"]))
-                weight = row_weights[len(idx)]
-            else:
-                inputs, targets, weight = shard.inputs[idx], onehot[idx], alpha
-            cache = []
-            features, logits = model.forward(inputs, cache)
-            loss, d_logits = cross_entropy_grad(logits, targets, weight)
-            _accumulate_features(state, features[: len(idx)], batch_labels)
-            optimizer.step(model, backward_params(model, cache, d_logits))
-            losses.append(float(loss))
-    state.prototypes = update_prototypes(state.feature_sums, state.feature_counts, state.prototypes, proto_momentum)
-    return model, float(np.mean(losses))
+        parts.append((syn_samples["x"], syn_samples["target"]))
+    inputs, targets = (np.concatenate(column) for column in zip(*parts))
+    index = _draw_batches(stacked, sizes, pad, len(syn_samples) if use_syn else 0, epochs, batch_size)
+    real = np.count_nonzero(index[..., :batch_size] != pad, axis=-1)
+    if use_syn:
+        real_weight = np.where(np.arange(batch_size) < real[..., None], alpha / np.maximum(real, 1)[..., None], 0.0)
+        weights = np.concatenate((real_weight, np.full(real_weight.shape, (1.0 - alpha) / batch_size)), axis=-1)
+    # a real row's features sum into its stack row's class slot, padding into one extra slot
+    labels = np.concatenate([s.labels for s in shards] + [[classes]])
+    slots = (np.arange(len(stacked))[:, None, None] * (classes + 1) + labels[index[..., :batch_size]]) * width
+    per_row = (classes + 1) * width
+
+    stack = Model(model.architecture, np.tile(model.flat, (len(stacked), 1)))
+    ids = [client.client_id for client in stacked]
+    steps = np.count_nonzero(real, axis=1)
+    sums = np.zeros(len(stacked) * per_row)
+    losses = np.zeros(real.shape)
+    live = stack
+    for t in range(real.shape[1]):
+        size = int(np.count_nonzero(steps > t))
+        if len(live.flat) != size:
+            live = Model(model.architecture, stack.flat[:size])
+        rows = index[:size, t]
+        cache = []
+        features, logits = live.forward(inputs[rows], cache)
+        if use_syn:
+            loss, d_logits = cross_entropy_grad(logits, targets[rows], weights[:size, t])
+        else:
+            loss, d_logits = cross_entropy_grad(logits, targets[rows], alpha, real[:size, t])
+        bins = (slots[:size, t, :, None] + np.arange(width)).ravel()
+        sums[: size * per_row] += np.bincount(bins, features[:, :batch_size].ravel(), size * per_row)
+        optimizer.step(live, backward_params(live, cache, d_logits), ids[:size])
+        losses[:size, t] = loss
+
+    sums = sums.reshape(len(stacked), classes + 1, width)
+    local_models, mean_losses = [None] * len(clients), np.empty(len(clients))
+    for row, (c, client) in enumerate(zip(order, stacked)):
+        seen = epochs * np.bincount(client.shard.labels, minlength=classes)
+        client.feature_counts = {k: int(seen[k]) for k in np.flatnonzero(seen).tolist()}
+        client.feature_sums = {k: sums[row, k].copy() for k in client.feature_counts}
+        client.prototypes = update_prototypes(
+            client.feature_sums, client.feature_counts, client.prototypes, proto_momentum
+        )
+        local_models[c] = Model(model.architecture, stack.flat[row])
+        mean_losses[c] = losses[row, : steps[row]].mean()
+    return local_models, mean_losses
 
 
 def aggregate(models) -> Model:
@@ -200,25 +245,18 @@ def run_round(state: GlobalState, config: ExperimentConfig) -> GlobalState:
     active = sample_clients(len(state.clients), config.active_clients, state.server_rng)
 
     alpha = config.alpha if len(state.syn_samples) else 1.0
-    state.local_models = {}
-    mean_losses = []
-    for k in active:
-        client = state.clients[k]
-        local = state.model.copy()
-        optimizer = Sgd(config.learning_rate, config.momentum, config.weight_decay)
-        local, mean_loss = local_update(
-            local,
-            client.shard,
-            state.syn_samples,
-            alpha,
-            config.local_epochs,
-            config.batch_size,
-            optimizer,
-            client,
-            config.lam,
-        )
-        state.local_models[k] = local
-        mean_losses.append(mean_loss)
+    state.local_models = {}  # the last round's stack is not needed while this one trains
+    local_models, mean_losses = local_update(
+        state.model,
+        [state.clients[k] for k in active],
+        state.syn_samples,
+        alpha,
+        config.local_epochs,
+        config.batch_size,
+        Sgd(config.learning_rate, config.momentum, config.weight_decay),
+        config.lam,
+    )
+    state.local_models = dict(zip(active, local_models))
     state.model = aggregate(state.local_models.values())
     state.round_index = t
 

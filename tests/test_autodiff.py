@@ -534,6 +534,52 @@ class TestClosedForm:
         assert np.array_equal(backward(model, cache, d_logits, d_features), by_input)
 
 
+    def test_a_stack_runs_each_model_bitwise(self, arch):
+        """One walk over a stack of three models is each model's own walk, bit for bit."""
+        model, rng, batch, _ = self.setup_inputs(arch)
+        models = [model, make_mlp(arch, seed=41), make_mlp(arch, seed=51)]
+        stack = Model(arch, np.stack([m.flat for m in models]))
+        batches = np.stack([batch, rng.standard_normal((7, 5)), rng.standard_normal((7, 5))])
+        targets = np.stack([np.eye(4)[rng.integers(0, 4, size=7)], soft_labels(rng, 7, 4), soft_labels(rng, 7, 4)])
+        weights = rng.random((3, 7))
+        d_features = rng.standard_normal((3, 7, model.feature_dim))
+        cache = []
+        features, logits = stack.forward(batches, cache)
+        loss, d_logits = cross_entropy_grad(logits, targets, 0.4)
+        row_loss, d_rows = cross_entropy_grad(logits, targets, weights)
+        grads = backward_params(stack, cache, d_logits, d_features)
+        by_input = backward_input(stack, cache, d_rows, d_features)
+        assert grads.shape == stack.flat.shape and loss.shape == row_loss.shape == (3,)
+        for i, m in enumerate(models):
+            own = []
+            f, z = m.forward(batches[i], own)
+            assert np.array_equal(features[i], f) and np.array_equal(logits[i], z)
+            value, d = cross_entropy_grad(z, targets[i], 0.4)
+            assert loss[i] == value and np.array_equal(d_logits[i], d)
+            value, d = cross_entropy_grad(z, targets[i], weights[i])
+            assert row_loss[i] == value and np.array_equal(d_rows[i], d)
+            assert np.array_equal(grads[i], backward_params(m, own, d_logits[i], d_features[i]))
+            assert np.array_equal(by_input[i], backward_input(m, own, d_rows[i], d_features[i]))
+        with pytest.raises(ValueError, match="input width 5"):
+            stack.forward(batches[:2])
+
+
+def test_padding_rows_get_no_gradient_and_stay_out_of_the_mean():
+    rng = np.random.default_rng(9)
+    logits = rng.standard_normal((3, 5, 4))
+    targets = np.eye(4)[rng.integers(0, 4, size=(3, 5))]
+    rows = np.array([5, 2, 4])
+    for i, k in enumerate(rows):
+        targets[i, k:] = 0.0
+    loss, d_logits = cross_entropy_grad(logits, targets, 0.4, rows)
+    for i, k in enumerate(rows):
+        value, d = cross_entropy_grad(logits[i, :k], targets[i, :k], 0.4)
+        assert np.array_equal(d_logits[i, :k], d)
+        assert not d_logits[i, k:].any()
+        assert abs(loss[i] - value) <= 1e-15 * abs(value)
+    assert loss[0] == cross_entropy_grad(logits[0], targets[0], 0.4)[0]  # an unpadded model is bitwise
+
+
 def test_cross_entropy_row_weights_must_match_the_batch():
     with pytest.raises(ValueError, match="3 row weights"):
         cross_entropy_grad(np.zeros((3, 2)), np.eye(2)[[0, 1, 1]], np.ones(2))

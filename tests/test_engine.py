@@ -7,6 +7,7 @@ from conftest import small_config
 
 import graph_reference as gr
 from graph_reference import GraphModel, add, mul, softmax_cross_entropy
+from local_reference import local_update_one
 
 from fedsynth.autodiff import Model, Sgd, backward_params, cross_entropy_grad
 from fedsynth.data import make_blobs
@@ -19,6 +20,13 @@ from fedsynth.synthesis import mixup_generate, synthetic_rows
 
 def make_model(arch, seed=0):
     return Model.initialize(arch, np.random.default_rng(seed))
+
+
+def hard_pool(train):
+    """Four one-hot synthetic rows, fewer than a batch of 5: drawn with replacement."""
+    paired = np.array([0, 5, 11, 19])
+    x = np.random.default_rng(8).random((4, train.inputs.shape[1]))
+    return synthetic_rows(train, paired, x, np.eye(train.class_count)[train.labels[paired]])
 
 
 class TestSampleClients:
@@ -98,9 +106,7 @@ class TestLocalUpdate:
         # the mixup pool blends soft (50/50) and hard (same-class) target rows
         assert np.any(syn["target"] == 0.5) and np.any(syn["target"] == 1.0)
         n = len(train)
-        updated, _ = local_update(
-            model.copy(), train, syn, 0.4, 1, n, Sgd(0.1), client, proto_momentum=0.5
-        )
+        (updated,), _ = local_update(model, [client], syn, 0.4, 1, n, Sgd(0.1), proto_momentum=0.5)
 
         # oracle: replicate the rng draws, compute the blended gradient once
         rng = np.random.default_rng(99)
@@ -121,8 +127,8 @@ class TestLocalUpdate:
         train, model, syn, _ = self.setup()
         client_a = ClientState(0, train, np.random.default_rng(5))
         client_b = ClientState(0, train, np.random.default_rng(5))
-        a, _ = local_update(model.copy(), train, syn, 1.0, 1, 4, Sgd(0.05), client_a, 0.5)
-        b, _ = local_update(model.copy(), train, [], 1.0, 1, 4, Sgd(0.05), client_b, 0.5)
+        (a,), _ = local_update(model, [client_a], syn, 1.0, 1, 4, Sgd(0.05), 0.5)
+        (b,), _ = local_update(model, [client_b], [], 1.0, 1, 4, Sgd(0.05), 0.5)
         for name in a.params:
             assert np.array_equal(a.params[name], b.params[name])
         # identical rng consumption afterwards
@@ -130,38 +136,32 @@ class TestLocalUpdate:
 
     def test_alpha_zero_still_accumulates_real_features(self):
         train, model, syn, client = self.setup()
-        _, mean_loss = local_update(model.copy(), train, syn, 0.0, 1, 4, Sgd(0.05), client, 0.5)
+        _, mean_loss = local_update(model, [client], syn, 0.0, 1, 4, Sgd(0.05), 0.5)
         assert sum(client.feature_counts.values()) == len(train)
         assert client.prototypes
 
     def test_alpha_below_one_requires_synthetic(self):
         train, model, _, client = self.setup()
         with pytest.raises(ValueError):
-            local_update(model.copy(), train, [], 0.5, 1, 4, Sgd(0.05), client, 0.5)
+            local_update(model, [client], [], 0.5, 1, 4, Sgd(0.05), 0.5)
 
     def test_step_count_is_epochs_times_ceil(self, monkeypatch):
         calls = []
         original = Sgd.step
 
-        def counting(self, params, grads):
+        def counting(self, params, grads, clients=None):
             calls.append(1)
-            return original(self, params, grads)
+            return original(self, params, grads, clients)
 
         monkeypatch.setattr(Sgd, "step", counting)
         for alpha in (1.0, 0.4):  # real-only and blended steps
             train, model, syn, client = self.setup()
             calls.clear()
             opt = Sgd(0.0)  # zero lr; we only count steps
-            _, _ = local_update(model.copy(), train, syn, alpha, 2, 5, opt, client, 0.5)
+            _, _ = local_update(model, [client], syn, alpha, 2, 5, opt, 0.5)
             # 24 samples, batch 5 -> 5 steps per epoch, 2 epochs
             assert len(calls) == 2 * math.ceil(len(train) / 5) == 10
             assert sum(client.feature_counts.values()) == 2 * len(train)
-
-    def hard_pool(self, train):
-        """Four one-hot synthetic rows, fewer than a batch of 5: drawn with replacement."""
-        paired = np.array([0, 5, 11, 19])
-        x = np.random.default_rng(8).random((4, train.inputs.shape[1]))
-        return synthetic_rows(train, paired, x, np.eye(train.class_count)[train.labels[paired]])
 
     @pytest.mark.parametrize("soft", [False, True], ids=["hard", "mixup"])
     @pytest.mark.parametrize("alpha", [0.0, 0.4, 0.9])
@@ -169,19 +169,19 @@ class TestLocalUpdate:
         """One weighted forward/backward per blended step against the two passes it replaced."""
         train, model, syn, client = self.setup(seed=17)
         if not soft:
-            syn = self.hard_pool(train)
+            syn = hard_pool(train)
         n, epochs, batch = len(train), 2, 5
         assert n % batch  # every epoch ends on a short real batch
         taken = []  # (parameters before the step, gradient) of every step
         original = Sgd.step
 
-        def recording(self, m, grad):
-            taken.append((m.flat.copy(), grad.copy()))
-            return original(self, m, grad)
+        def recording(self, m, grad, clients=None):
+            taken.append((m.flat[0].copy(), grad[0].copy()))  # a stack of this one client
+            return original(self, m, grad, clients)
 
         monkeypatch.setattr(Sgd, "step", recording)
         optimizer = Sgd(0.1, momentum=0.9, weight_decay=5e-4)
-        _, mean_loss = local_update(model.copy(), train, syn, alpha, epochs, batch, optimizer, client, 0.5)
+        _, (mean_loss,) = local_update(model, [client], syn, alpha, epochs, batch, optimizer, 0.5)
 
         # replay the draws and form each step's gradient as two passes, at the
         # parameters the step actually saw
@@ -218,13 +218,90 @@ class TestLocalUpdate:
 
     def test_prototypes_update_with_momentum(self):
         train, model, _, client = self.setup()
-        local_update(model.copy(), train, [], 1.0, 1, 4, Sgd(0.05), client, 0.5)
+        local_update(model, [client], [], 1.0, 1, 4, Sgd(0.05), 0.5)
         first = {c: p.copy() for c, p in client.prototypes.items()}
-        local_update(model.copy(), train, [], 1.0, 1, 4, Sgd(0.05), client, 0.5)
+        local_update(model, [client], [], 1.0, 1, 4, Sgd(0.05), 0.5)
         for c in first:
             mean = client.feature_sums[c] / client.feature_counts[c]
             expected = 0.5 * mean + 0.5 * first[c]
             assert np.max(np.abs(client.prototypes[c] - expected)) < 1e-12
+
+
+class TestStackedMatchesPerClient:
+    """`local_update` trains all clients as one stack; `local_update_one` trains one client at a time."""
+
+    # at batch 5: equal shards fill every batch; ragged ones end epochs on 4-,
+    # 2- and 3-row batches, and their clients finish after 10, 4, 6 and 8 steps
+    SIZES = {"equal": [20, 20, 20], "ragged": [7, 24, 13, 20]}
+    IDS = [4, 1, 7, 2]
+
+    def make_clients(self, train, sizes):
+        order = np.random.default_rng(6).permutation(len(train))
+        cuts = np.cumsum([0] + sizes)
+        clients = []
+        for i, cid in enumerate(self.IDS[: len(sizes)]):
+            shard = train.subset(order[cuts[i] : cuts[i + 1]])
+            client = ClientState(cid, shard, np.random.default_rng(100 + cid))
+            client.prototypes = {0: np.full(6, 0.25 * i)}  # exercises the prototype momentum
+            clients.append(client)
+        return clients
+
+    @staticmethod
+    def assert_agree(actual, expected, exact):
+        if exact:
+            assert np.array_equal(actual, expected)
+        else:
+            assert np.max(np.abs(actual - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("layout", ["equal", "ragged"])
+    @pytest.mark.parametrize(
+        "alpha, pool", [(1.0, None), (0.4, "hard"), (0.4, "mixup"), (0.0, "hard"), (0.0, "mixup")]
+    )
+    def test_stack_matches_one_client_at_a_time(self, layout, alpha, pool):
+        train, _ = make_blobs(3, 5, 40, 0.25, seed=2)
+        model = make_model(["dense(5,6)", "relu", "dense(6,3)"], seed=3)
+        before = model.flat.copy()
+        syn = {None: [], "hard": hard_pool(train), "mixup": mixup_generate(train, 30, np.random.default_rng(7)).samples}
+        syn = syn[pool]
+        stacked = self.make_clients(train, self.SIZES[layout])
+        reference = self.make_clients(train, self.SIZES[layout])
+        models, losses = local_update(model, stacked, syn, alpha, 2, 5, Sgd(0.1, 0.9, 5e-4), 0.5)
+        assert np.array_equal(model.flat, before)  # the broadcast model is left alone
+        exact = layout == "equal"
+        for local, loss, client, ref in zip(models, losses, stacked, reference, strict=True):
+            expected, expected_loss = local_update_one(
+                model.copy(), ref.shard, syn, alpha, 2, 5, Sgd(0.1, 0.9, 5e-4), ref, 0.5
+            )
+            self.assert_agree(local.flat, expected.flat, exact)
+            self.assert_agree(np.array(loss), np.array(expected_loss), exact)
+            assert client.feature_counts == ref.feature_counts
+            assert sorted(client.prototypes) == sorted(ref.prototypes)
+            for c in ref.feature_counts:
+                self.assert_agree(client.feature_sums[c], ref.feature_sums[c], exact)
+            for c in ref.prototypes:
+                self.assert_agree(client.prototypes[c], ref.prototypes[c], exact)
+            assert client.rng.bit_generator.state == ref.rng.bit_generator.state
+
+    def test_nan_gradient_names_the_client(self, monkeypatch):
+        import fedsynth.engine as engine
+
+        train, _ = make_blobs(3, 5, 40, 0.25, seed=2)
+        clients = self.make_clients(train, [7, 24, 13])
+        original = engine.backward_params
+        steps = []
+
+        def poisoned(model, cache, d_logits):
+            grad = original(model, cache, d_logits)
+            steps.append(len(grad))
+            if len(steps) == 2:
+                grad[0, 5] = np.nan  # dense0.weight of stack row 0, the 24-row shard of client 1
+            return grad
+
+        monkeypatch.setattr(engine, "backward_params", poisoned)
+        model = make_model(["dense(5,6)", "relu", "dense(6,3)"], seed=3)
+        with pytest.raises(ValueError, match="NaN gradient for parameter 'dense0.weight' of client 1$"):
+            local_update(model, clients, [], 1.0, 1, 5, Sgd(0.1, 0.9), 0.5)
+        assert steps == [3, 3]
 
 
 class TestRunRound:

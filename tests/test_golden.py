@@ -20,7 +20,14 @@ GOLDEN = {
 }
 
 
-def short_desk_config(algorithm, out_dir):
+# Dirichlet(0.5) shards of 37 to 282 rows, 6 of 10 clients active: every
+# client ends each epoch on a short batch, and the small shards finish their
+# local steps well before the large ones. The desk partition has neither.
+RAGGED = {"scheme": "dirichlet", "clients": 10, "concentration": 0.5}
+RAGGED_GOLDEN = "da19761d767eb94b"
+
+
+def short_desk_config(algorithm, out_dir, **overrides):
     """The desk dataset and partition, cut to 4 rounds with two 20-step synthesis events."""
     return config_from_dict(
         {
@@ -32,6 +39,7 @@ def short_desk_config(algorithm, out_dir):
             "syn_steps": 20,
             "seed": 1,
             "out_dir": str(out_dir),
+            **overrides,
         }
     )
 
@@ -55,3 +63,8 @@ def artifact_digest(out):
 def test_seed_one_trajectory_is_pinned(algorithm, tmp_path):
     run_experiment(short_desk_config(algorithm, tmp_path))
     assert artifact_digest(tmp_path) == GOLDEN[algorithm]
+
+
+def test_ragged_shards_trajectory_is_pinned(tmp_path):
+    run_experiment(short_desk_config("hfmds_fl", tmp_path, partition=RAGGED, active_clients=6))
+    assert artifact_digest(tmp_path) == RAGGED_GOLDEN

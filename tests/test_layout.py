@@ -118,3 +118,41 @@ def test_nan_in_bias_names_the_bias():
     with pytest.raises(ValueError, match="dense2.bias"):
         Sgd(0.1).step(model, grad)
     assert np.array_equal(model.flat, desk_model().flat)
+
+
+def desk_stack(seeds=(1, 2, 3)):
+    return Model(DESK_ARCH, np.stack([desk_model(seed).flat for seed in seeds]))
+
+
+def test_nan_in_one_stacked_model_names_its_client():
+    stack = desk_stack()
+    optimizer = Sgd(0.1, momentum=0.9)
+    optimizer.step(stack, np.ones_like(stack.flat))  # a nonzero velocity
+    flat, velocity = stack.flat.copy(), optimizer.velocity.copy()
+    grad = np.zeros_like(stack.flat)
+    grad[1, 3] = np.nan
+    with pytest.raises(ValueError, match="NaN gradient for parameter 'dense0.weight' of client 7$"):
+        optimizer.step(stack, grad, [4, 7, 9])
+    # no model of the stack moved, and no velocity
+    assert np.array_equal(stack.flat, flat) and np.array_equal(optimizer.velocity, velocity)
+
+
+def test_a_prefix_of_a_stack_steps_alone():
+    stack = desk_stack()
+    for name, p in stack.params.items():
+        assert np.shares_memory(p, stack.flat) and p.shape[0] == 3, name
+    optimizer = Sgd(0.1, momentum=0.9, weight_decay=5e-4)
+    optimizer.step(stack, np.ones_like(stack.flat))
+    prefix = Model(DESK_ARCH, stack.flat[:2])
+    assert same_memory(prefix.flat, stack.flat[:2])
+    last, last_velocity = stack.flat[2].copy(), optimizer.velocity[2].copy()
+    optimizer.step(prefix, np.ones_like(prefix.flat))
+    assert np.array_equal(stack.flat[2], last) and np.array_equal(optimizer.velocity[2], last_velocity)
+    # each stepped row moved as a lone model with its own optimizer does
+    for row, seed in enumerate((1, 2)):
+        single, lone = desk_model(seed), Sgd(0.1, momentum=0.9, weight_decay=5e-4)
+        for _ in range(2):
+            lone.step(single, np.ones_like(single.flat))
+        assert np.array_equal(stack.flat[row], single.flat)
+    with pytest.raises(ValueError, match="velocity"):
+        optimizer.step(desk_stack((1, 2, 3, 4)), np.ones((4, 1798)))
