@@ -330,16 +330,16 @@ class Sgd:
         model.flat -= np.multiply(velocity, self.learning_rate, out=decayed)
 
 
-class Adam:
-    """Bias-corrected Adam; used here to optimize synthetic inputs."""
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
-    def __init__(self, learning_rate: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        if eps <= 0:
-            raise ConfigError(f"adam eps must be positive, got {eps}")
+
+class Adam:
+    """Bias-corrected Adam with the standard betas and epsilon; used here to optimize synthetic inputs."""
+
+    def __init__(self, learning_rate: float):
         self.learning_rate = float(learning_rate)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         self.step_count = 0
         self.moment1: Array | None = None
         self.moment2: Array | None = None
@@ -350,14 +350,14 @@ class Adam:
             raise ValueError(f"gradient shape {grad.shape} does not match {x.shape}")
         self.step_count += 1
         t = self.step_count
-        c1 = 1.0 - self.beta1**t
-        c2 = 1.0 - self.beta2**t
+        c1 = 1.0 - ADAM_BETA1**t
+        c2 = 1.0 - ADAM_BETA2**t
         if self.moment1 is None:
             self.moment1 = np.zeros_like(x)
             self.moment2 = np.zeros_like(x)
         m, v = self.moment1, self.moment2
-        m *= self.beta1
-        m += (1.0 - self.beta1) * grad
-        v *= self.beta2
-        v += (1.0 - self.beta2) * grad * grad
-        x -= self.learning_rate * (m / c1) / (np.sqrt(v / c2) + self.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * grad
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * grad * grad
+        x -= self.learning_rate * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)

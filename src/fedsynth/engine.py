@@ -20,14 +20,16 @@ Array = np.ndarray
 
 @dataclass
 class ClientState:
-    """One client's local shard, prototypes, round accumulators, and RNG stream."""
+    """One client's local shard, RNG stream and class prototypes.
+
+    `prototypes` is a (classes, width) array, None until the client first
+    trains; rows of classes absent from the shard are never read.
+    """
 
     client_id: int
     shard: Dataset
     rng: np.random.Generator
-    prototypes: dict[int, Array] = field(default_factory=dict)
-    feature_sums: dict[int, Array] = field(default_factory=dict)
-    feature_counts: dict[int, int] = field(default_factory=dict)
+    prototypes: Array | None = None
 
 
 @dataclass
@@ -54,8 +56,8 @@ class GlobalState:
     round_index: int = 0
     rows: list[MetricsRow] = field(default_factory=list)
     events: list[SynthesisEvent] = field(default_factory=list)
-    # the last round's post-update models, keyed by active client id
-    local_models: dict[int, Model] = field(default_factory=dict)
+    # the last round's post-update models: a stack, one row per active client in ascending id order
+    local_models: Model | None = None
 
 
 def sample_clients(total: int, active_count: int, rng: np.random.Generator) -> list[int]:
@@ -100,7 +102,7 @@ def local_update(
     batch_size: int,
     optimizer: Sgd,
     proto_momentum: float,
-) -> tuple[list[Model], Array]:
+) -> tuple[Model, Array]:
     """Train every client from `model` on its blended objective, all of them as one stack.
 
     A client runs epochs * ceil(|shard| / batch) SGD steps. Each step draws
@@ -117,10 +119,11 @@ def local_update(
     it, and the others keep their parameters and velocity. A short batch is
     padded to full size with rows that get no gradient and stay out of the
     loss and the prototypes. Real-row features are summed per class, per
-    step in row order, and folded into each client's prototypes at the end.
+    step in row order; their per-class means are folded into each client's
+    prototypes at the end.
 
-    Returns the local models (views into the stack) and the mean step loss
-    of each client, both in the order of `clients`.
+    Returns the trained stack, one row per client, and the mean step loss of
+    each client, both in the order of `clients`.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
@@ -174,32 +177,21 @@ def local_update(
         optimizer.step(live, backward_params(live, cache, d_logits), ids[:size])
         losses[:size, t] = loss
 
-    sums = sums.reshape(len(stacked), classes + 1, width)
-    local_models, mean_losses = [None] * len(clients), np.empty(len(clients))
-    for row, (c, client) in enumerate(zip(order, stacked)):
-        seen = epochs * np.bincount(client.shard.labels, minlength=classes)
-        client.feature_counts = {k: int(seen[k]) for k in np.flatnonzero(seen).tolist()}
-        client.feature_sums = {k: sums[row, k].copy() for k in client.feature_counts}
-        client.prototypes = update_prototypes(
-            client.feature_sums, client.feature_counts, client.prototypes, proto_momentum
-        )
-        local_models[c] = Model(model.architecture, stack.flat[row])
-        mean_losses[c] = losses[row, : steps[row]].mean()
-    return local_models, mean_losses
+    # every shard row is seen once per epoch; an absent class's row stays a finite zero
+    seen = epochs * np.stack([np.bincount(s.labels, minlength=classes) for s in shards])
+    means = sums.reshape(len(stacked), classes + 1, width)[:, :classes] / np.maximum(seen, 1)[..., None]
+    mean_losses = np.array([losses[row, :n].mean() for row, n in enumerate(steps)])
+    back = np.argsort(order)  # stack rows back into client order
+    for client, client_means in zip(clients, means[back]):
+        client.prototypes = update_prototypes(client_means, client.prototypes, proto_momentum)
+    return Model(model.architecture, stack.flat[back]), mean_losses[back]
 
 
-def aggregate(models) -> Model:
-    """Unweighted parameter mean, summed in the given (ascending client) order."""
-    models = list(models)
-    if not models:
+def aggregate(stack: Model) -> Model:
+    """Unweighted parameter mean of a stack, summed in row (ascending client) order."""
+    if not len(stack.flat):
         raise ValueError("aggregate requires at least one model")
-    first = models[0]
-    total = first.flat.copy()
-    for m in models[1:]:
-        if m.architecture != first.architecture:
-            raise ValueError("cannot aggregate models with differing architectures")
-        total += m.flat
-    return Model(first.architecture, total / len(models))
+    return Model(stack.architecture, stack.flat.sum(axis=0) / len(stack.flat))
 
 
 def _run_synthesis(state: GlobalState, config: ExperimentConfig, round_index: int) -> None:
@@ -245,8 +237,8 @@ def run_round(state: GlobalState, config: ExperimentConfig) -> GlobalState:
     active = sample_clients(len(state.clients), config.active_clients, state.server_rng)
 
     alpha = config.alpha if len(state.syn_samples) else 1.0
-    state.local_models = {}  # the last round's stack is not needed while this one trains
-    local_models, mean_losses = local_update(
+    state.local_models = None  # the last round's stack is not needed while this one trains
+    state.local_models, mean_losses = local_update(
         state.model,
         [state.clients[k] for k in active],
         state.syn_samples,
@@ -256,16 +248,14 @@ def run_round(state: GlobalState, config: ExperimentConfig) -> GlobalState:
         Sgd(config.learning_rate, config.momentum, config.weight_decay),
         config.lam,
     )
-    state.local_models = dict(zip(active, local_models))
-    state.model = aggregate(state.local_models.values())
+    state.model = aggregate(state.local_models)
     state.round_index = t
 
     # alignment of the clients' own representations: every local model embeds
     # the same probe inputs, so centroid gaps are drift, not shard sampling
     align = None
     if config.algorithm != "fedavg":
-        means = {k: class_feature_means(m, state.test_data) for k, m in state.local_models.items()}
-        align = alignment_score(means)
+        align = alignment_score(class_feature_means(state.local_models, state.test_data))
     event = state.events[-1] if state.events else None
     wall_ms = (time.perf_counter() - start) * 1000.0
     state.rows.append(

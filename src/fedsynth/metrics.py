@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -74,37 +74,41 @@ def dataset_psnr(syn: "SyntheticDataset", shard: Dataset) -> float:
     return float(np.mean(rows["psnr"]))
 
 
-def class_feature_means(model: Model, data: Dataset) -> dict[int, Array]:
-    """Per-class mean extractor feature over a dataset, under the given model."""
-    features = model.extract(data.inputs)
-    return {int(c): features[data.labels == c].mean(axis=0) for c in np.unique(data.labels)}
+def class_feature_means(model: Model, data: Dataset) -> Array:
+    """Per-class mean extractor feature over a dataset, under the given model.
 
-
-def alignment_score(client_means: Mapping[int, Mapping[int, Array]]) -> float | None:
-    """Mean pairwise distance between client feature centroids of shared classes.
-
-    Lower means client representations agree; None when no class is held by
-    at least two clients. Each client's centroids must come from that
-    client's own model over inputs common to all clients (`class_feature_means`
-    of the local model on one probe set). Centroids taken under one shared
-    model over each client's own shard measure only how a class was split
-    among the clients that hold it.
+    One row per class present in `data`, in ascending class order: a
+    (classes, width) array, or (models, classes, width) for a stack, whose
+    models each run their own forward pass.
     """
-    client_ids = sorted(client_means)
-    classes = sorted({c for k in client_ids for c in client_means[k]})
+    classes = np.unique(data.labels)
+    means = []
+    for flat in np.atleast_2d(model.flat):
+        features = Model(model.architecture, flat).extract(data.inputs)
+        means.append([features[data.labels == c].mean(axis=0) for c in classes])
+    return np.array(means if model.flat.ndim == 2 else means[0])
+
+
+def alignment_score(means: Array) -> float | None:
+    """Mean pairwise distance between the models' feature centroids, averaged over classes.
+
+    `means` is a (models, classes, width) array; lower means the models'
+    representations agree, and fewer than two models give None. Each model's
+    centroids must come from its own forward pass over inputs common to all
+    of them (`class_feature_means` of a stack of local models on one probe
+    set). Centroids taken under one shared model over each client's own
+    shard measure only how a class was split among the clients that hold it.
+    """
+    if len(means) < 2:
+        return None
     per_class = []
-    for c in classes:
-        centroids = [client_means[k][c] for k in client_ids if c in client_means[k]]
-        if len(centroids) < 2:
-            continue
+    for centroids in np.swapaxes(means, 0, 1):
         dists = [
             float(np.linalg.norm(centroids[i] - centroids[j]))
             for i in range(len(centroids))
             for j in range(i + 1, len(centroids))
         ]
         per_class.append(float(np.mean(dists)))
-    if not per_class:
-        return None
     return float(np.mean(per_class))
 
 

@@ -138,26 +138,18 @@ def model_fingerprint(model: Model) -> str:
     return digest.hexdigest()[:16]
 
 
-def update_prototypes(sums, counts, previous, momentum: float) -> dict[int, Array]:
-    """Fold per-class epoch means into prototypes.
+def update_prototypes(means, previous, momentum: float) -> Array:
+    """Fold a round's per-class feature means, a (classes, width) array, into prototypes.
 
-    The first observation of a class adopts its mean outright; afterwards the
-    prototype moves as (1-momentum)*mean + momentum*previous. Classes with no
-    observations this round keep their previous prototype.
+    With no `previous` prototypes (a client's first update) the means are
+    adopted outright; afterwards the prototypes move as
+    (1-momentum)*means + momentum*previous.
     """
     if not 0.0 <= momentum <= 1.0:
         raise ValueError(f"prototype momentum must lie in [0, 1], got {momentum}")
-    prototypes = dict(previous)
-    for c in sorted(counts):
-        n = counts[c]
-        if n <= 0:
-            continue
-        mean = np.asarray(sums[c], dtype=np.float64) / n
-        if c in previous:
-            prototypes[c] = (1.0 - momentum) * mean + momentum * previous[c]
-        else:
-            prototypes[c] = mean
-    return prototypes
+    if previous is None:
+        return np.array(means, dtype=np.float64)
+    return (1.0 - momentum) * means + momentum * previous
 
 
 def hard_feature(feature, prototype, scale: float) -> Array:
@@ -201,19 +193,14 @@ def _matching_targets(
     """Per-row matching distribution p = softmax(target * mask) and the mask.
 
     The target is each real's feature, hardened against its class prototype
-    when one exists; the mask is ReLU of the CAM at the row's label. The CAM
+    (row `label` of the (classes, width) `prototypes`) unless `prototypes`
+    is None; the mask is ReLU of the CAM at the row's label. The CAM
     of class y is the gradient of logit y w.r.t. the features (Grad-CAM,
     arXiv:1610.02391); the classifier is exactly the last dense layer, so it
     is column y of that layer's weight, whatever the features are.
     """
     z = model.extract(reals)
-    prototypes = prototypes or {}
-    class_protos = np.zeros((model.class_count, z.shape[1]))
-    for c, proto in prototypes.items():
-        class_protos[c] = proto
-    hardened = np.isin(labels, list(prototypes))
-    targets = z.copy()
-    targets[hardened] = hard_feature(z[hardened], class_protos[labels[hardened]], scale)
+    targets = z if prototypes is None else hard_feature(z, prototypes[labels], scale)
     weight = model._plan[model._split][0]
     masks = np.maximum(weight[:, labels].T, 0.0)
     return _softmax_np(targets * masks, axis=1), masks

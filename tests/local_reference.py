@@ -14,22 +14,26 @@ from fedsynth.autodiff import backward_params, cross_entropy_grad
 from fedsynth.synthesis import update_prototypes
 
 
-def _accumulate_features(state, features, labels):
+def _accumulate_features(sums, counts, features, labels):
     for c in np.flatnonzero(np.bincount(labels)).tolist():
         rows = features[labels == c]
-        if c in state.feature_sums:
-            state.feature_sums[c] += rows.sum(axis=0)
-            state.feature_counts[c] += rows.shape[0]
+        if c in sums:
+            sums[c] += rows.sum(axis=0)
+            counts[c] += rows.shape[0]
         else:
-            state.feature_sums[c] = rows.sum(axis=0)
-            state.feature_counts[c] = rows.shape[0]
+            sums[c] = rows.sum(axis=0)
+            counts[c] = rows.shape[0]
 
 
 def local_update_one(model, shard, syn_samples, alpha, epochs, batch_size, optimizer, state, proto_momentum):
-    """Train `model` in place on one client's blended objective; returns (model, mean step loss)."""
+    """Train `model` in place on one client's blended objective; returns (model, mean step loss).
+
+    The real rows' features are summed per class in row order, and their
+    per-class means (zero for a class the shard lacks) are folded into
+    `state.prototypes`.
+    """
     use_syn = alpha < 1.0
-    state.feature_sums = {}
-    state.feature_counts = {}
+    sums, counts = {}, {}
     n = len(shard)
     steps = math.ceil(n / batch_size)
     onehot = np.eye(model.class_count)[shard.labels]
@@ -57,8 +61,11 @@ def local_update_one(model, shard, syn_samples, alpha, epochs, batch_size, optim
             cache = []
             features, logits = model.forward(inputs, cache)
             loss, d_logits = cross_entropy_grad(logits, targets, weight)
-            _accumulate_features(state, features[: len(idx)], batch_labels)
+            _accumulate_features(sums, counts, features[: len(idx)], batch_labels)
             optimizer.step(model, backward_params(model, cache, d_logits))
             losses.append(float(loss))
-    state.prototypes = update_prototypes(state.feature_sums, state.feature_counts, state.prototypes, proto_momentum)
+    means = np.zeros((model.class_count, model.feature_dim))
+    for c in counts:
+        means[c] = sums[c] / counts[c]
+    state.prototypes = update_prototypes(means, state.prototypes, proto_momentum)
     return model, float(np.mean(losses))

@@ -74,8 +74,7 @@ def bench_runs():
 
 def final_alignment(state):
     """Alignment of the final round's local models, each over the test inputs."""
-    means = {k: class_feature_means(m, state.test_data) for k, m in state.local_models.items()}
-    return alignment_score(means)
+    return alignment_score(class_feature_means(state.local_models, state.test_data))
 
 
 def test_criterion_1_gradient_integrity():
@@ -127,7 +126,10 @@ def test_criterion_1_gradient_integrity():
         # the closed form synthesis runs: the per-row loss it records and the
         # input gradient its Adam steps follow, with the same frozen target
         cfg = SynthesisConfig(scale=scale)
-        protos = {} if prototype is None else {y: prototype}
+        protos = None
+        if prototype is not None:
+            protos = np.zeros((classes, model.feature_dim))
+            protos[y] = prototype
         labels = np.array([y])
         target_probs, masks = _matching_targets(model, x.reshape(1, -1), labels, protos, scale)
         onehot = np.eye(classes)[labels]
@@ -339,7 +341,7 @@ def test_criterion_8_reduction_sanity():
 
     # aggregate of identical models is the identity (x + x then / 2 is exact)
     model = s_f.model
-    agg = aggregate([model, model.copy()])
+    agg = aggregate(Model(model.architecture, np.stack([model.flat, model.flat])))
     aggregate_identity = all(np.array_equal(agg.params[k], model.params[k]) for k in model.params)
 
     # the zero-scale path is bitwise identical to fmds_fl
@@ -400,7 +402,7 @@ def test_criterion_9_oracle_equivalence():
     # aggregate against a plain stacked mean
     agg_worst = 0.0
     models = [Model.initialize(["dense(5,7)", "relu", "dense(7,4)"], np.random.default_rng(s)) for s in range(5)]
-    merged = aggregate(models)
+    merged = aggregate(Model(models[0].architecture, np.stack([m.flat for m in models])))
     for name in merged.params:
         expected = np.mean(np.stack([m.params[name] for m in models]), axis=0)
         agg_worst = max(agg_worst, float(np.max(np.abs(merged.params[name] - expected))))

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -20,6 +21,10 @@ from fedsynth.synthesis import mixup_generate, synthetic_rows
 
 def make_model(arch, seed=0):
     return Model.initialize(arch, np.random.default_rng(seed))
+
+
+def stack_of(*models):
+    return Model(models[0].architecture, np.stack([m.flat for m in models]))
 
 
 def hard_pool(train):
@@ -61,36 +66,34 @@ class TestSampleClients:
 class TestAggregate:
     def test_identical_models_unchanged_bitwise(self):
         model = make_model(["dense(3,4)", "relu", "dense(4,2)"], seed=1)
-        out = aggregate([model, model.copy()])
+        out = aggregate(stack_of(model, model))
         for name in model.params:
             assert np.array_equal(out.params[name], model.params[name])
 
     def test_scalar_average(self):
-        a = make_model(["dense(1,1)"])
-        b = make_model(["dense(1,1)"])
-        a.params["dense0.weight"][...] = np.array([[2.0]])
-        b.params["dense0.weight"][...] = np.array([[4.0]])
-        a.params["dense0.bias"][...] = np.zeros(1)
-        b.params["dense0.bias"][...] = np.zeros(1)
-        out = aggregate([a, b])
+        stack = Model(["dense(1,1)"], np.array([[2.0, 0.0], [4.0, 0.0]]))
+        out = aggregate(stack)
         assert out.params["dense0.weight"][0, 0] == 3.0
 
     def test_matches_plain_averaging_oracle(self):
         models = [make_model(["dense(4,6)", "relu", "dense(6,3)"], seed=s) for s in range(3)]
-        out = aggregate(models)
+        out = aggregate(stack_of(*models))
         for name in models[0].params:
             expected = np.mean(np.stack([m.params[name] for m in models]), axis=0)
             assert np.max(np.abs(out.params[name] - expected)) < 1e-15
 
-    def test_architecture_mismatch_rejected(self):
-        a = make_model(["dense(3,4)", "dense(4,2)"])
-        b = make_model(["dense(3,5)", "dense(5,2)"])
-        with pytest.raises(ValueError):
-            aggregate([a, b])
+    def test_is_the_ascending_sum_divided_once_bitwise(self):
+        models = [make_model(["dense(4,6)", "relu", "dense(6,3)"], seed=s) for s in range(7)]
+        total = models[0].flat.copy()
+        for m in models[1:]:
+            total += m.flat
+        out = aggregate(stack_of(*models))
+        assert np.array_equal(out.flat, total / 7)
+        assert out.flat.ndim == 1
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            aggregate([])
+            aggregate(Model(["dense(1,1)"], np.zeros((0, 2))))
 
 
 class TestLocalUpdate:
@@ -106,7 +109,7 @@ class TestLocalUpdate:
         # the mixup pool blends soft (50/50) and hard (same-class) target rows
         assert np.any(syn["target"] == 0.5) and np.any(syn["target"] == 1.0)
         n = len(train)
-        (updated,), _ = local_update(model, [client], syn, 0.4, 1, n, Sgd(0.1), proto_momentum=0.5)
+        stack, _ = local_update(model, [client], syn, 0.4, 1, n, Sgd(0.1), proto_momentum=0.5)
 
         # oracle: replicate the rng draws, compute the blended gradient once
         rng = np.random.default_rng(99)
@@ -121,24 +124,23 @@ class TestLocalUpdate:
         grads = model.views(gr.backward_params(loss, base))
         for name in base.params:
             expected = model.params[name] - 0.1 * grads[name]
-            assert np.max(np.abs(updated.params[name] - expected)) < 1e-10
+            assert np.max(np.abs(stack.params[name][0] - expected)) < 1e-10
 
     def test_alpha_one_ignores_synthetic_pool(self):
         train, model, syn, _ = self.setup()
         client_a = ClientState(0, train, np.random.default_rng(5))
         client_b = ClientState(0, train, np.random.default_rng(5))
-        (a,), _ = local_update(model, [client_a], syn, 1.0, 1, 4, Sgd(0.05), 0.5)
-        (b,), _ = local_update(model, [client_b], [], 1.0, 1, 4, Sgd(0.05), 0.5)
-        for name in a.params:
-            assert np.array_equal(a.params[name], b.params[name])
+        a, _ = local_update(model, [client_a], syn, 1.0, 1, 4, Sgd(0.05), 0.5)
+        b, _ = local_update(model, [client_b], [], 1.0, 1, 4, Sgd(0.05), 0.5)
+        assert np.array_equal(a.flat, b.flat)
         # identical rng consumption afterwards
         assert client_a.rng.integers(1 << 30) == client_b.rng.integers(1 << 30)
 
     def test_alpha_zero_still_accumulates_real_features(self):
         train, model, syn, client = self.setup()
         _, mean_loss = local_update(model, [client], syn, 0.0, 1, 4, Sgd(0.05), 0.5)
-        assert sum(client.feature_counts.values()) == len(train)
-        assert client.prototypes
+        assert client.prototypes.shape == (3, 6)
+        assert np.all(np.any(client.prototypes[np.unique(train.labels)] != 0, axis=1))
 
     def test_alpha_below_one_requires_synthetic(self):
         train, model, _, client = self.setup()
@@ -161,7 +163,6 @@ class TestLocalUpdate:
             _, _ = local_update(model, [client], syn, alpha, 2, 5, opt, 0.5)
             # 24 samples, batch 5 -> 5 steps per epoch, 2 epochs
             assert len(calls) == 2 * math.ceil(len(train) / 5) == 10
-            assert sum(client.feature_counts.values()) == 2 * len(train)
 
     @pytest.mark.parametrize("soft", [False, True], ids=["hard", "mixup"])
     @pytest.mark.parametrize("alpha", [0.0, 0.4, 0.9])
@@ -209,22 +210,23 @@ class TestLocalUpdate:
                     counts[c] = counts.get(c, 0) + len(rows)
         assert next(steps, None) is None
         assert abs(mean_loss - np.mean(losses)) <= 1e-12 * abs(np.mean(losses))
-        # prototypes come from the real rows only
-        assert client.feature_counts == counts and sum(counts.values()) == epochs * n
+        # with no prior prototypes they are the real rows' per-class means
+        assert sum(counts.values()) == epochs * n and sorted(counts) == [0, 1, 2]
         for c in counts:
-            assert np.max(np.abs(client.feature_sums[c] - sums[c])) <= 1e-12 * np.max(np.abs(sums[c]))
+            mean = sums[c] / counts[c]
+            assert np.max(np.abs(client.prototypes[c] - mean)) <= 1e-12 * np.max(np.abs(mean))
         # the same draws in the same order: identical rng consumption afterwards
         assert client.rng.bit_generator.state == rng.bit_generator.state
 
     def test_prototypes_update_with_momentum(self):
         train, model, _, client = self.setup()
+        assert client.prototypes is None
         local_update(model, [client], [], 1.0, 1, 4, Sgd(0.05), 0.5)
-        first = {c: p.copy() for c, p in client.prototypes.items()}
+        first = client.prototypes.copy()
+        fresh = ClientState(0, train, copy.deepcopy(client.rng))  # the same draws, no prior prototypes
         local_update(model, [client], [], 1.0, 1, 4, Sgd(0.05), 0.5)
-        for c in first:
-            mean = client.feature_sums[c] / client.feature_counts[c]
-            expected = 0.5 * mean + 0.5 * first[c]
-            assert np.max(np.abs(client.prototypes[c] - expected)) < 1e-12
+        local_update(model, [fresh], [], 1.0, 1, 4, Sgd(0.05), 0.5)
+        assert np.array_equal(client.prototypes, 0.5 * fresh.prototypes + 0.5 * first)
 
 
 class TestStackedMatchesPerClient:
@@ -235,14 +237,15 @@ class TestStackedMatchesPerClient:
     SIZES = {"equal": [20, 20, 20], "ragged": [7, 24, 13, 20]}
     IDS = [4, 1, 7, 2]
 
-    def make_clients(self, train, sizes):
+    def make_clients(self, train, sizes, prior=False):
         order = np.random.default_rng(6).permutation(len(train))
         cuts = np.cumsum([0] + sizes)
         clients = []
         for i, cid in enumerate(self.IDS[: len(sizes)]):
             shard = train.subset(order[cuts[i] : cuts[i + 1]])
             client = ClientState(cid, shard, np.random.default_rng(100 + cid))
-            client.prototypes = {0: np.full(6, 0.25 * i)}  # exercises the prototype momentum
+            if prior:  # exercises the prototype momentum
+                client.prototypes = np.full((3, 6), 0.25 * i)
             clients.append(client)
         return clients
 
@@ -263,24 +266,24 @@ class TestStackedMatchesPerClient:
         before = model.flat.copy()
         syn = {None: [], "hard": hard_pool(train), "mixup": mixup_generate(train, 30, np.random.default_rng(7)).samples}
         syn = syn[pool]
-        stacked = self.make_clients(train, self.SIZES[layout])
-        reference = self.make_clients(train, self.SIZES[layout])
-        models, losses = local_update(model, stacked, syn, alpha, 2, 5, Sgd(0.1, 0.9, 5e-4), 0.5)
-        assert np.array_equal(model.flat, before)  # the broadcast model is left alone
         exact = layout == "equal"
-        for local, loss, client, ref in zip(models, losses, stacked, reference, strict=True):
-            expected, expected_loss = local_update_one(
-                model.copy(), ref.shard, syn, alpha, 2, 5, Sgd(0.1, 0.9, 5e-4), ref, 0.5
-            )
-            self.assert_agree(local.flat, expected.flat, exact)
-            self.assert_agree(np.array(loss), np.array(expected_loss), exact)
-            assert client.feature_counts == ref.feature_counts
-            assert sorted(client.prototypes) == sorted(ref.prototypes)
-            for c in ref.feature_counts:
-                self.assert_agree(client.feature_sums[c], ref.feature_sums[c], exact)
-            for c in ref.prototypes:
-                self.assert_agree(client.prototypes[c], ref.prototypes[c], exact)
-            assert client.rng.bit_generator.state == ref.rng.bit_generator.state
+        # no prior prototypes pins the per-class means, prior ones pin the momentum blend
+        for prior in (False, True):
+            stacked = self.make_clients(train, self.SIZES[layout], prior)
+            reference = self.make_clients(train, self.SIZES[layout], prior)
+            stack, losses = local_update(model, stacked, syn, alpha, 2, 5, Sgd(0.1, 0.9, 5e-4), 0.5)
+            assert np.array_equal(model.flat, before)  # the broadcast model is left alone
+            assert stack.flat.shape == (len(stacked), len(before))
+            # row i is clients[i]; ragged shards train in another order than they are passed
+            for flat, loss, client, ref in zip(stack.flat, losses, stacked, reference, strict=True):
+                expected, expected_loss = local_update_one(
+                    model.copy(), ref.shard, syn, alpha, 2, 5, Sgd(0.1, 0.9, 5e-4), ref, 0.5
+                )
+                self.assert_agree(flat, expected.flat, exact)
+                self.assert_agree(np.array(loss), np.array(expected_loss), exact)
+                present = np.unique(ref.shard.labels)  # the rows synthesis can read
+                self.assert_agree(client.prototypes[present], ref.prototypes[present], exact)
+                assert client.rng.bit_generator.state == ref.rng.bit_generator.state
 
     def test_nan_gradient_names_the_client(self, monkeypatch):
         import fedsynth.engine as engine
@@ -369,27 +372,26 @@ class TestRunRound:
 
     @staticmethod
     def local_alignment(state):
-        means = {k: class_feature_means(m, state.test_data) for k, m in state.local_models.items()}
-        return alignment_score(means)
+        return alignment_score(class_feature_means(state.local_models, state.test_data))
 
     def test_alignment_column_scores_local_models_on_test_set(self):
         cfg = small_config(rounds=4, active_clients=3)
         state, _ = build_state(cfg)
         for _ in range(cfg.rounds):
             run_round(state, cfg)
-            assert len(state.local_models) == 3
+            assert len(state.local_models.flat) == 3
             assert state.rows[-1].alignment is not None
             assert state.rows[-1].alignment == self.local_alignment(state)
 
     def test_single_active_client_alignment_is_none(self):
         state, _ = execute(small_config(rounds=3, active_clients=1))
-        assert len(state.local_models) == 1
+        assert len(state.local_models.flat) == 1
         assert all(row.alignment is None for row in state.rows)
 
     def test_fedavg_state_keeps_local_models(self):
         state, _ = execute(small_config(rounds=3, algorithm="fedavg"))
-        assert sorted(state.local_models) == [0, 1, 2, 3]
-        merged = aggregate(state.local_models.values())
+        assert len(state.local_models.flat) == 4
+        merged = aggregate(state.local_models)
         assert all(np.array_equal(merged.params[k], state.model.params[k]) for k in merged.params)
         assert self.local_alignment(state) is not None
 

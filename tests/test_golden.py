@@ -16,6 +16,8 @@ from fedsynth.runner import run_experiment
 # sha256 prefix of every artifact apart from wall-clock fields, per algorithm
 GOLDEN = {
     "fedavg": "2692de0bb8979aab",
+    # mu forced to 0: every prototype-hardened target is hard_feature(z, p, 0)
+    "fmds_fl": "f163a1c99b8702b2",
     "hfmds_fl": "1525bf457ce39f89",
 }
 

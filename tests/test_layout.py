@@ -75,9 +75,10 @@ def test_copy_and_aggregate_own_their_vectors():
     assert not np.shares_memory(clone.flat, model.flat)
     for p, q in zip(model.params.values(), clone.params.values()):
         assert not np.shares_memory(p, q)
-    merged = aggregate([model, clone, desk_model(seed=2)])
+    stack = Model(DESK_ARCH, np.stack([model.flat, clone.flat, desk_model(seed=2).flat]))
+    merged = aggregate(stack)
     assert_views_of_own_flat(merged)
-    assert not any(np.shares_memory(merged.flat, m.flat) for m in (model, clone))
+    assert not any(np.shares_memory(merged.flat, m.flat) for m in (model, clone, stack))
 
 
 def test_layer_plan_follows_every_weight_change():
@@ -101,7 +102,7 @@ def test_layer_plan_follows_every_weight_change():
     assert_plan_is_live(clone, batch, before)
     assert np.array_equal(model.forward(batch)[1], before)
 
-    merged = aggregate([model, clone, desk_model(seed=2)])
+    merged = aggregate(Model(DESK_ARCH, np.stack([model.flat, clone.flat, desk_model(seed=2).flat])))
     assert_plan_is_live(merged, batch, before)
 
 

@@ -110,29 +110,36 @@ class TestDatasetPsnr:
 
 class TestAlignment:
     def test_identical_centroids_score_zero(self):
-        means = {0: {0: np.array([1.0, 2.0])}, 1: {0: np.array([1.0, 2.0])}}
+        means = np.array([[[1.0, 2.0]], [[1.0, 2.0]]])
         assert alignment_score(means) == 0.0
 
     def test_euclidean_three_four_five(self):
-        means = {0: {0: np.array([0.0, 0.0])}, 1: {0: np.array([3.0, 4.0])}}
+        means = np.array([[[0.0, 0.0]], [[3.0, 4.0]]])
         assert alignment_score(means) == 5.0
 
-    def test_no_shared_class_is_undefined(self):
-        means = {0: {0: np.zeros(2)}, 1: {1: np.zeros(2)}}
-        assert alignment_score(means) is None
+    def test_one_model_is_undefined(self):
+        assert alignment_score(np.zeros((1, 3, 2))) is None
 
     def test_symmetric_under_client_relabeling(self):
-        rng = np.random.default_rng(3)
-        means = {k: {c: rng.standard_normal(4) for c in range(3)} for k in range(4)}
-        relabeled = {10 - k: means[k] for k in means}
-        assert alignment_score(means) == pytest.approx(alignment_score(relabeled), abs=1e-12)
+        means = np.random.default_rng(3).standard_normal((4, 3, 4))
+        assert alignment_score(means) == pytest.approx(alignment_score(means[::-1]), abs=1e-12)
 
     def test_class_feature_means_widths(self):
         model = Model.initialize(["dense(4,6)", "relu", "dense(6,3)"], np.random.default_rng(1))
         data, _ = make_blobs(3, 4, 10, 0.2, seed=2)
         means = class_feature_means(model, data)
-        assert set(means) == {0, 1, 2}
-        assert all(v.shape == (6,) for v in means.values())
+        assert means.shape == (3, 6)
+        features = model.extract(data.inputs)
+        assert np.array_equal(means[1], features[data.labels == 1].mean(axis=0))
+
+    def test_a_stack_gives_each_model_its_own_means_bitwise(self):
+        arch = ["dense(4,6)", "relu", "dense(6,3)"]
+        models = [Model.initialize(arch, np.random.default_rng(s)) for s in range(3)]
+        data, _ = make_blobs(3, 4, 10, 0.2, seed=2)
+        stacked = class_feature_means(Model(arch, np.stack([m.flat for m in models])), data)
+        assert stacked.shape == (3, 3, 6)
+        for row, m in zip(stacked, models):
+            assert np.array_equal(row, class_feature_means(m, data))
 
 
 class TestExportFeatures:

@@ -99,35 +99,26 @@ class TestComputeCam:
 
 class TestUpdatePrototypes:
     def test_halfway_blend(self):
-        protos = update_prototypes(
-            {0: np.array([4.0, 4.0])}, {0: 2}, {0: np.array([0.0, 0.0])}, momentum=0.5
-        )
-        assert np.array_equal(protos[0], [1.0, 1.0])
+        protos = update_prototypes(np.array([[2.0, 2.0]]), np.array([[0.0, 0.0]]), momentum=0.5)
+        assert np.array_equal(protos, [[1.0, 1.0]])
 
     def test_momentum_one_keeps_previous(self):
-        protos = update_prototypes(
-            {0: np.array([10.0])}, {0: 1}, {0: np.array([3.0])}, momentum=1.0
-        )
-        assert np.array_equal(protos[0], [3.0])
+        protos = update_prototypes(np.array([[10.0]]), np.array([[3.0]]), momentum=1.0)
+        assert np.array_equal(protos, [[3.0]])
 
     def test_momentum_zero_takes_mean(self):
-        protos = update_prototypes(
-            {0: np.array([10.0])}, {0: 2}, {0: np.array([3.0])}, momentum=0.0
-        )
-        assert np.array_equal(protos[0], [5.0])
+        protos = update_prototypes(np.array([[5.0]]), np.array([[3.0]]), momentum=0.0)
+        assert np.array_equal(protos, [[5.0]])
 
     def test_first_observation_adopts_mean(self):
-        protos = update_prototypes({1: np.array([6.0, 2.0])}, {1: 2}, {}, momentum=0.9)
-        assert np.array_equal(protos[1], [3.0, 1.0])
-
-    def test_unobserved_class_keeps_previous(self):
-        previous = {0: np.array([1.0]), 1: np.array([2.0])}
-        protos = update_prototypes({0: np.array([4.0])}, {0: 1, 1: 0}, previous, momentum=0.0)
-        assert np.array_equal(protos[1], [2.0])
+        means = np.array([[0.0, 0.0], [3.0, 1.0]])
+        protos = update_prototypes(means, None, momentum=0.9)
+        assert np.array_equal(protos, means)
+        assert not np.shares_memory(protos, means)
 
     def test_momentum_out_of_range_raises(self):
         with pytest.raises(ValueError):
-            update_prototypes({}, {}, {}, momentum=1.5)
+            update_prototypes(np.zeros((1, 1)), None, momentum=1.5)
 
 
 class TestHardFeature:
@@ -275,13 +266,13 @@ class TestSynthesize:
     def test_single_step_runs(self):
         model = make_model(["dense(5,6)", "relu", "dense(6,3)"], seed=21)
         shard = self.make_shard()
-        syn = synthesize(model, shard, {}, self.make_cfg(steps=1), np.random.default_rng(0))
+        syn = synthesize(model, shard, None, self.make_cfg(steps=1), np.random.default_rng(0))
         assert len(syn) == 9
 
     def test_labels_match_paired_reals_and_inputs_clamped(self):
         model = make_model(["dense(5,6)", "relu", "dense(6,3)"], seed=21)
         shard = self.make_shard()
-        syn = synthesize(model, shard, {}, self.make_cfg(), np.random.default_rng(1))
+        syn = synthesize(model, shard, None, self.make_cfg(), np.random.default_rng(1))
         for s in syn.samples:
             assert s.label == int(shard.labels[s.paired_index])
             assert np.all(s.x >= 0.0) and np.all(s.x <= 1.0)
@@ -289,20 +280,20 @@ class TestSynthesize:
     def test_stratified_to_class_histogram(self):
         model = make_model(["dense(5,6)", "relu", "dense(6,3)"], seed=21)
         shard = self.make_shard()  # 60 samples, 20 per class
-        syn = synthesize(model, shard, {}, self.make_cfg(count=9), np.random.default_rng(2))
+        syn = synthesize(model, shard, None, self.make_cfg(count=9), np.random.default_rng(2))
         labels = np.bincount([s.label for s in syn.samples], minlength=3)
         assert np.array_equal(labels, [3, 3, 3])
 
     def test_count_capped_at_shard_size(self):
         model = make_model(["dense(5,6)", "relu", "dense(6,3)"], seed=21)
         shard = self.make_shard().subset(range(4))
-        syn = synthesize(model, shard, {}, self.make_cfg(count=100), np.random.default_rng(3))
+        syn = synthesize(model, shard, None, self.make_cfg(count=100), np.random.default_rng(3))
         assert len(syn) == 4
 
     def test_deterministic_given_seed(self):
         model = make_model(["dense(5,6)", "relu", "dense(6,3)"], seed=21)
         shard = self.make_shard()
-        protos = {0: np.zeros(6), 1: np.ones(6), 2: np.full(6, 0.5)}
+        protos = np.array([np.zeros(6), np.ones(6), np.full(6, 0.5)])
         a = synthesize(model, shard, protos, self.make_cfg(), np.random.default_rng(9))
         b = synthesize(model, shard, protos, self.make_cfg(), np.random.default_rng(9))
         for x, y in zip(a.samples, b.samples):
@@ -314,14 +305,14 @@ class TestSynthesize:
         model = make_model(["dense(5,6)", "relu", "dense(6,3)"], seed=21)
         empty = self.make_shard().subset([])
         with pytest.raises(ValueError):
-            synthesize(model, empty, {}, self.make_cfg(), np.random.default_rng(0))
+            synthesize(model, empty, None, self.make_cfg(), np.random.default_rng(0))
 
     def test_fingerprint_tracks_model(self):
         model = make_model(["dense(5,6)", "relu", "dense(6,3)"], seed=21)
         shard = self.make_shard()
-        a = synthesize(model, shard, {}, self.make_cfg(steps=1), np.random.default_rng(5))
+        a = synthesize(model, shard, None, self.make_cfg(steps=1), np.random.default_rng(5))
         other = make_model(["dense(5,6)", "relu", "dense(6,3)"], seed=99)
-        b = synthesize(other, shard, {}, self.make_cfg(steps=1), np.random.default_rng(5))
+        b = synthesize(other, shard, None, self.make_cfg(steps=1), np.random.default_rng(5))
         assert a.model_fingerprint != b.model_fingerprint
 
 
@@ -336,69 +327,70 @@ class TestProductionPath:
     """The batched closed form `synthesize` runs, against the per-sample
     `synthesis_loss` that criterion 1 gradient-checks."""
 
-    def setup_case(self, arch):
+    def setup_cases(self, arch):
+        """One model, shard and config, before a client has prototypes and with one for every class."""
         model = make_model(arch, seed=40)
         # class 0's classifier column is all negative: its rows get an all-zero CAM mask
         last = model.params[f"dense{len(model.params) // 2 - 1}.weight"]
         last[:, 0] = -np.abs(last[:, 0]) - 0.1
         shard, _ = make_blobs(3, 5, 20, 0.25, seed=41)
-        protos = {1: np.random.default_rng(42).standard_normal(model.feature_dim)}
+        protos = np.random.default_rng(42).standard_normal((model.class_count, model.feature_dim))
         cfg = SynthesisConfig(count=12, steps=3, scale=0.5)
-        return model, shard, protos, cfg
+        return [(model, shard, None, cfg), (model, shard, protos, cfg)]
 
     def per_row_loss(self, model, x_hat, real, label, protos, cfg):
-        return synthesis_loss(GraphModel(model), x_hat, real, label, protos.get(label), cfg.scale, cfg.kl_eps)
+        proto = None if protos is None else protos[label]
+        return synthesis_loss(GraphModel(model), x_hat, real, label, proto, cfg.scale, cfg.kl_eps)
 
     def test_masks_equal_compute_cam_rows(self, arch):
-        model, shard, protos, cfg = self.setup_case(arch)
-        labels = shard.labels
-        target_probs, masks = _matching_targets(model, shard.inputs, labels, protos, cfg.scale)
-        features = model.extract(shard.inputs)
-        assert not masks[labels == 0].any()
-        for i, y in enumerate(labels):
-            proto = protos.get(int(y))
-            target = hard_feature(features[i], proto, cfg.scale) if proto is not None else features[i]
-            mask = np.maximum(compute_cam(GraphModel(model), target, int(y)), 0.0)
-            assert np.array_equal(masks[i], mask)
-            e = np.exp(target * mask - (target * mask).max())
-            assert np.max(np.abs(target_probs[i] - e / e.sum())) <= 1e-15
+        for model, shard, protos, cfg in self.setup_cases(arch):
+            labels = shard.labels
+            target_probs, masks = _matching_targets(model, shard.inputs, labels, protos, cfg.scale)
+            features = model.extract(shard.inputs)
+            assert not masks[labels == 0].any()
+            for i, y in enumerate(labels):
+                target = features[i] if protos is None else hard_feature(features[i], protos[y], cfg.scale)
+                mask = np.maximum(compute_cam(GraphModel(model), target, int(y)), 0.0)
+                assert np.array_equal(masks[i], mask)
+                e = np.exp(target * mask - (target * mask).max())
+                assert np.max(np.abs(target_probs[i] - e / e.sum())) <= 1e-15
 
     def test_input_grad_equals_summed_per_row_graph(self, arch):
-        model, shard, protos, cfg = self.setup_case(arch)
-        reals, labels = shard.inputs, shard.labels
-        target_probs, masks = _matching_targets(model, reals, labels, protos, cfg.scale)
-        onehot = np.eye(model.class_count)[labels]
-        x = np.random.default_rng(43).standard_normal(reals.shape)
-        grad = _input_grad(model, x, target_probs, masks, onehot, cfg)
+        for model, shard, protos, cfg in self.setup_cases(arch):
+            reals, labels = shard.inputs, shard.labels
+            target_probs, masks = _matching_targets(model, reals, labels, protos, cfg.scale)
+            onehot = np.eye(model.class_count)[labels]
+            x = np.random.default_rng(43).standard_normal(reals.shape)
+            grad = _input_grad(model, x, target_probs, masks, onehot, cfg)
 
-        expected = np.empty_like(x)
-        for i in range(len(x)):
-            leaf = Tensor(x[i], requires_grad=True)
-            loss = self.per_row_loss(model, leaf, reals[i], int(labels[i]), protos, cfg)
-            expected[i] = backward_input(loss, leaf)
-        assert np.max(np.abs(grad - expected)) <= 1e-12 * np.max(np.abs(expected))
-        assert np.any(grad[labels == 0] != 0)  # cross entropy still drives zero-mask rows
+            expected = np.empty_like(x)
+            for i in range(len(x)):
+                leaf = Tensor(x[i], requires_grad=True)
+                loss = self.per_row_loss(model, leaf, reals[i], int(labels[i]), protos, cfg)
+                expected[i] = backward_input(loss, leaf)
+            assert np.max(np.abs(grad - expected)) <= 1e-12 * np.max(np.abs(expected))
+            assert np.any(grad[labels == 0] != 0)  # cross entropy still drives zero-mask rows
 
     def test_recorded_losses_equal_per_row_synthesis_loss(self, arch, caplog):
-        model, shard, protos, cfg = self.setup_case(arch)
-        with caplog.at_level(logging.WARNING, logger="fedsynth.synthesis"):
-            syn = synthesize(model, shard, protos, cfg, np.random.default_rng(44))
-        assert any("all-zero CAM masks" in rec.message for rec in caplog.records)
+        for model, shard, protos, cfg in self.setup_cases(arch):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="fedsynth.synthesis"):
+                syn = synthesize(model, shard, protos, cfg, np.random.default_rng(44))
+            assert any("all-zero CAM masks" in rec.message for rec in caplog.records)
 
-        # replay the generator: pair draw, then the Gaussian initial inputs
-        replay = np.random.default_rng(44)
-        pair_idx = _stratified_indices(shard, cfg.count, replay)
-        x0 = replay.standard_normal((len(pair_idx), shard.inputs.shape[1]))
-        assert [s.paired_index for s in syn.samples] == pair_idx.tolist()
-        for s, x_init in zip(syn.samples, x0):
-            real = shard.inputs[s.paired_index]
-            initial = float(self.per_row_loss(model, Tensor(x_init), real, s.label, protos, cfg).data)
-            final = float(self.per_row_loss(model, Tensor(s.x), real, s.label, protos, cfg).data)
-            assert abs(s.initial_loss - initial) <= 1e-12 * abs(initial)
-            assert abs(s.final_loss - final) <= 1e-12 * abs(final)
+            # replay the generator: pair draw, then the Gaussian initial inputs
+            replay = np.random.default_rng(44)
+            pair_idx = _stratified_indices(shard, cfg.count, replay)
+            x0 = replay.standard_normal((len(pair_idx), shard.inputs.shape[1]))
+            assert [s.paired_index for s in syn.samples] == pair_idx.tolist()
+            for s, x_init in zip(syn.samples, x0):
+                real = shard.inputs[s.paired_index]
+                initial = float(self.per_row_loss(model, Tensor(x_init), real, s.label, protos, cfg).data)
+                final = float(self.per_row_loss(model, Tensor(s.x), real, s.label, protos, cfg).data)
+                assert abs(s.initial_loss - initial) <= 1e-12 * abs(initial)
+                assert abs(s.final_loss - final) <= 1e-12 * abs(final)
 
     def test_one_adam_step_per_synthesis_step(self, arch, monkeypatch):
-        model, shard, protos, cfg = self.setup_case(arch)
         calls = []
         original = Adam.step
 
@@ -407,8 +399,10 @@ class TestProductionPath:
             return original(self, tensors, grads)
 
         monkeypatch.setattr(Adam, "step", counting)
-        synthesize(model, shard, protos, SynthesisConfig(count=6, steps=7), np.random.default_rng(45))
-        assert len(calls) == 7
+        for model, shard, protos, cfg in self.setup_cases(arch):
+            calls.clear()
+            synthesize(model, shard, protos, SynthesisConfig(count=6, steps=7), np.random.default_rng(45))
+            assert len(calls) == 7
 
 
 class TestMixup:
@@ -446,7 +440,7 @@ class TestDump:
     def test_dump_writes_json_and_csv(self, tmp_path):
         model = make_model(["dense(5,6)", "relu", "dense(6,3)"], seed=21)
         shard, _ = make_blobs(3, 5, 10, 0.25, seed=22)
-        syn = synthesize(model, shard, {}, SynthesisConfig(count=6, steps=2), np.random.default_rng(4))
+        syn = synthesize(model, shard, None, SynthesisConfig(count=6, steps=2), np.random.default_rng(4))
         paths = dump_synthetic_dataset(syn, 0.5, 0.5, tmp_path)
         assert [p.name for p in paths] == ["client_00.json", "client_00.csv"]
         lines = paths[1].read_text().strip().split("\n")
@@ -470,7 +464,7 @@ class TestDump:
         shard, _ = make_blobs(3, 5, 10, 0.25, seed=22)
         if generator == "synthesize":
             model = make_model(["dense(5,6)", "relu", "dense(6,3)"], seed=21)
-            syn = synthesize(model, shard, {}, SynthesisConfig(count=6, steps=2), np.random.default_rng(4))
+            syn = synthesize(model, shard, None, SynthesisConfig(count=6, steps=2), np.random.default_rng(4))
         else:
             syn = mixup_generate(shard, 7, np.random.default_rng(4))
         json_path, csv_path = dump_synthetic_dataset(syn, 0.5, 0.5, tmp_path)
