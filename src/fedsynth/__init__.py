@@ -20,13 +20,12 @@ from .config import ExperimentConfig, derive_seed, parse_config
 from .data import Dataset, make_blobs, partition_dirichlet, partition_label_skew
 from .engine import ClientState, GlobalState, aggregate, local_update, run_round, sample_clients
 from .errors import ConfigError
-from .metrics import accuracy, alignment_score, dataset_psnr, psnr
+from .metrics import accuracy, alignment_score, psnr
 from .runner import RunManifest, execute, run_experiment
 from .synthesis import (
     SynthesisConfig,
     SyntheticDataset,
     hard_feature,
-    mixup_generate,
     synthesize,
     synthetic_rows,
     update_prototypes,
@@ -50,13 +49,11 @@ __all__ = [
     "backward",
     "backward_input",
     "backward_params",
-    "dataset_psnr",
     "derive_seed",
     "execute",
     "hard_feature",
     "local_update",
     "make_blobs",
-    "mixup_generate",
     "parse_config",
     "partition_dirichlet",
     "partition_label_skew",

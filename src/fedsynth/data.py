@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -45,24 +44,17 @@ def largest_remainder(weights, total: int) -> Array:
     """Integer counts summing to `total`, proportional to non-negative weights.
 
     Floors first, then hands the shortfall to the largest fractional parts
-    (ties broken by lowest index).
+    (ties broken by lowest index). The weights must sum to less than
+    `total + 1`, as both callers' shares of `total` do; floors summing past
+    `total` raise ValueError.
     """
     w = np.asarray(weights, dtype=np.float64)
     floors = np.floor(w).astype(np.int64)
     short = int(total - floors.sum())
-    if short > 0:
-        order = np.argsort(-(w - floors), kind="stable")
-        floors[order[:short]] += 1
-    elif short < 0:
-        # float-sum overshoot; trim the smallest fractions that still have mass
-        order = np.argsort(w - floors, kind="stable")
-        taken = 0
-        for i in order:
-            if taken == -short:
-                break
-            if floors[i] > 0:
-                floors[i] -= 1
-                taken += 1
+    if short < 0:
+        raise ValueError(f"weights floor sum {floors.sum()} exceeds total {total}")
+    order = np.argsort(-(w - floors), kind="stable")
+    floors[order[:short]] += 1
     return floors
 
 
@@ -121,17 +113,34 @@ def make_blobs(class_count: int, dim: int, per_class: int, spread: float, seed: 
     return Dataset(x_train, y_train, class_count), Dataset(x_test, y_test, class_count)
 
 
-def _repair_empty(buckets: list[list[int]]) -> None:
-    """Move one sample from the largest shard into each empty one."""
-    while True:
-        empties = [k for k, b in enumerate(buckets) if not b]
-        if not empties:
-            return
-        sizes = [len(b) for b in buckets]
+def _deal(dataset: Dataset, client_count: int, rng: np.random.Generator, counts) -> list[Dataset]:
+    """Deal each class's shuffled rows to clients 0, 1, ... in consecutive runs.
+
+    `counts(c, size)` gives class c's per-client row counts, summing to its
+    `size`; classes without rows are skipped. Each empty shard then takes
+    the last-dealt row of the largest shard, lowest index first.
+    """
+    order = np.empty(len(dataset), dtype=np.int64)
+    owner = np.empty_like(order)
+    start = 0
+    for c in range(dataset.class_count):
+        idx = np.flatnonzero(dataset.labels == c)
+        if idx.size == 0:
+            continue
+        rng.shuffle(idx)
+        stop = start + idx.size
+        order[start:stop] = idx
+        owner[start:stop] = np.repeat(np.arange(client_count), counts(c, int(idx.size)))
+        start = stop
+    sizes = np.bincount(owner, minlength=client_count)
+    for k in np.flatnonzero(sizes == 0):
         donor = int(np.argmax(sizes))
         if sizes[donor] <= 1:
             raise ConfigError("cannot repair empty shards: not enough samples")
-        buckets[empties[0]].append(buckets[donor].pop())
+        owner[np.flatnonzero(owner == donor)[-1]] = k
+        sizes[donor] -= 1
+        sizes[k] += 1
+    return [dataset.subset(np.sort(order[owner == k])) for k in range(client_count)]
 
 
 def partition_dirichlet(dataset: Dataset, client_count: int, concentration: float, seed: int) -> list[Dataset]:
@@ -147,28 +156,16 @@ def partition_dirichlet(dataset: Dataset, client_count: int, concentration: floa
     if len(dataset) < client_count:
         raise ConfigError("dataset smaller than client count")
     rng = np.random.default_rng(int(seed))
-    buckets: list[list[int]] = [[] for _ in range(client_count)]
-    for c in range(dataset.class_count):
-        idx = np.flatnonzero(dataset.labels == c)
-        if idx.size == 0:
-            continue
-        rng.shuffle(idx)
-        proportions = rng.dirichlet(np.full(client_count, float(concentration)))
-        counts = largest_remainder(proportions * idx.size, int(idx.size))
-        start = 0
-        for k in range(client_count):
-            take = int(counts[k])
-            buckets[k].extend(int(i) for i in idx[start : start + take])
-            start += take
-    _repair_empty(buckets)
-    return [dataset.subset(sorted(b)) for b in buckets]
+    alpha = np.full(client_count, float(concentration))
+    return _deal(dataset, client_count, rng, lambda _, size: largest_remainder(rng.dirichlet(alpha) * size, size))
 
 
 def partition_label_skew(dataset: Dataset, client_count: int, classes_per_client: int, seed: int) -> list[Dataset]:
     """Deal classes to clients round-robin over a seeded class permutation.
 
     Each client holds exactly `classes_per_client` distinct classes; samples
-    of a class are split evenly among the clients holding it.
+    of a class are split evenly among the clients holding it, the first
+    holders taking one more when the split is uneven.
     """
     class_count = dataset.class_count
     if classes_per_client < 1:
@@ -179,33 +176,14 @@ def partition_label_skew(dataset: Dataset, client_count: int, classes_per_client
         raise ConfigError("client_count * classes_per_client must cover every class")
     rng = np.random.default_rng(int(seed))
     perm = rng.permutation(class_count)
-    holders: dict[int, list[int]] = {c: [] for c in range(class_count)}
-    for k in range(client_count):
-        for j in range(classes_per_client):
-            holders[int(perm[(k * classes_per_client + j) % class_count])].append(k)
-    buckets: list[list[int]] = [[] for _ in range(client_count)]
-    for c in range(class_count):
-        clients = holders[c]
-        idx = np.flatnonzero(dataset.labels == c)
-        if idx.size == 0 or not clients:
-            continue
-        rng.shuffle(idx)
-        base, extra = divmod(int(idx.size), len(clients))
-        start = 0
-        for slot, k in enumerate(clients):
-            take = base + (1 if slot < extra else 0)
-            buckets[k].extend(int(i) for i in idx[start : start + take])
-            start += take
-    _repair_empty(buckets)
-    return [dataset.subset(sorted(b)) for b in buckets]
+    held = perm[np.arange(client_count * classes_per_client) % class_count].reshape(client_count, classes_per_client)
 
+    def counts(c: int, size: int) -> Array:
+        holders = np.flatnonzero((held == c).any(axis=1))
+        base, extra = divmod(size, holders.size)
+        out = np.zeros(client_count, dtype=np.int64)
+        out[holders] = base
+        out[holders[:extra]] += 1
+        return out
 
-def write_csv(dataset: Dataset, path: Path) -> Path:
-    """Export a dataset as CSV with header x0..x{d-1},label."""
-    path = Path(path)
-    dim = dataset.inputs.shape[1]
-    lines = [",".join([f"x{i}" for i in range(dim)] + ["label"])]
-    for row, label in zip(dataset.inputs, dataset.labels):
-        lines.append(",".join([repr(float(v)) for v in row] + [str(int(label))]))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
+    return _deal(dataset, client_count, rng, counts)

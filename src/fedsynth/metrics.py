@@ -5,15 +5,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .autodiff import Model
 from .data import Dataset
-
-if TYPE_CHECKING:
-    from .synthesis import SyntheticDataset
 
 Array = np.ndarray
 
@@ -46,32 +42,20 @@ def accuracy(model: Model, data: Dataset) -> float:
     return float(np.mean(predictions == data.labels))
 
 
-def psnr(candidate, reference) -> float:
-    """Peak signal-to-noise ratio in dB for inputs in [0, 1]; capped at 100 dB."""
+def psnr(candidate, reference) -> float | Array:
+    """Peak signal-to-noise ratio in dB for inputs in [0, 1]; capped at 100 dB.
+
+    Reduces over the last axis: two vectors give a float, two (n, dim)
+    arrays give one value per row.
+    """
     a = np.asarray(candidate, dtype=np.float64)
     b = np.asarray(reference, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError(f"psnr operands must share shape, got {a.shape} and {b.shape}")
-    mse = float(np.mean((a - b) ** 2))
-    if mse < _PSNR_MSE_FLOOR:
-        return PSNR_CAP_DB
-    return 10.0 * math.log10(1.0 / mse)
-
-
-def dataset_psnr(syn: "SyntheticDataset", shard: Dataset) -> float:
-    """Mean per-pair PSNR of synthetic rows against their paired reals in `shard`.
-
-    Reads the rows' `psnr` column, which `synthetic_rows` computed against the
-    shard they were built from.
-    """
-    rows = syn.samples
-    if not len(rows):
-        raise ValueError("dataset_psnr requires a nonempty synthetic dataset")
-    paired = rows["paired_index"]
-    dangling = paired[(paired < 0) | (paired >= len(shard))]
-    if dangling.size:
-        raise ValueError(f"paired index {dangling[0]} outside shard of size {len(shard)}")
-    return float(np.mean(rows["psnr"]))
+    mse = np.mean((a - b) ** 2, axis=-1)
+    # math.log10 per value: np.log10 differs from it in the last bit on some rows
+    db = [PSNR_CAP_DB if m < _PSNR_MSE_FLOOR else 10.0 * math.log10(1.0 / m) for m in np.ravel(mse).tolist()]
+    return db[0] if mse.ndim == 0 else np.reshape(db, mse.shape)
 
 
 def class_feature_means(model: Model, data: Dataset) -> Array:
@@ -79,14 +63,15 @@ def class_feature_means(model: Model, data: Dataset) -> Array:
 
     One row per class present in `data`, in ascending class order: a
     (classes, width) array, or (models, classes, width) for a stack, whose
-    models each run their own forward pass.
+    models each see the same inputs in one stacked forward pass.
     """
-    classes = np.unique(data.labels)
-    means = []
-    for flat in np.atleast_2d(model.flat):
-        features = Model(model.architecture, flat).extract(data.inputs)
-        means.append([features[data.labels == c].mean(axis=0) for c in classes])
-    return np.array(means if model.flat.ndim == 2 else means[0])
+    features = model.extract(np.broadcast_to(data.inputs, model.flat.shape[:-1] + data.inputs.shape))
+    blocks = features.reshape(-1, *features.shape[-2:])
+    masks = [data.labels == c for c in np.unique(data.labels)]
+    # each model's (rows, width) block is reduced on its own: numpy sums the
+    # rows of a lone width-1 block pairwise, but those of a stack in row order
+    means = np.array([[block[mask].mean(axis=0) for mask in masks] for block in blocks])
+    return means.reshape(features.shape[:-2] + means.shape[1:])
 
 
 def alignment_score(means: Array) -> float | None:
@@ -101,15 +86,12 @@ def alignment_score(means: Array) -> float | None:
     """
     if len(means) < 2:
         return None
-    per_class = []
-    for centroids in np.swapaxes(means, 0, 1):
-        dists = [
-            float(np.linalg.norm(centroids[i] - centroids[j]))
-            for i in range(len(centroids))
-            for j in range(i + 1, len(centroids))
-        ]
-        per_class.append(float(np.mean(dists)))
-    return float(np.mean(per_class))
+    first, second = np.triu_indices(len(means), 1)
+    gaps = means[first] - means[second]  # (pairs, classes, width)
+    # one dot product per contiguous gap row, as np.linalg.norm takes it;
+    # einsum and norm(axis=-1) sum in another order and move the last bit
+    dists = np.sqrt(gaps[..., None, :] @ gaps[..., :, None])[..., 0, 0]
+    return float(np.mean(np.ascontiguousarray(dists.T).mean(axis=1)))
 
 
 def export_features(model: Model, inputs, labels, origins, path: Path) -> Path:

@@ -2,8 +2,7 @@
 
 A synthetic input starts as Gaussian noise and is optimized so that its
 CAM-masked features match those of a paired real sample, optionally pushed
-away from the class prototype ("hardened") before matching. A two-sample
-mixup generator is included as the privacy baseline.
+away from the class prototype ("hardened") before matching.
 """
 
 from __future__ import annotations
@@ -108,7 +107,7 @@ def synthetic_rows(shard: Dataset, paired_index, x, target, initial_loss=0.0, fi
     rows["paired_index"] = paired_index
     rows["initial_loss"] = initial_loss
     rows["final_loss"] = final_loss
-    rows["psnr"] = [psnr(a, b) for a, b in zip(x, shard.inputs[paired_index])]
+    rows["psnr"] = psnr(x, shard.inputs[paired_index])
     return rows
 
 
@@ -116,8 +115,8 @@ def synthetic_rows(shard: Dataset, paired_index, x, target, initial_loss=0.0, fi
 class SyntheticDataset:
     """Rows produced by one client in one synthesis event (`synthetic_rows`).
 
-    `feature_dim` is the extractor width used during synthesis (0 for the
-    mixup baseline, which never touches feature space).
+    `feature_dim` is the extractor width used during synthesis (0 for rows
+    built without a model, such as the tests' mixup baseline).
     """
 
     samples: Array
@@ -291,30 +290,6 @@ def synthesize(
 
     samples = synthetic_rows(shard, pair_idx, x_hat, onehot, initial, final)
     return SyntheticDataset(samples, model.feature_dim, client_id, round_index, model_fingerprint(model))
-
-
-def mixup_generate(
-    shard: Dataset,
-    count: int,
-    rng: np.random.Generator,
-    client_id: int = 0,
-    round_index: int = 0,
-) -> SyntheticDataset:
-    """Two-sample input averaging with 50/50 soft labels (privacy baseline).
-
-    The first parent serves as the paired real sample; same-class parents
-    collapse to a hard label.
-    """
-    if len(shard) < 2:
-        raise ValueError("mixup requires at least two real samples")
-    parents = np.array([rng.choice(len(shard), size=2, replace=False) for _ in range(count)], dtype=np.int64)
-    first, second = parents.reshape(count, 2).T
-    rows = np.arange(count)
-    target = np.zeros((count, shard.class_count))
-    target[rows, shard.labels[first]] += 0.5
-    target[rows, shard.labels[second]] += 0.5
-    x = 0.5 * (shard.inputs[first] + shard.inputs[second])
-    return SyntheticDataset(synthetic_rows(shard, first, x, target), 0, client_id, round_index, "")
 
 
 def dump_synthetic_dataset(

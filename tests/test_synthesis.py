@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from baselines import mixup_generate
 from graph_reference import (
     GraphModel,
     Tensor,
@@ -28,7 +29,6 @@ from fedsynth.synthesis import (
     _stratified_indices,
     dump_synthetic_dataset,
     hard_feature,
-    mixup_generate,
     synthesize,
     synthetic_rows,
     update_prototypes,
