@@ -53,8 +53,8 @@ def cross_entropy_grad(logits: Array, target: Array, weight=1.0, rows: Array | N
     real rows: its mean runs over them, and the rows past it are padding,
     which must carry all-zero targets and get a zero gradient.
     Target rows are not checked to sum to one here: local training passes
-    one-hot rows built once per update and rows of the synthetic pool,
-    checked once where `synthesis.synthetic_rows` builds them.
+    one-hot rows, built once per update from the real and synthetic rows'
+    labels.
     """
     z = np.asarray(logits, dtype=np.float64)
     if z.ndim not in (2, 3):

@@ -13,7 +13,7 @@ from .config import ExperimentConfig, derive_seed
 from .data import Dataset
 from .errors import ConfigError
 from .metrics import MetricsRow, accuracy, alignment_score, class_feature_means
-from .synthesis import SynthesisConfig, SyntheticDataset, synthesize, update_prototypes
+from .synthesis import SynthesisConfig, SynthesisEvent, model_fingerprint, synthesize, update_prototypes
 
 Array = np.ndarray
 
@@ -30,17 +30,6 @@ class ClientState:
     shard: Dataset
     rng: np.random.Generator
     prototypes: Array | None = None
-
-
-@dataclass
-class SynthesisEvent:
-    """Record of one synthesis round: per-client outputs plus summary stats."""
-
-    round_index: int
-    datasets: list[SyntheticDataset]
-    mean_psnr: float
-    mean_loss_drop: float
-    improved_fraction: float
 
 
 @dataclass
@@ -138,20 +127,20 @@ def local_update(
     shards = [client.shard for client in stacked]
     sizes = np.array([len(shard) for shard in shards])
     classes, width = model.class_count, model.feature_dim
-    # the gather table: every shard's rows, one all-zero padding row, then the synthetic pool
+    # the gather table: every shard's rows, one all-zero padding row labelled
+    # `classes` (an all-zero target), then the synthetic pool
     pad = int(sizes.sum())
-    parts = [(s.inputs, np.eye(classes)[s.labels]) for s in shards]
-    parts.append((np.zeros((1, model.input_dim)), np.zeros((1, classes))))
+    parts = [(s.inputs, s.labels) for s in shards] + [(np.zeros((1, model.input_dim)), [classes])]
     if use_syn:
-        parts.append((syn_samples["x"], syn_samples["target"]))
-    inputs, targets = (np.concatenate(column) for column in zip(*parts))
+        parts.append((syn_samples["x"], syn_samples["label"]))
+    inputs, labels = (np.concatenate(column) for column in zip(*parts))
+    targets = np.eye(classes + 1, classes)[labels]
     index = _draw_batches(stacked, sizes, pad, len(syn_samples) if use_syn else 0, epochs, batch_size)
     real = np.count_nonzero(index[..., :batch_size] != pad, axis=-1)
     if use_syn:
         real_weight = np.where(np.arange(batch_size) < real[..., None], alpha / np.maximum(real, 1)[..., None], 0.0)
         weights = np.concatenate((real_weight, np.full(real_weight.shape, (1.0 - alpha) / batch_size)), axis=-1)
     # a real row's features sum into its stack row's class slot, padding into one extra slot
-    labels = np.concatenate([s.labels for s in shards] + [[classes]])
     slots = (np.arange(len(stacked))[:, None, None] * (classes + 1) + labels[index[..., :batch_size]]) * width
     per_row = (classes + 1) * width
 
@@ -209,14 +198,15 @@ def _run_synthesis(state: GlobalState, config: ExperimentConfig, round_index: in
         rng = np.random.default_rng(
             derive_seed(config.seed, f"synthesis/round={round_index}/client={client.client_id}")
         )
-        datasets.append(
-            synthesize(state.model, client.shard, client.prototypes, syn_cfg, rng, client.client_id, round_index)
-        )
+        datasets.append(synthesize(state.model, client.shard, client.prototypes, syn_cfg, rng, client.client_id))
     state.syn_samples = pool = np.concatenate([ds.samples for ds in datasets])
     mean_psnr = float(np.mean(pool["psnr"]))
     mean_drop = float(np.mean(pool["initial_loss"] - pool["final_loss"]))
     improved = np.count_nonzero(pool["final_loss"] < pool["initial_loss"]) / len(pool)
-    state.events.append(SynthesisEvent(round_index, datasets, mean_psnr, mean_drop, improved))
+    fingerprint = model_fingerprint(state.model)
+    state.events.append(
+        SynthesisEvent(round_index, fingerprint, state.model.feature_dim, datasets, mean_psnr, mean_drop, improved)
+    )
 
 
 def run_round(state: GlobalState, config: ExperimentConfig) -> GlobalState:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +16,7 @@ Array = np.ndarray
 PSNR_CAP_DB = 100.0
 _PSNR_MSE_FLOOR = 1e-10
 
-METRICS_HEADER = "round,accuracy,train_loss,syn_size,psnr,loss_drop,alignment,ms"
+METRICS_HEADER = ("round", "accuracy", "train_loss", "syn_size", "psnr", "loss_drop", "alignment", "ms")
 
 
 @dataclass
@@ -94,6 +94,20 @@ def alignment_score(means: Array) -> float | None:
     return float(np.mean(np.ascontiguousarray(dists.T).mean(axis=1)))
 
 
+def write_csv(path: Path, header, rows) -> Path:
+    """Write a header and rows of cells as CSV with LF endings.
+
+    A float is written as `repr(float(v))`, so a numpy float reads like a
+    Python one, None as an empty cell, anything else with `str`.
+    """
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(["" if v is None else repr(float(v)) if isinstance(v, float) else str(v) for v in row]))
+    path = Path(path)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
 def export_features(model: Model, inputs, labels, origins, path: Path) -> Path:
     """Write extractor features as CSV rows of (f0..f{F-1}, label, origin)."""
     x = np.asarray(inputs, dtype=np.float64)
@@ -104,37 +118,11 @@ def export_features(model: Model, inputs, labels, origins, path: Path) -> Path:
     if len(labels) != x.shape[0] or len(origins) != x.shape[0]:
         raise ValueError("inputs, labels, and origins must have matching lengths")
     features = model.extract(x)
-    width = features.shape[1]
-    lines = [",".join([f"f{i}" for i in range(width)] + ["label", "origin"])]
-    for row, label, origin in zip(features, labels, origins):
-        lines.append(",".join([repr(float(v)) for v in row] + [str(label), origin]))
-    path = Path(path)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
-
-
-def _fmt(value: float | None) -> str:
-    return "" if value is None else repr(float(value))
+    header = [f"f{i}" for i in range(features.shape[1])] + ["label", "origin"]
+    rows = (row.tolist() + [label, origin] for row, label, origin in zip(features, labels, origins))
+    return write_csv(path, header, rows)
 
 
 def write_metrics_csv(rows, path: Path) -> Path:
     """One row per round; optional fields render as empty strings; LF endings."""
-    lines = [METRICS_HEADER]
-    for r in rows:
-        lines.append(
-            ",".join(
-                [
-                    str(r.round_index),
-                    _fmt(r.accuracy),
-                    _fmt(r.train_loss),
-                    str(r.syn_size),
-                    _fmt(r.psnr),
-                    _fmt(r.loss_drop),
-                    _fmt(r.alignment),
-                    _fmt(r.wall_ms),
-                ]
-            )
-        )
-    path = Path(path)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
+    return write_csv(path, METRICS_HEADER, (astuple(r) for r in rows))

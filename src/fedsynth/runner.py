@@ -55,7 +55,7 @@ def build_state(cfg: ExperimentConfig) -> tuple[GlobalState, dict]:
         clients=clients,
         test_data=test,
         server_rng=np.random.default_rng(seeds["server"]),
-        syn_samples=synthetic_rows(test, [], test.inputs[:0], np.zeros((0, test.class_count))),
+        syn_samples=synthetic_rows(test, [], test.inputs[:0]),
     )
     return state, seeds
 
@@ -79,10 +79,8 @@ def run_experiment(cfg: ExperimentConfig) -> RunManifest:
     artifacts.append("metrics.csv")
 
     for event in state.events:
-        event_dir = out / f"synthesis_round_{event.round_index:04d}"
-        for ds in event.datasets:
-            for path in dump_synthetic_dataset(ds, cfg.mu, cfg.lam, event_dir):
-                artifacts.append(str(path.relative_to(out)))
+        for path in dump_synthetic_dataset(event, cfg.mu, cfg.lam, out / f"synthesis_round_{event.round_index:04d}"):
+            artifacts.append(str(path.relative_to(out)))
 
     test, pool = state.test_data, state.syn_samples
     export_features(

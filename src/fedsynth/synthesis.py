@@ -19,7 +19,7 @@ import numpy as np
 from .autodiff import Adam, Model, backward_input, log_softmax_rows
 from .data import Dataset, largest_remainder
 from .errors import ConfigError
-from .metrics import psnr
+from .metrics import psnr, write_csv
 
 logger = logging.getLogger(__name__)
 
@@ -66,12 +66,11 @@ class SyntheticRow(np.record):
 
 
 @functools.lru_cache(maxsize=None)
-def _row_dtype(dim: int, classes: int) -> np.dtype:
-    # one dtype object per shape: concatenating rows promotes equal but
+def _row_dtype(dim: int) -> np.dtype:
+    # one dtype object per width: concatenating rows promotes equal but
     # distinct structured dtypes to plain void rows, dropping `SyntheticRow`
     fields = [
         ("x", np.float64, (dim,)),
-        ("target", np.float64, (classes,)),
         ("label", np.int64),
         ("paired_index", np.int64),
         ("initial_loss", np.float64),
@@ -81,28 +80,21 @@ def _row_dtype(dim: int, classes: int) -> np.dtype:
     return np.dtype((SyntheticRow, fields))
 
 
-def synthetic_rows(shard: Dataset, paired_index, x, target, initial_loss=0.0, final_loss=0.0) -> Array:
+def synthetic_rows(shard: Dataset, paired_index, x, initial_loss=0.0, final_loss=0.0) -> Array:
     """The one row format of synthetic data, from synthesis to local training.
 
-    A numpy record array with columns `x` (n, dim), `target` (n, classes),
-    `label` and `psnr` (both taken against the paired real `shard` row),
-    `paired_index`, `initial_loss` and `final_loss`. Columns read as arrays
-    (`rows["x"]`) and rows as records (`rows[i].x`). Each target row must
-    sum to one; it is checked here, once, not per training step.
+    A numpy record array with columns `x` (n, dim), `label` (the hard label
+    of the paired real `shard` row, which the row trains on), `psnr` (against
+    that row), `paired_index`, `initial_loss` and `final_loss`. Columns read
+    as arrays (`rows["x"]`) and rows as records (`rows[i].x`).
     """
     paired_index = np.asarray(paired_index, dtype=np.int64)
     x = np.asarray(x, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
     n, dim = len(paired_index), shard.inputs.shape[1]
     if x.shape != (n, dim):
         raise ValueError(f"inputs must have shape ({n}, {dim}), got {x.shape}")
-    if target.shape != (n, shard.class_count):
-        raise ValueError(f"targets must have shape ({n}, {shard.class_count}), got {target.shape}")
-    if not np.allclose(target.sum(axis=1), 1.0, atol=1e-6):
-        raise ValueError("target rows must sum to 1")
-    rows = np.empty(n, dtype=_row_dtype(dim, shard.class_count))
+    rows = np.empty(n, dtype=_row_dtype(dim))
     rows["x"] = x
-    rows["target"] = target
     rows["label"] = shard.labels[paired_index]
     rows["paired_index"] = paired_index
     rows["initial_loss"] = initial_loss
@@ -113,20 +105,30 @@ def synthetic_rows(shard: Dataset, paired_index, x, target, initial_loss=0.0, fi
 
 @dataclass
 class SyntheticDataset:
-    """Rows produced by one client in one synthesis event (`synthetic_rows`).
-
-    `feature_dim` is the extractor width used during synthesis (0 for rows
-    built without a model, such as the tests' mixup baseline).
-    """
+    """Rows produced by one client in one synthesis event (`synthetic_rows`)."""
 
     samples: Array
-    feature_dim: int = 0
     client_id: int = 0
-    round_index: int = 0
-    model_fingerprint: str = ""
 
     def __len__(self) -> int:
         return len(self.samples)
+
+
+@dataclass
+class SynthesisEvent:
+    """One synthesis round: every client's rows plus summary stats.
+
+    Every client inverts the same global model, so its fingerprint and
+    extractor width are recorded once, here, for all of them.
+    """
+
+    round_index: int
+    model_fingerprint: str
+    feature_dim: int
+    datasets: list[SyntheticDataset]
+    mean_psnr: float
+    mean_loss_drop: float
+    improved_fraction: float
 
 
 def model_fingerprint(model: Model) -> str:
@@ -258,7 +260,6 @@ def synthesize(
     cfg: SynthesisConfig,
     rng: np.random.Generator,
     client_id: int = 0,
-    round_index: int = 0,
 ) -> SyntheticDataset:
     """Optimize a batch of Gaussian-initialized inputs against paired reals.
 
@@ -288,42 +289,39 @@ def synthesize(
         np.clip(x_hat, 0.0, 1.0, out=x_hat)
     final = _row_losses(model, x_hat, target_probs, masks, labels, cfg)
 
-    samples = synthetic_rows(shard, pair_idx, x_hat, onehot, initial, final)
-    return SyntheticDataset(samples, model.feature_dim, client_id, round_index, model_fingerprint(model))
+    return SyntheticDataset(synthetic_rows(shard, pair_idx, x_hat, initial, final), client_id)
 
 
 def dump_synthetic_dataset(
-    syn: SyntheticDataset,
+    event: SynthesisEvent,
     scale: float,
     proto_momentum: float,
     out_dir: Path,
 ) -> list[Path]:
-    """Write one client's synthesis output: JSON metadata plus a CSV of rows."""
+    """Write one synthesis event: per client, JSON metadata plus a CSV of rows."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    stem = f"client_{syn.client_id:02d}"
-    rows = syn.samples
-    initial, final = rows["initial_loss"].tolist(), rows["final_loss"].tolist()
-    meta = {
-        "client_id": syn.client_id,
-        "round": syn.round_index,
-        "count": len(rows),
-        "mu": scale,
-        "lambda": proto_momentum,
-        "feature_dim": syn.feature_dim,
-        "model_fingerprint": syn.model_fingerprint,
-        "initial_loss": initial,
-        "final_loss": final,
-        "psnr": rows["psnr"].tolist(),
-    }
-    json_path = out_dir / f"{stem}.json"
-    json_path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    paths = []
+    for syn in event.datasets:
+        stem = f"client_{syn.client_id:02d}"
+        rows = syn.samples
+        initial, final = rows["initial_loss"].tolist(), rows["final_loss"].tolist()
+        meta = {
+            "client_id": syn.client_id,
+            "round": event.round_index,
+            "count": len(rows),
+            "mu": scale,
+            "lambda": proto_momentum,
+            "feature_dim": event.feature_dim,
+            "model_fingerprint": event.model_fingerprint,
+            "initial_loss": initial,
+            "final_loss": final,
+            "psnr": rows["psnr"].tolist(),
+        }
+        json_path = out_dir / f"{stem}.json"
+        json_path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
-    header = [f"x{i}" for i in range(rows["x"].shape[1])] + ["label", "paired_index", "initial_loss", "final_loss"]
-    lines = [",".join(header)]
-    columns = (rows["x"].tolist(), rows["label"].tolist(), rows["paired_index"].tolist(), initial, final)
-    for x, label, paired, a, b in zip(*columns):
-        lines.append(",".join([repr(v) for v in x] + [str(label), str(paired), repr(a), repr(b)]))
-    csv_path = out_dir / f"{stem}.csv"
-    csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return [json_path, csv_path]
+        header = [f"x{i}" for i in range(rows["x"].shape[1])] + ["label", "paired_index", "initial_loss", "final_loss"]
+        cells = zip(rows["x"], rows["label"].tolist(), rows["paired_index"].tolist(), initial, final)
+        paths += [json_path, write_csv(out_dir / f"{stem}.csv", header, (x.tolist() + rest for x, *rest in cells))]
+    return paths

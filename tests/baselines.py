@@ -10,25 +10,15 @@ from fedsynth.data import Dataset
 from fedsynth.synthesis import SyntheticDataset, synthetic_rows
 
 
-def mixup_generate(
-    shard: Dataset,
-    count: int,
-    rng: np.random.Generator,
-    client_id: int = 0,
-    round_index: int = 0,
-) -> SyntheticDataset:
-    """Two-sample input averaging with 50/50 soft labels (privacy baseline).
+def mixup_generate(shard: Dataset, count: int, rng: np.random.Generator) -> SyntheticDataset:
+    """Two-sample input averaging (privacy baseline).
 
-    The first parent serves as the paired real sample; same-class parents
-    collapse to a hard label.
+    The first parent serves as the paired real sample, and the row takes its
+    hard label.
     """
     if len(shard) < 2:
         raise ValueError("mixup requires at least two real samples")
     parents = np.array([rng.choice(len(shard), size=2, replace=False) for _ in range(count)], dtype=np.int64)
     first, second = parents.reshape(count, 2).T
-    rows = np.arange(count)
-    target = np.zeros((count, shard.class_count))
-    target[rows, shard.labels[first]] += 0.5
-    target[rows, shard.labels[second]] += 0.5
     x = 0.5 * (shard.inputs[first] + shard.inputs[second])
-    return SyntheticDataset(synthetic_rows(shard, first, x, target), 0, client_id, round_index, "")
+    return SyntheticDataset(synthetic_rows(shard, first, x))

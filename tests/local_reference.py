@@ -54,7 +54,7 @@ def local_update_one(model, shard, syn_samples, alpha, epochs, batch_size, optim
                 syn_idx = state.rng.choice(len(syn_samples), size=batch_size, replace=replace)
                 syn = syn_samples[syn_idx]
                 inputs = np.concatenate((shard.inputs[idx], syn["x"]))
-                targets = np.concatenate((onehot[idx], syn["target"]))
+                targets = np.concatenate((onehot[idx], np.eye(model.class_count)[syn["label"]]))
                 weight = row_weights[len(idx)]
             else:
                 inputs, targets, weight = shard.inputs[idx], onehot[idx], alpha

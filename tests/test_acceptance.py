@@ -266,7 +266,7 @@ def test_criterion_4_privacy_ordering(bench_runs):
         for ds, client in zip(event.datasets, state.clients):
             syn_values.append(float(np.mean(ds.samples["psnr"])))
             mix_rng = np.random.default_rng(derive_seed(seed, f"mixup/{client.client_id}"))
-            mix = mixup_generate(client.shard, len(ds.samples), mix_rng, client.client_id, event.round_index)
+            mix = mixup_generate(client.shard, len(ds.samples), mix_rng)
             mix_values.append(float(np.mean(mix.samples["psnr"])))
         syn_mean, mix_mean = float(np.mean(syn_values)), float(np.mean(mix_values))
         details.append(f"seed {seed}: {syn_mean:.2f} vs {mix_mean:.2f} dB")

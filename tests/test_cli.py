@@ -138,19 +138,22 @@ class TestSynthInspect:
         run_experiment(cfg)
         dump_dir = tmp_path / "out" / "synthesis_round_0002"
         assert main(["synth-inspect", "--dump", str(dump_dir)]) == 0
-        captured = capsys.readouterr().out
-        assert "overall:" in captured
-        assert "mean_psnr" in captured
+        overall = capsys.readouterr().out.strip().split("\n")[-1].split()
+        assert overall[0] == "overall:"
+        # the dumps and metrics.csv carry the same event's rows, read through two code paths
+        header, _, row = (tmp_path / "out" / "metrics.csv").read_text().split("\n")[:3]
+        metrics = dict(zip(header.split(","), row.split(",")))
+        assert "mean_psnr=" + format(float(metrics["psnr"]), ".2f") in overall
+        assert "mean_loss_drop=" + format(float(metrics["loss_drop"]), ".4f") in overall
 
     def test_identical_to_real_reports_cap(self, tmp_path, capsys):
         from fedsynth.data import make_blobs
-        import numpy as np
-
-        from fedsynth.synthesis import SyntheticDataset, dump_synthetic_dataset, synthetic_rows
+        from fedsynth.synthesis import SynthesisEvent, SyntheticDataset, dump_synthetic_dataset, synthetic_rows
 
         shard, _ = make_blobs(3, 5, 10, 0.25, seed=1)
-        samples = synthetic_rows(shard, range(5), shard.inputs[:5], np.eye(3)[shard.labels[:5]])
-        dump_synthetic_dataset(SyntheticDataset(samples, 4, 0, 2, ""), 0.5, 0.5, tmp_path / "dump")
+        samples = synthetic_rows(shard, range(5), shard.inputs[:5])
+        event = SynthesisEvent(2, "", 4, [SyntheticDataset(samples)], 100.0, 0.0, 0.0)
+        dump_synthetic_dataset(event, 0.5, 0.5, tmp_path / "dump")
         assert main(["synth-inspect", "--dump", str(tmp_path / "dump")]) == 0
         assert "100.0" in capsys.readouterr().out
 

@@ -29,10 +29,9 @@ def stack_of(*models):
 
 
 def hard_pool(train):
-    """Four one-hot synthetic rows, fewer than a batch of 5: drawn with replacement."""
-    paired = np.array([0, 5, 11, 19])
+    """Four synthetic rows, fewer than a batch of 5: drawn with replacement."""
     x = np.random.default_rng(8).random((4, train.inputs.shape[1]))
-    return synthetic_rows(train, paired, x, np.eye(train.class_count)[train.labels[paired]])
+    return synthetic_rows(train, [0, 5, 11, 19], x)
 
 
 class TestSampleClients:
@@ -107,8 +106,6 @@ class TestLocalUpdate:
 
     def test_single_step_matches_single_shot_oracle(self):
         train, model, syn, client = self.setup(seed=99)
-        # the mixup pool blends soft (50/50) and hard (same-class) target rows
-        assert np.any(syn["target"] == 0.5) and np.any(syn["target"] == 1.0)
         n = len(train)
         stack, _ = local_update(model, [client], syn, 0.4, 1, n, Sgd(0.1), proto_momentum=0.5)
 
@@ -120,8 +117,8 @@ class TestLocalUpdate:
         _, logits = base.forward(train.inputs[perm])
         real_loss = softmax_cross_entropy(logits, train.labels[perm])
         _, syn_logits = base.forward(np.stack([syn[int(j)].x for j in syn_idx]))
-        targets = np.stack([syn[int(j)].target for j in syn_idx])
-        loss = add(mul(real_loss, 0.4), mul(softmax_cross_entropy(syn_logits, targets), 0.6))
+        labels = [syn[int(j)].label for j in syn_idx]
+        loss = add(mul(real_loss, 0.4), mul(softmax_cross_entropy(syn_logits, labels), 0.6))
         grads = model.views(gr.backward_params(loss, base))
         for name in base.params:
             expected = model.params[name] - 0.1 * grads[name]
@@ -165,12 +162,12 @@ class TestLocalUpdate:
             # 24 samples, batch 5 -> 5 steps per epoch, 2 epochs
             assert len(calls) == 2 * math.ceil(len(train) / 5) == 10
 
-    @pytest.mark.parametrize("soft", [False, True], ids=["hard", "mixup"])
+    @pytest.mark.parametrize("mixup", [False, True], ids=["hard", "mixup"])
     @pytest.mark.parametrize("alpha", [0.0, 0.4, 0.9])
-    def test_blended_step_is_the_two_pass_sum(self, alpha, soft, monkeypatch):
+    def test_blended_step_is_the_two_pass_sum(self, alpha, mixup, monkeypatch):
         """One weighted forward/backward per blended step against the two passes it replaced."""
         train, model, syn, client = self.setup(seed=17)
-        if not soft:
+        if not mixup:
             syn = hard_pool(train)
         n, epochs, batch = len(train), 2, 5
         assert n % batch  # every epoch ends on a short real batch
@@ -201,7 +198,7 @@ class TestLocalUpdate:
                 features, logits = at.forward(train.inputs[idx], cache)
                 _, syn_logits = at.forward(syn["x"][syn_idx], syn_cache)
                 real_loss, d_real = cross_entropy_grad(logits, np.eye(3)[train.labels[idx]], alpha)
-                syn_loss, d_syn = cross_entropy_grad(syn_logits, syn["target"][syn_idx], 1.0 - alpha)
+                syn_loss, d_syn = cross_entropy_grad(syn_logits, np.eye(3)[syn["label"][syn_idx]], 1.0 - alpha)
                 expected = backward_params(at, cache, d_real) + backward_params(at, syn_cache, d_syn)
                 assert np.max(np.abs(grad - expected)) <= 1e-12 * np.max(np.abs(expected))
                 losses.append(real_loss + syn_loss)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from fedsynth.metrics import (
     class_feature_means,
     export_features,
     psnr,
+    write_csv,
     write_metrics_csv,
 )
 
@@ -188,3 +190,22 @@ class TestMetricsCsv:
         assert lines[1] == "1,0.5,1.2,0,,,,12.5"
         assert lines[2] == "2,0.75,0.9,40,8.25,1.5,0.125,13.0"
         assert path.read_text().endswith("\n")
+
+
+class TestWriteCsv:
+    def test_none_is_an_empty_cell(self, tmp_path):
+        path = write_csv(tmp_path / "t.csv", ["a", "b", "c"], [[None, 1.5, None]])
+        assert path.read_bytes() == b"a,b,c\n,1.5,\n"
+
+    def test_ints_and_strings_are_written_with_str(self, tmp_path):
+        rows = [[3, np.int64(-7), "real", "two words"]]
+        path = write_csv(tmp_path / "t.csv", ["i", "j", "s", "t"], rows)
+        assert path.read_bytes() == b"i,j,s,t\n3,-7,real,two words\n"
+
+    def test_numpy_floats_write_like_python_floats(self, tmp_path):
+        plain = MetricsRow(2, 0.5, 1.0 / 3.0, 40, 1e-300, None, 12.0, 0.25)
+        numpy = MetricsRow(*[np.float64(v) if isinstance(v, float) else v for v in astuple(plain)])
+        a = write_metrics_csv([plain], tmp_path / "a.csv").read_bytes()
+        b = write_metrics_csv([numpy], tmp_path / "b.csv").read_bytes()
+        assert a == b
+        assert a.split(b"\n")[1] == b"2,0.5,0.3333333333333333,40,1e-300,,12.0,0.25"

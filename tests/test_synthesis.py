@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from baselines import mixup_generate
+from conftest import small_config
 from graph_reference import (
     GraphModel,
     Tensor,
@@ -19,16 +20,20 @@ from graph_reference import (
 
 from fedsynth.autodiff import Adam, Model
 from fedsynth.data import make_blobs
+from fedsynth.engine import run_round
 from fedsynth.errors import ConfigError
 from fedsynth.metrics import psnr
+from fedsynth.runner import build_state, run_experiment
 from fedsynth.synthesis import (
     SynthesisConfig,
+    SynthesisEvent,
     SyntheticDataset,
     _input_grad,
     _matching_targets,
     _stratified_indices,
     dump_synthetic_dataset,
     hard_feature,
+    model_fingerprint,
     synthesize,
     synthetic_rows,
     update_prototypes,
@@ -37,6 +42,11 @@ from fedsynth.synthesis import (
 
 def make_model(arch, seed=0):
     return Model.initialize(arch, np.random.default_rng(seed))
+
+
+def one_event(syn):
+    """A synthesis event of one client's rows, as `dump_synthetic_dataset` takes it."""
+    return SynthesisEvent(1, "abc", 6, [syn], 0.0, 0.0, 0.0)
 
 
 def kl_oracle(z_hat, z_target, cam, eps=1e-8):
@@ -307,14 +317,6 @@ class TestSynthesize:
         with pytest.raises(ValueError):
             synthesize(model, empty, None, self.make_cfg(), np.random.default_rng(0))
 
-    def test_fingerprint_tracks_model(self):
-        model = make_model(["dense(5,6)", "relu", "dense(6,3)"], seed=21)
-        shard = self.make_shard()
-        a = synthesize(model, shard, None, self.make_cfg(steps=1), np.random.default_rng(5))
-        other = make_model(["dense(5,6)", "relu", "dense(6,3)"], seed=99)
-        b = synthesize(other, shard, None, self.make_cfg(steps=1), np.random.default_rng(5))
-        assert a.model_fingerprint != b.model_fingerprint
-
 
 PRODUCTION_ARCHS = {
     "two_hidden": ["dense(5,8)", "relu", "dense(8,8)", "relu", "dense(8,3)"],
@@ -412,7 +414,7 @@ class TestMixup:
         shard = Dataset(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([0, 1]), 2)
         syn = mixup_generate(shard, 1, np.random.default_rng(0))
         assert np.array_equal(syn.samples[0].x, [0.5, 0.5])
-        assert np.array_equal(syn.samples[0].target, [0.5, 0.5])
+        assert syn.samples[0].label == shard.labels[syn.samples[0].paired_index]
 
     def test_same_class_parents_collapse_to_hard_label(self):
         from fedsynth.data import Dataset
@@ -420,7 +422,6 @@ class TestMixup:
         shard = Dataset(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([1, 1]), 2)
         syn = mixup_generate(shard, 3, np.random.default_rng(0))
         for s in syn.samples:
-            assert np.array_equal(s.target, [0.0, 1.0])
             assert s.label == 1
 
     def test_output_count(self):
@@ -437,11 +438,33 @@ class TestMixup:
 
 
 class TestDump:
+    def test_an_event_carries_the_fingerprint_of_the_model_it_inverted(self, tmp_path, monkeypatch):
+        import json
+
+        import fedsynth.engine as engine
+
+        cfg = small_config(rounds=4, syn_interval=2, out_dir=str(tmp_path))
+        state, _ = build_state(cfg)
+        inverted = {}  # the global model each round starts from, which its synthesis inverts
+        for t in range(1, cfg.rounds + 1):
+            inverted[t] = model_fingerprint(state.model)
+            run_round(state, cfg)
+
+        hashed = []
+        monkeypatch.setattr(engine, "model_fingerprint", lambda model: hashed.append(1) or model_fingerprint(model))
+        run_experiment(cfg)
+        assert len(hashed) == 2  # once per event, not once per client
+        for t in (2, 4):
+            paths = sorted((tmp_path / f"synthesis_round_{t:04d}").glob("client_*.json"))
+            fingerprints = [json.loads(p.read_text())["model_fingerprint"] for p in paths]
+            assert fingerprints == [inverted[t]] * cfg.partition.clients
+        assert inverted[2] != inverted[4]
+
     def test_dump_writes_json_and_csv(self, tmp_path):
         model = make_model(["dense(5,6)", "relu", "dense(6,3)"], seed=21)
         shard, _ = make_blobs(3, 5, 10, 0.25, seed=22)
         syn = synthesize(model, shard, None, SynthesisConfig(count=6, steps=2), np.random.default_rng(4))
-        paths = dump_synthetic_dataset(syn, 0.5, 0.5, tmp_path)
+        paths = dump_synthetic_dataset(one_event(syn), 0.5, 0.5, tmp_path)
         assert [p.name for p in paths] == ["client_00.json", "client_00.csv"]
         lines = paths[1].read_text().strip().split("\n")
         assert lines[0] == "x0,x1,x2,x3,x4,label,paired_index,initial_loss,final_loss"
@@ -451,9 +474,8 @@ class TestDump:
         import json
 
         shard, _ = make_blobs(3, 5, 10, 0.25, seed=22)
-        samples = synthetic_rows(shard, range(4), shard.inputs[:4], np.eye(3)[shard.labels[:4]])
-        syn = SyntheticDataset(samples, 6, 0, 1, "abc")
-        json_path, _ = dump_synthetic_dataset(syn, 0.5, 0.5, tmp_path)
+        syn = SyntheticDataset(synthetic_rows(shard, range(4), shard.inputs[:4]))
+        json_path, _ = dump_synthetic_dataset(one_event(syn), 0.5, 0.5, tmp_path)
         meta = json.loads(json_path.read_text())
         assert meta["psnr"] == [100.0, 100.0, 100.0, 100.0]
 
@@ -467,7 +489,7 @@ class TestDump:
             syn = synthesize(model, shard, None, SynthesisConfig(count=6, steps=2), np.random.default_rng(4))
         else:
             syn = mixup_generate(shard, 7, np.random.default_rng(4))
-        json_path, csv_path = dump_synthetic_dataset(syn, 0.5, 0.5, tmp_path)
+        json_path, csv_path = dump_synthetic_dataset(one_event(syn), 0.5, 0.5, tmp_path)
         meta = json.loads(json_path.read_text())
         rows = [line.split(",") for line in csv_path.read_text().strip().split("\n")[1:]]
         expected = [psnr([float(v) for v in row[:5]], shard.inputs[int(row[6])]) for row in rows]
@@ -478,13 +500,14 @@ class TestDump:
 class TestSyntheticRows:
     def make(self, **kw):
         shard, _ = make_blobs(3, 4, 5, 0.2, seed=0)
-        args = dict(paired_index=[0, 7], x=shard.inputs[[0, 7]], target=np.eye(3)[shard.labels[[0, 7]]])
+        args = dict(paired_index=[0, 7], x=shard.inputs[[0, 7]])
         args.update(kw)
         return shard, synthetic_rows(shard, **args)
 
     def test_columns_and_rows(self):
         shard, rows = self.make(initial_loss=[2.0, 3.0], final_loss=1.0)
-        assert rows["x"].shape == (2, 4) and rows["target"].shape == (2, 3)
+        assert rows.dtype.names == ("x", "label", "paired_index", "initial_loss", "final_loss", "psnr")
+        assert rows["x"].shape == (2, 4)
         assert rows["label"].tolist() == shard.labels[[0, 7]].tolist()
         assert rows["paired_index"].tolist() == [0, 7]
         assert rows["psnr"].tolist() == [100.0, 100.0]
@@ -498,17 +521,6 @@ class TestSyntheticRows:
         assert all(type(v) in (int, float) for v in (rows[0].label, rows[0].psnr, rows[0].final_loss))
         improved = sum(row.final_loss < row.initial_loss for row in rows)
         assert type(improved) is int and json.dumps(improved) == "1"
-
-    @pytest.mark.parametrize("shape", [(2, 4), (2,), (3, 3)])
-    def test_target_of_wrong_shape_rejected(self, shape):
-        with pytest.raises(ValueError, match="targets must have shape"):
-            self.make(target=np.full(shape, 1.0 / shape[-1]))
-
-    def test_target_rows_must_sum_to_one(self):
-        with pytest.raises(ValueError, match="sum to 1"):
-            self.make(target=[[0.5, 0.5, 0.0], [0.5, 0.4, 0.0]])
-        _, rows = self.make(target=[[0.5, 0.5, 0.0], [0.5, 0.5 + 5e-7, 0.0]])  # within atol 1e-6
-        assert len(rows) == 2
 
     def test_inputs_of_wrong_shape_rejected(self):
         with pytest.raises(ValueError, match="inputs must have shape"):
