@@ -1,9 +1,11 @@
 """The MLP, its closed-form forward and backward passes, and the optimizers.
 
 Gradients are written out by hand: `backward` walks the model's layers in
-reverse over the layer inputs a forward pass cached, with cross entropy
-entering at the logits (`cross_entropy_grad`) and any feature-space loss at
-the extractor/classifier split. A `Model` is one MLP or a stack of them
+reverse over what a forward pass cached (each dense layer's input and each
+relu's positive mask), with cross entropy entering at the logits
+(`cross_entropy_grad`) and any feature-space loss at the extractor/classifier
+split. A relu is `np.maximum(h, 0)`, so a NaN passes through it to the
+gradient, where `Sgd.step` reports it. A `Model` is one MLP or a stack of them
 (local training runs a round's clients as one stack); the walks run over
 the leading stack axis, so one forward and one backward serve both.
 Everything is float64 so gradient checks can run at tight tolerances.
@@ -210,9 +212,9 @@ class Model:
     def _walk(self, h: Array, start: int, stop: int, cache: list | None) -> Array:
         for layer in self._plan[start:stop]:
             if cache is not None:
-                cache.append(h)
+                cache.append(h > 0 if layer is None else h)
             if layer is None:
-                h = np.where(h > 0, h, 0.0)
+                h = np.maximum(h, 0.0)  # never in place: a leading relu's input is the caller's batch
             else:
                 h = h @ layer[0]
                 h += layer[1]
@@ -221,9 +223,9 @@ class Model:
     def extract(self, batch, cache: list | None = None) -> Array:
         """Extractor forward pass; returns the features.
 
-        With a `cache` list, appends the input of every layer walked, all
-        that `backward` needs. For a single dense layer the features are the
-        batch itself.
+        With a `cache` list, appends what `backward` needs of every layer
+        walked: a dense layer's input, a relu's positive mask. For a single
+        dense layer the features are the batch itself.
         """
         h = np.ascontiguousarray(batch, dtype=np.float64)
         if h.ndim != self.flat.ndim + 1 or h.shape[:-2] != self.flat.shape[:-1] or h.shape[-1] != self.input_dim:
@@ -250,7 +252,11 @@ def backward(
     d_features: Array | None = None,
     grad: Array | None = None,
 ) -> Array:
-    """Backpropagate through the forward pass whose layer inputs are in `cache`.
+    """Backpropagate through the forward pass cached in `cache`.
+
+    The cache holds each dense layer's input and each relu's positive mask
+    (`h > 0`), by which a relu's backward multiplies. The forward relu passed
+    any NaN through to the logits, so a NaN parameter shows in the gradient.
 
     `d_logits` is the loss gradient w.r.t. the logits; `d_features`, when
     given, joins at the extractor/classifier split (for a single dense layer
@@ -264,7 +270,7 @@ def backward(
     for i in range(len(plan) - 1, -1, -1):
         layer = plan[i]
         if layer is None:
-            g *= cache[i] > 0  # g is never the caller's: the top layer is dense
+            g *= cache[i]  # g is never the caller's: the top layer is dense
         else:
             weight, _, w_slice, b_slice = layer
             if grad is not None:

@@ -54,6 +54,19 @@ def make_mlp(arch, seed=0):
     return Model.initialize(arch, np.random.default_rng(seed))
 
 
+def make_stack(arch, seeds):
+    """A stack of one model per seed."""
+    return Model(arch, np.stack([make_mlp(arch, seed).flat for seed in seeds]))
+
+
+CLOSED_FORM_ARCHS = {
+    "default": ["dense(5,32)", "relu", "dense(32,32)", "relu", "dense(32,4)"],
+    "one_dense": ["dense(5,4)"],
+    "relu_first": ["relu", "dense(5,8)", "relu", "dense(8,4)"],
+    "three_dense": ["dense(5,7)", "dense(7,6)", "relu", "dense(6,4)"],
+}
+
+
 class TestForward:
     def test_identity_extractor_and_classifier(self):
         model = make_mlp(["dense(2,2)", "dense(2,2)"])
@@ -87,14 +100,19 @@ class TestForward:
         assert logits.shape == (4, 3)
         assert np.max(np.abs(logits - expected)) < 1e-12
 
-    def test_forward_is_pure(self):
-        model = make_mlp(["dense(3,6)", "relu", "dense(6,2)"], seed=5)
-        batch = np.random.default_rng(1).random((3, 3))
+    @pytest.mark.parametrize("stacked", [False, True], ids=["single", "stack"])
+    @pytest.mark.parametrize("cached", [False, True], ids=["no_cache", "cache"])
+    @pytest.mark.parametrize("arch", list(CLOSED_FORM_ARCHS.values()), ids=list(CLOSED_FORM_ARCHS))
+    def test_forward_is_pure(self, arch, cached, stacked):
+        """The caller's batch is never written, not even by a relu that reads it first."""
+        model = make_stack(arch, [5, 6, 7]) if stacked else make_mlp(arch, seed=5)
+        # signed inputs, so that a leading relu has entries to clamp
+        batch = np.random.default_rng(1).standard_normal(model.flat.shape[:-1] + (4, 5))
         kept = batch.copy()
-        _, a = model.forward(batch)
-        _, b = model.forward(batch, [])
-        assert np.array_equal(a, b)
+        features, logits = model.forward(batch, [] if cached else None)
         assert np.array_equal(batch, kept)
+        again = model.forward(kept, None if cached else [])
+        assert np.array_equal(features, again[0]) and np.array_equal(logits, again[1])
 
     def test_batch_shape_mismatch_raises(self):
         model = make_mlp(["dense(3,6)", "relu", "dense(6,2)"])
@@ -270,6 +288,23 @@ class TestSgd:
         with pytest.raises(ValueError, match="dense0.weight"):
             Sgd(0.1).step(model, np.array([1.0, np.nan, 0.0]))
 
+    @pytest.mark.parametrize("stacked", [False, True], ids=["single", "stack"])
+    def test_nan_parameter_is_not_hidden_by_a_relu(self, stacked):
+        """A NaN weight feeding a relu reaches the gradient, so the step refuses it."""
+        arch = CLOSED_FORM_ARCHS["default"]
+        model = make_stack(arch, [1, 2, 3]) if stacked else make_mlp(arch, seed=1)
+        weight = model.params["dense0.weight"]
+        (weight[1] if stacked else weight)[2, 3] = np.nan
+        rng = np.random.default_rng(4)
+        lead = model.flat.shape[:-1]
+        cache = []
+        _, logits = model.forward(rng.random(lead + (6, 5)), cache)
+        _, d_logits = cross_entropy_grad(logits, np.eye(4)[rng.integers(0, 4, size=lead + (6,))])
+        grad = backward_params(model, cache, d_logits)
+        where = " of client 24" if stacked else ""
+        with pytest.raises(ValueError, match=f"^NaN gradient for parameter 'dense0.weight'{where}$"):
+            Sgd(0.1).step(model, grad, [7, 24, 13] if stacked else None)
+
 
 class TestAdam:
     def test_first_step_magnitude_is_learning_rate(self):
@@ -379,14 +414,6 @@ class TestModel:
         x = Tensor(np.array([-1.0, 2.0]), requires_grad=True)
         loss = reduce_sum(relu(x))
         assert np.array_equal(gr.backward_input(loss, x), [0.0, 1.0])
-
-
-CLOSED_FORM_ARCHS = {
-    "default": ["dense(5,32)", "relu", "dense(32,32)", "relu", "dense(32,4)"],
-    "one_dense": ["dense(5,4)"],
-    "relu_first": ["relu", "dense(5,8)", "relu", "dense(8,4)"],
-    "three_dense": ["dense(5,7)", "dense(7,6)", "relu", "dense(6,4)"],
-}
 
 
 def assert_rel_close(actual, expected, rel=1e-12):

@@ -17,8 +17,8 @@ from fedsynth.runner import run_experiment
 GOLDEN = {
     "fedavg": "2692de0bb8979aab",
     # mu forced to 0: every prototype-hardened target is hard_feature(z, p, 0)
-    "fmds_fl": "f163a1c99b8702b2",
-    "hfmds_fl": "1525bf457ce39f89",
+    "fmds_fl": "f5acd7c8d2eed1bf",
+    "hfmds_fl": "94db8d952c726b95",
 }
 
 
@@ -26,7 +26,7 @@ GOLDEN = {
 # client ends each epoch on a short batch, and the small shards finish their
 # local steps well before the large ones. The desk partition has neither.
 RAGGED = {"scheme": "dirichlet", "clients": 10, "concentration": 0.5}
-RAGGED_GOLDEN = "da19761d767eb94b"
+RAGGED_GOLDEN = "fc10d1ac142954d6"
 
 
 def short_desk_config(algorithm, out_dir, **overrides):

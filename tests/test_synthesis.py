@@ -30,6 +30,7 @@ from fedsynth.synthesis import (
     SyntheticDataset,
     _input_grad,
     _matching_targets,
+    _softmax_np,
     _stratified_indices,
     dump_synthetic_dataset,
     hard_feature,
@@ -257,6 +258,22 @@ class TestSynthesisLoss:
 
             fd = (value(up) - value(down)) / (2 * h)
             assert abs(fd - grad[i]) / max(abs(fd), abs(grad[i]), 1e-6) < 1e-4
+
+
+class TestSoftmaxRows:
+    @pytest.mark.parametrize("rows", [1, 12, 100])
+    @pytest.mark.parametrize("width", [6, 32])
+    def test_rows_match_an_exactly_summed_oracle(self, rows, width):
+        """Each row within 4 ulp of exp(v - max) / fsum(exp(v - max)) taken in Python."""
+        v = 3.0 * np.random.default_rng(rows * width).standard_normal((rows, width))
+        probs = _softmax_np(v)
+        expected = np.empty_like(v)
+        for i, row in enumerate(v.tolist()):
+            top = max(row)
+            e = [math.exp(a - top) for a in row]
+            total = math.fsum(e)
+            expected[i] = [a / total for a in e]
+        assert np.all(np.abs(probs - expected) <= 4 * np.spacing(expected))
 
 
 class TestSynthesize:
