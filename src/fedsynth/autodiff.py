@@ -5,9 +5,9 @@ reverse over what a forward pass cached (each dense layer's input and each
 relu's positive mask), with cross entropy entering at the logits
 (`cross_entropy_grad`) and any feature-space loss at the extractor/classifier
 split. A relu is `np.maximum(h, 0)`, so a NaN passes through it to the
-gradient, where `Sgd.step` reports it. A `Model` is one MLP or a stack of them
-(local training runs a round's clients as one stack); the walks run over
-the leading stack axis, so one forward and one backward serve both.
+gradient, where `Sgd.step` reports it. Every `Model` is a stack of MLPs:
+local training runs a round's clients as one stack, and the global model is
+a stack of one. The walks run over the leading stack axis.
 Everything is float64 so gradient checks can run at tight tolerances.
 Models are value-semantic and may be copied across threads freely. The
 tests keep a graph autodiff as the reference these closed forms are pinned
@@ -40,43 +40,39 @@ def log_softmax_rows(z: Array) -> Array:
     return shifted
 
 
-def cross_entropy_grad(logits: Array, target: Array, weight=1.0, rows: Array | None = None) -> tuple:
-    """Weighted mean cross entropy of row-wise softmax(logits) against a target matrix.
+def cross_entropy_grad(logits: Array, target: Array, weight, rows: Array | None = None) -> tuple:
+    """Weighted cross entropy of row-wise softmax(logits) against a target stack, one loss per model.
 
-    `target` is a (batch, classes) matrix: one-hot rows for hard labels,
-    soft rows otherwise. Returns the weighted loss value and its gradient
-    w.r.t. the logits. A vector `weight` holds one weight per row and
-    replaces the mean: the loss is then sum_r weight[r] * CE(row r), so one
-    call can blend rows from different batches.
+    `logits` and `target` are (models, batch, classes) stacks: one-hot
+    target rows for hard labels, soft rows otherwise. Returns each model's
+    weighted loss and the gradient w.r.t. the logits.
 
-    For a stack of models the logits and targets are (models, batch,
-    classes), a `weight` array is (models, batch), and the loss is one value
-    per model. `rows`, with a scalar weight, holds each model's count of
-    real rows: its mean runs over them, and the rows past it are padding,
-    which must carry all-zero targets and get a zero gradient.
+    With a scalar `weight`, `rows` (required then) holds each model's count
+    of real rows, and its loss is `weight` times the mean over them; the
+    rows past it are padding, which must carry all-zero targets and get a
+    zero gradient. A full batch is `rows` equal to the batch size. A
+    (models, batch) `weight` array holds one weight per row and replaces the
+    mean: a model's loss is then sum_r weight[r] * CE(row r), so one call
+    can blend rows from different batches.
     Target rows are not checked to sum to one here: local training passes
     one-hot rows, built once per update from the real and synthetic rows'
     labels.
     """
     z = np.asarray(logits, dtype=np.float64)
-    if z.ndim not in (2, 3):
-        raise ValueError("logits must be a (batch, classes) matrix or a (models, batch, classes) stack")
-    batch = z.shape[-2]
+    if z.ndim != 3:
+        raise ValueError(f"logits must be a (models, batch, classes) stack, got shape {z.shape}")
+    batch = z.shape[1]
     target = np.asarray(target, dtype=np.float64)
     if target.shape != z.shape:
         raise ValueError(f"targets must have shape {z.shape}, got {target.shape}")
     log_probs = log_softmax_rows(z)
     if np.ndim(weight) == 0:
+        count = np.asarray(rows)
         d_logits = np.exp(log_probs)
         d_logits -= target
         d_logits *= weight
-        if rows is None:
-            count = batch
-            d_logits /= batch
-        else:
-            count = np.asarray(rows)
-            d_logits /= count[:, None, None]
-            d_logits[np.arange(batch) >= count[:, None]] = 0.0
+        d_logits /= count[:, None, None]
+        d_logits[np.arange(batch) >= count[:, None]] = 0.0
         return -(target * log_probs).sum(axis=(-2, -1)) / count * weight, d_logits
     row_weight = np.asarray(weight, dtype=np.float64)
     if row_weight.shape != z.shape[:-1]:
@@ -145,17 +141,16 @@ def _architecture_layout(architecture: tuple[str, ...]) -> _Layout:
 
 
 class Model:
-    """MLP with value-semantic parameters, split as extractor + final dense classifier.
+    """A stack of MLPs with value-semantic parameters, each split as extractor + final dense classifier.
 
-    All parameters live in one contiguous float64 vector, `flat`, in name
-    order (dense0.weight, dense0.bias, dense1.weight, ...); each `params`
-    entry is a reshaped view into it. The last dense layer is the
-    classifier; everything before it (including any trailing relu) is the
-    feature extractor.
-
-    A (models, parameters) `flat` makes a stack of models that train side by
-    side: each `params` entry gains a leading models axis, and the forward
-    pass maps a (models, batch, width) input to per-model outputs.
+    All parameters live in one contiguous float64 (models, parameters)
+    array, `flat`: each row is one model's parameters in name order
+    (dense0.weight, dense0.bias, dense1.weight, ...), and each `params`
+    entry is a reshaped view into it with a leading models axis. The forward
+    pass maps a (models, batch, width) input to per-model outputs; a single
+    model, such as the global one, is a stack of one. The last dense layer
+    is the classifier; everything before it (including any trailing relu) is
+    the feature extractor.
     """
 
     def __init__(self, architecture: Sequence[str], flat: Array):
@@ -164,17 +159,18 @@ class Model:
         self.input_dim = self._layers[self._first_dense][1]
         self.flat = np.ascontiguousarray(flat, dtype=np.float64)
         size = self._layout[-1][2]
-        if self.flat.ndim not in (1, 2) or self.flat.shape[-1] != size:
-            raise ValueError(f"{self.architecture} has {size} parameters, got a vector of shape {self.flat.shape}")
+        if self.flat.ndim != 2 or self.flat.shape[1] != size:
+            raise ValueError(
+                f"{self.architecture} has {size} parameters: need (models, {size}), got shape {self.flat.shape}"
+            )
         self.params = self.views(self.flat)
         # the layer plan the forward and backward walks follow: None for a
         # relu, (weight view, bias view, weight slice, bias slice) for a
-        # dense layer; a stack's biases broadcast over each model's batch
-        stacked = self.flat.ndim == 2
+        # dense layer; the biases broadcast over each model's batch
         dense = iter(
             (
                 self.params[w[0]],
-                self.params[b[0]][:, None] if stacked else self.params[b[0]],
+                self.params[b[0]][:, None],
                 slice(w[1], w[2]),
                 slice(b[1], b[2]),
             )
@@ -183,20 +179,19 @@ class Model:
         self._plan = [None if layer[0] == "relu" else next(dense) for layer in self._layers]
 
     def views(self, vector: Array) -> dict[str, Array]:
-        """Named, reshaped views into a vector laid out like `flat` (parameters or gradients)."""
-        lead = vector.shape[:-1]
-        return {name: vector[..., start:stop].reshape(lead + shape) for name, start, stop, shape in self._layout}
+        """Named, reshaped views into a (models, parameters) array laid out like `flat` (parameters or gradients)."""
+        return {name: vector[:, start:stop].reshape(len(vector), *shape) for name, start, stop, shape in self._layout}
 
     @classmethod
     def initialize(cls, architecture: Sequence[str], rng: np.random.Generator) -> "Model":
-        """Seeded init: every weight and bias uniform in +/- sqrt(1/fan_in)."""
+        """Seeded init of a stack of one: every weight and bias uniform in +/- sqrt(1/fan_in)."""
         weights = _architecture_layout(tuple(str(s) for s in architecture)).params[::2]
         draws = []
         for _, _, _, (fan_in, fan_out) in weights:
             bound = math.sqrt(1.0 / fan_in)
             draws.append(rng.uniform(-bound, bound, size=fan_in * fan_out))
             draws.append(rng.uniform(-bound, bound, size=fan_out))
-        return cls(architecture, np.concatenate(draws))
+        return cls(architecture, np.concatenate(draws)[None])
 
     def copy(self) -> "Model":
         return Model(self.architecture, self.flat.copy())
@@ -228,15 +223,19 @@ class Model:
         dense layer the features are the batch itself.
         """
         h = np.ascontiguousarray(batch, dtype=np.float64)
-        if h.ndim != self.flat.ndim + 1 or h.shape[:-2] != self.flat.shape[:-1] or h.shape[-1] != self.input_dim:
-            raise ValueError(f"batch shape {h.shape} incompatible with input width {self.input_dim}")
+        if h.ndim != 3 or len(h) != len(self.flat) or h.shape[2] != self.input_dim:
+            raise ValueError(
+                f"batch shape {h.shape} incompatible with {len(self.flat)} models of input width {self.input_dim}"
+            )
         return self._walk(h, 0, self._split, cache)
 
     def classify(self, features, cache: list | None = None) -> Array:
         """Classifier forward pass from a feature batch; returns the logits."""
         f = np.ascontiguousarray(features, dtype=np.float64)
-        if f.ndim != self.flat.ndim + 1 or f.shape[:-2] != self.flat.shape[:-1] or f.shape[-1] != self.feature_dim:
-            raise ValueError(f"feature shape {f.shape} incompatible with classifier width {self.feature_dim}")
+        if f.ndim != 3 or len(f) != len(self.flat) or f.shape[2] != self.feature_dim:
+            raise ValueError(
+                f"feature shape {f.shape} incompatible with {len(self.flat)} models of classifier width {self.feature_dim}"
+            )
         return self._walk(f, self._split, len(self._plan), cache)
 
     def forward(self, batch, cache: list | None = None) -> tuple[Array, Array]:
@@ -260,7 +259,7 @@ def backward(
 
     `d_logits` is the loss gradient w.r.t. the logits; `d_features`, when
     given, joins at the extractor/classifier split (for a single dense layer
-    the features are the input itself). With a `grad` vector laid out like
+    the features are the input itself). With a `grad` array laid out like
     `model.flat`, fills it with the parameter gradients and returns it,
     stopping at the first dense layer; without, returns the gradient w.r.t.
     the batch. Neither `d_logits` nor `d_features` is written to.
@@ -285,7 +284,7 @@ def backward(
 
 
 def backward_params(model: Model, cache: list[Array], d_logits: Array, d_features: Array | None = None) -> Array:
-    """Gradient w.r.t. the model's parameters, one vector laid out like `model.flat`."""
+    """Gradient w.r.t. the stack's parameters, one array laid out like `model.flat`."""
     return backward(model, cache, d_logits, d_features, np.empty_like(model.flat))
 
 
@@ -306,21 +305,19 @@ class Sgd:
     def step(self, model: Model, grad: Array, clients: Sequence[int] | None = None) -> None:
         """Update `model.flat` in place from a gradient laid out like it.
 
-        For a stack, a later step may update a prefix of the stack the first
-        step saw (models that finished drop off its end): it then moves the
-        first rows of the velocity and leaves the others alone. `clients`
-        names the stacked models in a NaN error (default: their row).
+        A later step may update a prefix of the stack the first step saw
+        (models that finished drop off its end): it then moves the first
+        rows of the velocity and leaves the others alone. `clients` names
+        the stacked models in a NaN error (default: their row).
         """
         if grad.shape != model.flat.shape:
-            raise ValueError(f"gradient shape {grad.shape} does not match the {model.flat.size} parameters")
+            raise ValueError(f"gradient shape {grad.shape} does not match parameters {model.flat.shape}")
         nan = np.isnan(grad)
         if nan.any():
-            where = ""
-            if grad.ndim == 2:
-                row = int(nan.any(axis=1).argmax())
-                grad, where = grad[row], f" of client {row if clients is None else clients[row]}"
-            name = next(name for name, g in model.views(grad).items() if np.isnan(g).any())
-            raise ValueError(f"NaN gradient for parameter {name!r}{where}")
+            row = int(nan.any(axis=1).argmax())
+            name = next(name for name, g in model.views(nan[row : row + 1]).items() if g.any())
+            client = row if clients is None else clients[row]
+            raise ValueError(f"NaN gradient for parameter {name!r} of client {client}")
         decayed = None
         if self.weight_decay:
             decayed = self.weight_decay * model.flat
@@ -328,7 +325,7 @@ class Sgd:
             grad = decayed
         if self.velocity is None:
             self.velocity = np.zeros_like(model.flat)
-        velocity = self.velocity[: len(model.flat)] if model.flat.ndim == 2 else self.velocity
+        velocity = self.velocity[: len(model.flat)]
         if velocity.shape != model.flat.shape:
             raise ValueError(f"velocity shape {self.velocity.shape} does not cover parameters {model.flat.shape}")
         velocity *= self.momentum

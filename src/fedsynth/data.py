@@ -1,4 +1,8 @@
-"""Desk-scale blob dataset generation and non-IID partitioning across clients."""
+"""Desk-scale blob dataset generation and non-IID partitioning across clients.
+
+The sizes and counts passed in come from a config that `validate_config`
+has checked; they are not checked again here.
+"""
 
 from __future__ import annotations
 
@@ -88,14 +92,6 @@ def make_blobs(class_count: int, dim: int, per_class: int, spread: float, seed: 
     drawn from the same distribution with a derived seed and normalized with
     the train statistics (then clipped into [0, 1]).
     """
-    if class_count < 2:
-        raise ConfigError(f"class_count must be at least 2, got {class_count}")
-    if dim < 2:
-        raise ConfigError(f"dim must be at least 2, got {dim}")
-    if per_class < 2:
-        raise ConfigError(f"per_class must be at least 2, got {per_class}")
-    if spread < 0:
-        raise ConfigError(f"spread must be non-negative, got {spread}")
     means = _class_means(class_count, dim)
     train_rng = np.random.default_rng([int(seed), 0])
     test_rng = np.random.default_rng([int(seed), 1])
@@ -149,12 +145,6 @@ def partition_dirichlet(dataset: Dataset, client_count: int, concentration: floa
     Largest-remainder rounding keeps totals exact; shards are disjoint and
     cover the dataset; empty shards are repaired from the largest shard.
     """
-    if client_count < 2:
-        raise ConfigError(f"client_count must be at least 2, got {client_count}")
-    if concentration <= 0:
-        raise ConfigError(f"concentration must be positive, got {concentration}")
-    if len(dataset) < client_count:
-        raise ConfigError("dataset smaller than client count")
     rng = np.random.default_rng(int(seed))
     alpha = np.full(client_count, float(concentration))
     return _deal(dataset, client_count, rng, lambda _, size: largest_remainder(rng.dirichlet(alpha) * size, size))
@@ -168,12 +158,6 @@ def partition_label_skew(dataset: Dataset, client_count: int, classes_per_client
     holders taking one more when the split is uneven.
     """
     class_count = dataset.class_count
-    if classes_per_client < 1:
-        raise ConfigError(f"classes_per_client must be at least 1, got {classes_per_client}")
-    if classes_per_client > class_count:
-        raise ConfigError(f"classes_per_client {classes_per_client} exceeds class count {class_count}")
-    if client_count * classes_per_client < class_count:
-        raise ConfigError("client_count * classes_per_client must cover every class")
     rng = np.random.default_rng(int(seed))
     perm = rng.permutation(class_count)
     held = perm[np.arange(client_count * classes_per_client) % class_count].reshape(client_count, classes_per_client)

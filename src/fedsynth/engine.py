@@ -11,7 +11,6 @@ import numpy as np
 from .autodiff import Model, Sgd, backward_params, cross_entropy_grad
 from .config import ExperimentConfig, derive_seed
 from .data import Dataset
-from .errors import ConfigError
 from .metrics import MetricsRow, accuracy, alignment_score, class_feature_means
 from .synthesis import SynthesisConfig, SynthesisEvent, model_fingerprint, synthesize, update_prototypes
 
@@ -36,7 +35,7 @@ class ClientState:
 class GlobalState:
     """Everything the server tracks across rounds."""
 
-    model: Model
+    model: Model  # the global model, a stack of one
     clients: list[ClientState]
     test_data: Dataset
     server_rng: np.random.Generator
@@ -51,8 +50,6 @@ class GlobalState:
 
 def sample_clients(total: int, active_count: int, rng: np.random.Generator) -> list[int]:
     """Uniform sample without replacement, returned in ascending order."""
-    if not 1 <= active_count <= total:
-        raise ConfigError(f"active client count {active_count} outside [1, {total}]")
     picked = rng.choice(total, size=active_count, replace=False)
     return sorted(int(k) for k in picked)
 
@@ -92,7 +89,7 @@ def local_update(
     optimizer: Sgd,
     proto_momentum: float,
 ) -> tuple[Model, Array]:
-    """Train every client from `model` on its blended objective, all of them as one stack.
+    """Train every client from the stack of one `model` on its blended objective, all of them as one stack.
 
     A client runs epochs * ceil(|shard| / batch) SGD steps. Each step draws
     a real mini-batch (shuffled without replacement per epoch) and, when
@@ -119,8 +116,6 @@ def local_update(
     use_syn = alpha < 1.0
     if use_syn and not len(syn_samples):
         raise ValueError("synthetic samples are required when alpha < 1")
-    if epochs < 1 or batch_size < 1:
-        raise ConfigError(f"epochs {epochs} and batch_size {batch_size} must be positive")
 
     order = sorted(range(len(clients)), key=lambda c: -len(clients[c].shard))  # the stack's rows
     stacked = [clients[c] for c in order]
@@ -177,10 +172,10 @@ def local_update(
 
 
 def aggregate(stack: Model) -> Model:
-    """Unweighted parameter mean of a stack, summed in row (ascending client) order."""
+    """Unweighted parameter mean of a stack, summed in row (ascending client) order; a stack of one."""
     if not len(stack.flat):
         raise ValueError("aggregate requires at least one model")
-    return Model(stack.architecture, stack.flat.sum(axis=0) / len(stack.flat))
+    return Model(stack.architecture, stack.flat.sum(axis=0, keepdims=True) / len(stack.flat))
 
 
 def _run_synthesis(state: GlobalState, config: ExperimentConfig, round_index: int) -> None:

@@ -34,11 +34,11 @@ class MetricsRow:
 
 
 def accuracy(model: Model, data: Dataset) -> float:
-    """Fraction of argmax-correct predictions; ties resolve to the lowest class."""
+    """Fraction of a stack of one's argmax-correct predictions; ties resolve to the lowest class."""
     if len(data) == 0:
         raise ValueError("accuracy requires a nonempty dataset")
-    _, logits = model.forward(data.inputs)
-    predictions = np.argmax(logits, axis=1)
+    _, logits = model.forward(data.inputs[None])
+    predictions = np.argmax(logits[0], axis=1)
     return float(np.mean(predictions == data.labels))
 
 
@@ -61,17 +61,15 @@ def psnr(candidate, reference) -> float | Array:
 def class_feature_means(model: Model, data: Dataset) -> Array:
     """Per-class mean extractor feature over a dataset, under the given model.
 
-    One row per class present in `data`, in ascending class order: a
-    (classes, width) array, or (models, classes, width) for a stack, whose
-    models each see the same inputs in one stacked forward pass.
+    A (models, classes, width) array: per model of the stack, one row per
+    class present in `data`, in ascending class order. The models each see
+    the same inputs in one stacked forward pass.
     """
-    features = model.extract(np.broadcast_to(data.inputs, model.flat.shape[:-1] + data.inputs.shape))
-    blocks = features.reshape(-1, *features.shape[-2:])
+    features = model.extract(np.broadcast_to(data.inputs, (len(model.flat),) + data.inputs.shape))
     masks = [data.labels == c for c in np.unique(data.labels)]
     # each model's (rows, width) block is reduced on its own: numpy sums the
     # rows of a lone width-1 block pairwise, but those of a stack in row order
-    means = np.array([[block[mask].mean(axis=0) for mask in masks] for block in blocks])
-    return means.reshape(features.shape[:-2] + means.shape[1:])
+    return np.array([[block[mask].mean(axis=0) for mask in masks] for block in features])
 
 
 def alignment_score(means: Array) -> float | None:
@@ -109,7 +107,7 @@ def write_csv(path: Path, header, rows) -> Path:
 
 
 def export_features(model: Model, inputs, labels, origins, path: Path) -> Path:
-    """Write extractor features as CSV rows of (f0..f{F-1}, label, origin)."""
+    """Write a stack of one's extractor features as CSV rows of (f0..f{F-1}, label, origin)."""
     x = np.asarray(inputs, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] == 0:
         raise ValueError("export_features requires a nonempty (N, dim) input matrix")
@@ -117,7 +115,7 @@ def export_features(model: Model, inputs, labels, origins, path: Path) -> Path:
     origins = [str(v) for v in origins]
     if len(labels) != x.shape[0] or len(origins) != x.shape[0]:
         raise ValueError("inputs, labels, and origins must have matching lengths")
-    features = model.extract(x)
+    features = model.extract(x[None])[0]
     header = [f"f{i}" for i in range(features.shape[1])] + ["label", "origin"]
     rows = (row.tolist() + [label, origin] for row, label, origin in zip(features, labels, origins))
     return write_csv(path, header, rows)

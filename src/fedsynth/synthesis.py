@@ -18,7 +18,6 @@ import numpy as np
 
 from .autodiff import Adam, Model, backward_input, log_softmax_rows
 from .data import Dataset, largest_remainder
-from .errors import ConfigError
 from .metrics import psnr, write_csv
 
 logger = logging.getLogger(__name__)
@@ -28,7 +27,7 @@ Array = np.ndarray
 
 @dataclass
 class SynthesisConfig:
-    """Knobs for one synthesis job.
+    """Knobs for one synthesis job, taken from a validated `ExperimentConfig`.
 
     `scale` controls how far real features are pushed past their prototype
     before matching (0 disables the push).
@@ -39,18 +38,6 @@ class SynthesisConfig:
     adam_lr: float = 0.02
     scale: float = 0.5
     kl_eps: float = 1e-8
-
-    def __post_init__(self):
-        if self.count < 1:
-            raise ConfigError(f"count must be at least 1, got {self.count}")
-        if self.steps < 1:
-            raise ConfigError(f"steps must be at least 1, got {self.steps}")
-        if self.adam_lr <= 0:
-            raise ConfigError(f"adam_lr must be positive, got {self.adam_lr}")
-        if self.scale < -1:
-            raise ConfigError(f"scale must be at least -1, got {self.scale}")
-        if self.kl_eps <= 0:
-            raise ConfigError(f"kl_eps must be positive, got {self.kl_eps}")
 
 
 class SyntheticRow(np.record):
@@ -168,10 +155,10 @@ def hard_feature(feature, prototype, scale: float) -> Array:
 
 @functools.lru_cache(maxsize=None)
 def _ones(width: int) -> Array:
-    """A read-only ones vector: `m @ _ones(width)` sums the rows of an (n, width) matrix.
+    """A read-only ones vector: `m @ _ones(width)` sums the rows of a (..., n, width) array.
 
     For the short rows here one BLAS matrix-vector product is faster than
-    a reduction over axis 1. Cached: allocating the vector costs about as
+    a reduction over the last axis. Cached: allocating the vector costs about as
     much as the reduction it replaces.
     """
     ones = np.ones(width)
@@ -180,10 +167,10 @@ def _ones(width: int) -> Array:
 
 
 def _softmax_np(v: Array) -> Array:
-    """Row-wise softmax of a (rows, width) matrix."""
-    e = v - v.max(axis=1, keepdims=True)
+    """Row-wise softmax over the last axis."""
+    e = v - v.max(axis=-1, keepdims=True)
     np.exp(e, out=e)
-    e /= (e @ _ones(e.shape[1]))[:, None]
+    e /= (e @ _ones(e.shape[-1]))[..., None]
     return e
 
 
@@ -207,17 +194,19 @@ def _matching_targets(
 ) -> tuple[Array, Array]:
     """Per-row matching distribution p = softmax(target * mask) and the mask.
 
-    The target is each real's feature, hardened against its class prototype
-    (row `label` of the (classes, width) `prototypes`) unless `prototypes`
-    is None; the mask is ReLU of the CAM at the row's label. The CAM
-    of class y is the gradient of logit y w.r.t. the features (Grad-CAM,
-    arXiv:1610.02391); the classifier is exactly the last dense layer, so it
-    is column y of that layer's weight, whatever the features are.
+    `reals` is a (1, n, dim) batch for the stack of one `model`, and both
+    results are (1, n, width). The target is each real's feature, hardened
+    against its class prototype (row `label` of the (classes, width)
+    `prototypes`) unless `prototypes` is None; the mask is ReLU of the CAM
+    at the row's label. The CAM of class y is the gradient of logit y w.r.t.
+    the features (Grad-CAM, arXiv:1610.02391); the classifier is exactly the
+    last dense layer, so it is column y of that layer's weight, whatever the
+    features are.
     """
     z = model.extract(reals)
-    targets = z if prototypes is None else hard_feature(z, prototypes[labels], scale)
+    targets = z if prototypes is None else hard_feature(z, prototypes[None, labels], scale)
     weight = model._plan[model._split][0]
-    masks = np.maximum(weight[:, labels].T, 0.0)
+    masks = np.maximum(weight[..., labels].swapaxes(-1, -2), 0.0)
     return _softmax_np(targets * masks), masks
 
 
@@ -243,7 +232,7 @@ def _input_grad(
     g = q + cfg.kl_eps
     np.divide(target_probs, g, out=g)
     np.negative(g, out=g)
-    g -= ((g * q) @ _ones(q.shape[1]))[:, None]
+    g -= ((g * q) @ _ones(q.shape[-1]))[..., None]
     g *= q
     g *= masks
     d_logits = _softmax_np(logits)
@@ -259,11 +248,11 @@ def _row_losses(
     labels: Array,
     cfg: SynthesisConfig,
 ) -> Array:
-    """Per-sample synthesis loss: masked KL + cross entropy."""
+    """Per-sample synthesis loss, masked KL + cross entropy, of a (1, n, dim) batch: (1, n)."""
     features, logits = model.forward(x)
     q = _softmax_np(features * masks)
-    kl_rows = (target_probs * (np.log(target_probs + cfg.kl_eps) - np.log(q + cfg.kl_eps))).sum(axis=1)
-    ce_rows = -log_softmax_rows(logits)[np.arange(len(labels)), labels]
+    kl_rows = (target_probs * (np.log(target_probs + cfg.kl_eps) - np.log(q + cfg.kl_eps))).sum(axis=-1)
+    ce_rows = -log_softmax_rows(logits)[:, np.arange(len(labels)), labels]
     return kl_rows + ce_rows
 
 
@@ -278,19 +267,20 @@ def synthesize(
     """Optimize a batch of Gaussian-initialized inputs against paired reals.
 
     Pairs are drawn stratified to the shard's class histogram; all pairs are
-    optimized jointly for `cfg.steps` Adam steps, clamping inputs into [0, 1]
-    after every step. Labels are copied from the paired reals and the loss of
+    optimized jointly, as one (1, n, dim) batch against the stack of one
+    `model`, for `cfg.steps` Adam steps, clamping inputs into [0, 1] after
+    every step. Labels are copied from the paired reals and the loss of
     each sample is recorded at initialization and after the final step.
     """
     if len(shard) == 0:
         raise ValueError("cannot synthesize from an empty shard")
     n = min(cfg.count, len(shard))
     pair_idx = _stratified_indices(shard, n, rng)
-    reals = shard.inputs[pair_idx]
+    reals = shard.inputs[None, pair_idx]
     labels = shard.labels[pair_idx]
 
     target_probs, masks = _matching_targets(model, reals, labels, prototypes, cfg.scale)
-    zero_rows = int((~masks.any(axis=1)).sum())
+    zero_rows = int((~masks.any(axis=-1)).sum())
     if zero_rows:
         logger.warning("synthesize: %d of %d samples have all-zero CAM masks", zero_rows, n)
     onehot = np.eye(model.class_count)[labels]
@@ -303,7 +293,7 @@ def synthesize(
         x_hat.clip(0.0, 1.0, out=x_hat)
     final = _row_losses(model, x_hat, target_probs, masks, labels, cfg)
 
-    return SyntheticDataset(synthetic_rows(shard, pair_idx, x_hat, initial, final), client_id)
+    return SyntheticDataset(synthetic_rows(shard, pair_idx, x_hat[0], initial[0], final[0]), client_id)
 
 
 def dump_synthetic_dataset(

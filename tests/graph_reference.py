@@ -324,11 +324,17 @@ def backward_input(loss: Tensor, x: Tensor) -> Array:
 
 
 class GraphModel:
-    """A `Model` run through the graph: one leaf per named view of its `flat` vector."""
+    """A stack of one `Model` run through the graph: one leaf per named view of its one model.
+
+    The graph runs (batch, width) matrices; its parameter gradient is laid
+    out like the stack's (1, parameters) `flat`.
+    """
 
     def __init__(self, model: Model):
+        if len(model.flat) != 1:
+            raise ValueError(f"the graph runs a stack of one model, got {len(model.flat)}")
         self.model = model
-        self.params = {name: Tensor(view, requires_grad=True) for name, view in model.params.items()}
+        self.params = {name: Tensor(view[0], requires_grad=True) for name, view in model.params.items()}
         self.feature_dim = model.feature_dim
         self.class_count = model.class_count
 

@@ -2,8 +2,8 @@
 stacked `engine.local_update` is pinned against.
 
 It runs each step of one client as its own forward, backward and SGD step on
-a single `Model`, with the draws, row order and loss formulas the stacked
-update reproduces.
+a stack of one `Model`, with the draws, row order and loss formulas the
+stacked update reproduces.
 """
 
 import math
@@ -26,7 +26,7 @@ def _accumulate_features(sums, counts, features, labels):
 
 
 def local_update_one(model, shard, syn_samples, alpha, epochs, batch_size, optimizer, state, proto_momentum):
-    """Train `model` in place on one client's blended objective; returns (model, mean step loss).
+    """Train the stack of one `model` in place on one client's blended objective; returns (model, mean step loss).
 
     The real rows' features are summed per class in row order, and their
     per-class means (zero for a class the shard lacks) are folded into
@@ -55,13 +55,13 @@ def local_update_one(model, shard, syn_samples, alpha, epochs, batch_size, optim
                 syn = syn_samples[syn_idx]
                 inputs = np.concatenate((shard.inputs[idx], syn["x"]))
                 targets = np.concatenate((onehot[idx], np.eye(model.class_count)[syn["label"]]))
-                weight = row_weights[len(idx)]
+                weight = row_weights[len(idx)][None]
             else:
                 inputs, targets, weight = shard.inputs[idx], onehot[idx], alpha
             cache = []
-            features, logits = model.forward(inputs, cache)
-            loss, d_logits = cross_entropy_grad(logits, targets, weight)
-            _accumulate_features(sums, counts, features[: len(idx)], batch_labels)
+            features, logits = model.forward(inputs[None], cache)
+            (loss,), d_logits = cross_entropy_grad(logits, targets[None], weight, [len(idx)])
+            _accumulate_features(sums, counts, features[0, : len(idx)], batch_labels)
             optimizer.step(model, backward_params(model, cache, d_logits))
             losses.append(float(loss))
     means = np.zeros((model.class_count, model.feature_dim))

@@ -131,12 +131,12 @@ def test_criterion_1_gradient_integrity():
             protos = np.zeros((classes, model.feature_dim))
             protos[y] = prototype
         labels = np.array([y])
-        target_probs, masks = _matching_targets(model, x.reshape(1, -1), labels, protos, scale)
+        target_probs, masks = _matching_targets(model, x.reshape(1, 1, -1), labels, protos, scale)
         onehot = np.eye(classes)[labels]
-        closed_grad = _input_grad(model, x_hat.data.reshape(1, -1), target_probs, masks, onehot, cfg)[0]
+        closed_grad = _input_grad(model, x_hat.data.reshape(1, 1, -1), target_probs, masks, onehot, cfg)[0, 0]
 
         def closed_value(x_hat_data):
-            return float(_row_losses(model, x_hat_data.reshape(1, -1), target_probs, masks, labels, cfg)[0])
+            return float(_row_losses(model, x_hat_data.reshape(1, 1, -1), target_probs, masks, labels, cfg)[0, 0])
 
         def central(step, plus, minus):
             return (plus(step) - minus(step)) / (2 * step)
@@ -219,8 +219,8 @@ def test_criterion_2_non_iid_improvement(bench_runs):
         for s in range(len(train) // cfg.batch_size):
             idx = order[s * cfg.batch_size : (s + 1) * cfg.batch_size]
             cache = []
-            _, logits = model.forward(train.inputs[idx], cache)
-            _, d_logits = cross_entropy_grad(logits, onehot[idx])
+            _, logits = model.forward(train.inputs[None, idx], cache)
+            _, d_logits = cross_entropy_grad(logits, onehot[None, idx], 1.0, [len(idx)])
             optimizer.step(model, backward_params(model, cache, d_logits))
     central = accuracy(model, test)
 
@@ -341,7 +341,7 @@ def test_criterion_8_reduction_sanity():
 
     # aggregate of identical models is the identity (x + x then / 2 is exact)
     model = s_f.model
-    agg = aggregate(Model(model.architecture, np.stack([model.flat, model.flat])))
+    agg = aggregate(Model(model.architecture, np.concatenate([model.flat, model.flat])))
     aggregate_identity = all(np.array_equal(agg.params[k], model.params[k]) for k in model.params)
 
     # the zero-scale path is bitwise identical to fmds_fl
@@ -396,13 +396,13 @@ def test_criterion_9_oracle_equivalence():
         )
         z = rng.standard_normal(feature_dim)
         y = int(rng.integers(classes))
-        expected = model.params["dense1.weight"][:, y]
+        expected = model.params["dense1.weight"][0, :, y]
         cam_exact = cam_exact and np.array_equal(compute_cam(GraphModel(model), z, y), expected)
 
     # aggregate against a plain stacked mean
     agg_worst = 0.0
     models = [Model.initialize(["dense(5,7)", "relu", "dense(7,4)"], np.random.default_rng(s)) for s in range(5)]
-    merged = aggregate(Model(models[0].architecture, np.stack([m.flat for m in models])))
+    merged = aggregate(Model(models[0].architecture, np.concatenate([m.flat for m in models])))
     for name in merged.params:
         expected = np.mean(np.stack([m.params[name] for m in models]), axis=0)
         agg_worst = max(agg_worst, float(np.max(np.abs(merged.params[name] - expected))))

@@ -54,11 +54,6 @@ def make_mlp(arch, seed=0):
     return Model.initialize(arch, np.random.default_rng(seed))
 
 
-def make_stack(arch, seeds):
-    """A stack of one model per seed."""
-    return Model(arch, np.stack([make_mlp(arch, seed).flat for seed in seeds]))
-
-
 CLOSED_FORM_ARCHS = {
     "default": ["dense(5,32)", "relu", "dense(32,32)", "relu", "dense(32,4)"],
     "one_dense": ["dense(5,4)"],
@@ -75,39 +70,39 @@ class TestForward:
                 model.params[name][...] = np.eye(2)
             else:
                 model.params[name][...] = np.zeros(2)
-        features, logits = model.forward(np.array([[1.0, 2.0]]))
-        assert np.array_equal(features, [[1.0, 2.0]])
-        assert np.array_equal(logits, [[1.0, 2.0]])
+        features, logits = model.forward(np.array([[[1.0, 2.0]]]))
+        assert np.array_equal(features, [[[1.0, 2.0]]])
+        assert np.array_equal(logits, [[[1.0, 2.0]]])
 
     def test_relu_clamps_negatives_in_features(self):
         model = make_mlp(["dense(2,2)", "relu", "dense(2,2)"])
         model.params["dense0.weight"][...] = np.eye(2)
         model.params["dense0.bias"][...] = np.zeros(2)
-        features, _ = model.forward(np.array([[-1.0, 3.0]]))
-        assert np.array_equal(features, [[0.0, 3.0]])
+        features, _ = model.forward(np.array([[[-1.0, 3.0]]]))
+        assert np.array_equal(features, [[[0.0, 3.0]]])
 
     def test_forward_matches_plain_numpy_oracle(self):
         model = make_mlp(["dense(5,16)", "relu", "dense(16,8)", "relu", "dense(8,3)"], seed=7)
         batch = np.random.default_rng(8).random((4, 5))
+        p = {name: view[0] for name, view in model.params.items()}
 
         # independent plain matrix-multiply forward
         h = batch
-        h = np.maximum(h @ model.params["dense0.weight"] + model.params["dense0.bias"], 0.0)
-        h = np.maximum(h @ model.params["dense1.weight"] + model.params["dense1.bias"], 0.0)
-        expected = h @ model.params["dense2.weight"] + model.params["dense2.bias"]
+        h = np.maximum(h @ p["dense0.weight"] + p["dense0.bias"], 0.0)
+        h = np.maximum(h @ p["dense1.weight"] + p["dense1.bias"], 0.0)
+        expected = h @ p["dense2.weight"] + p["dense2.bias"]
 
-        _, logits = model.forward(batch)
-        assert logits.shape == (4, 3)
-        assert np.max(np.abs(logits - expected)) < 1e-12
+        _, logits = model.forward(batch[None])
+        assert logits.shape == (1, 4, 3)
+        assert np.max(np.abs(logits[0] - expected)) < 1e-12
 
-    @pytest.mark.parametrize("stacked", [False, True], ids=["single", "stack"])
     @pytest.mark.parametrize("cached", [False, True], ids=["no_cache", "cache"])
     @pytest.mark.parametrize("arch", list(CLOSED_FORM_ARCHS.values()), ids=list(CLOSED_FORM_ARCHS))
-    def test_forward_is_pure(self, arch, cached, stacked):
+    def test_forward_is_pure(self, arch, cached):
         """The caller's batch is never written, not even by a relu that reads it first."""
-        model = make_stack(arch, [5, 6, 7]) if stacked else make_mlp(arch, seed=5)
+        model = Model(arch, np.concatenate([make_mlp(arch, seed).flat for seed in (5, 6, 7)]))
         # signed inputs, so that a leading relu has entries to clamp
-        batch = np.random.default_rng(1).standard_normal(model.flat.shape[:-1] + (4, 5))
+        batch = np.random.default_rng(1).standard_normal((3, 4, 5))
         kept = batch.copy()
         features, logits = model.forward(batch, [] if cached else None)
         assert np.array_equal(batch, kept)
@@ -117,7 +112,7 @@ class TestForward:
     def test_batch_shape_mismatch_raises(self):
         model = make_mlp(["dense(3,6)", "relu", "dense(6,2)"])
         with pytest.raises(ValueError):
-            model.forward(np.zeros((2, 4)))
+            model.forward(np.zeros((1, 2, 4)))
 
 
 class TestBackward:
@@ -127,8 +122,8 @@ class TestBackward:
         graph = GraphModel(make_mlp(["dense(3,4)", "dense(4,2)"]))
         loss = reduce_sum(graph.params["dense0.weight"])
         grads = graph.model.views(gr.backward_params(loss, graph))
-        assert np.array_equal(grads["dense0.weight"], np.ones((3, 4)))
-        assert np.array_equal(grads["dense1.weight"], np.zeros((4, 2)))
+        assert np.array_equal(grads["dense0.weight"], np.ones((1, 3, 4)))
+        assert np.array_equal(grads["dense1.weight"], np.zeros((1, 4, 2)))
 
     def test_quadratic_form_gradient(self):
         # loss = 0.5 * ||W x||^2  ->  dW = (W x) x^T
@@ -220,7 +215,7 @@ class TestBackward:
         # new loss that does not touch the extractor
         loss = reduce_sum(graph.params["dense1.weight"])
         grads = graph.model.views(gr.backward_params(loss, graph))
-        assert np.array_equal(grads["dense0.weight"], np.zeros((2, 3)))
+        assert np.array_equal(grads["dense0.weight"], np.zeros((1, 2, 3)))
 
 
 class TestCrossEntropy:
@@ -253,57 +248,53 @@ class TestCrossEntropy:
 
 
 def one_weight(value):
-    """A dense(1,1) model with weight `value` and bias 0; `flat` is [weight, bias]."""
-    return Model(["dense(1,1)"], np.array([value, 0.0]))
+    """A stack of one dense(1,1) model with weight `value` and bias 0; `flat` is [[weight, bias]]."""
+    return Model(["dense(1,1)"], np.array([[value, 0.0]]))
 
 
 class TestSgd:
     def test_plain_step(self):
         model = one_weight(1.0)
-        Sgd(0.1).step(model, np.array([0.5, 0.0]))
-        assert abs(float(model.flat[0]) - 0.95) < 1e-15
+        Sgd(0.1).step(model, np.array([[0.5, 0.0]]))
+        assert abs(float(model.flat[0, 0]) - 0.95) < 1e-15
 
     def test_momentum_unrolled(self):
         model = one_weight(0.0)
         opt = Sgd(1.0, momentum=0.9)
-        opt.step(model, np.array([1.0, 0.0]))
-        assert abs(float(model.flat[0]) - (-1.0)) < 1e-15
-        opt.step(model, np.array([1.0, 0.0]))
-        assert abs(float(model.flat[0]) - (-2.9)) < 1e-12
+        opt.step(model, np.array([[1.0, 0.0]]))
+        assert abs(float(model.flat[0, 0]) - (-1.0)) < 1e-15
+        opt.step(model, np.array([[1.0, 0.0]]))
+        assert abs(float(model.flat[0, 0]) - (-2.9)) < 1e-12
 
     def test_pure_weight_decay(self):
         model = one_weight(1.0)
-        Sgd(0.1, weight_decay=0.1).step(model, np.array([0.0, 0.0]))
-        assert abs(float(model.flat[0]) - 0.99) < 1e-15
+        Sgd(0.1, weight_decay=0.1).step(model, np.array([[0.0, 0.0]]))
+        assert abs(float(model.flat[0, 0]) - 0.99) < 1e-15
 
     def test_zero_momentum_equals_plain_gradient_descent(self):
-        data = np.random.default_rng(0).random(8)
-        grad = np.random.default_rng(1).random(8)
+        data = np.random.default_rng(0).random((1, 8))
+        grad = np.random.default_rng(1).random((1, 8))
         model = Model(["dense(3,2)"], data.copy())
         Sgd(0.05).step(model, grad)
         assert np.array_equal(model.flat, data - 0.05 * grad)
 
     def test_nan_gradient_names_parameter(self):
-        model = Model(["dense(2,1)"], np.ones(3))
+        model = Model(["dense(2,1)"], np.ones((1, 3)))
         with pytest.raises(ValueError, match="dense0.weight"):
-            Sgd(0.1).step(model, np.array([1.0, np.nan, 0.0]))
+            Sgd(0.1).step(model, np.array([[1.0, np.nan, 0.0]]))
 
-    @pytest.mark.parametrize("stacked", [False, True], ids=["single", "stack"])
-    def test_nan_parameter_is_not_hidden_by_a_relu(self, stacked):
+    def test_nan_parameter_is_not_hidden_by_a_relu(self):
         """A NaN weight feeding a relu reaches the gradient, so the step refuses it."""
         arch = CLOSED_FORM_ARCHS["default"]
-        model = make_stack(arch, [1, 2, 3]) if stacked else make_mlp(arch, seed=1)
-        weight = model.params["dense0.weight"]
-        (weight[1] if stacked else weight)[2, 3] = np.nan
+        model = Model(arch, np.concatenate([make_mlp(arch, seed).flat for seed in (1, 2, 3)]))
+        model.params["dense0.weight"][1, 2, 3] = np.nan
         rng = np.random.default_rng(4)
-        lead = model.flat.shape[:-1]
         cache = []
-        _, logits = model.forward(rng.random(lead + (6, 5)), cache)
-        _, d_logits = cross_entropy_grad(logits, np.eye(4)[rng.integers(0, 4, size=lead + (6,))])
+        _, logits = model.forward(rng.random((3, 6, 5)), cache)
+        _, d_logits = cross_entropy_grad(logits, np.eye(4)[rng.integers(0, 4, size=(3, 6))], 1.0, np.full(3, 6))
         grad = backward_params(model, cache, d_logits)
-        where = " of client 24" if stacked else ""
-        with pytest.raises(ValueError, match=f"^NaN gradient for parameter 'dense0.weight'{where}$"):
-            Sgd(0.1).step(model, grad, [7, 24, 13] if stacked else None)
+        with pytest.raises(ValueError, match="^NaN gradient for parameter 'dense0.weight' of client 24$"):
+            Sgd(0.1).step(model, grad, [7, 24, 13])
 
 
 class TestAdam:
@@ -368,12 +359,12 @@ class TestAdam:
 class TestModel:
     def test_parameter_split(self):
         model = make_mlp(["dense(4,8)", "relu", "dense(8,8)", "relu", "dense(8,3)"])
-        batch = np.random.default_rng(6).standard_normal((5, 4))
+        batch = np.random.default_rng(6).standard_normal((1, 5, 4))
         features, logits = model.forward(batch)
         assert model.feature_dim == 8
         assert model.class_count == 3
         # the classifier is the last dense layer alone; the extractor is everything before it
-        assert np.array_equal(logits, features @ model.params["dense2.weight"] + model.params["dense2.bias"])
+        assert np.array_equal(logits, features @ model.params["dense2.weight"] + model.params["dense2.bias"][:, None])
         assert np.array_equal(model.classify(features), logits)
         model.params["dense2.weight"][...] = 0.0
         model.params["dense2.bias"][...] = 0.0
@@ -382,8 +373,8 @@ class TestModel:
     def test_copy_is_value_semantic(self):
         model = make_mlp(["dense(2,3)", "dense(3,2)"])
         clone = model.copy()
-        clone.params["dense0.weight"][0, 0] += 1.0
-        assert model.params["dense0.weight"][0, 0] != clone.params["dense0.weight"][0, 0]
+        clone.params["dense0.weight"][0, 0, 0] += 1.0
+        assert model.params["dense0.weight"][0, 0, 0] != clone.params["dense0.weight"][0, 0, 0]
 
     def test_init_respects_fan_in_bound(self):
         model = make_mlp(["dense(16,8)", "dense(8,4)"], seed=3)
@@ -439,38 +430,39 @@ class TestClosedForm:
     def setup_inputs(self, arch):
         model = make_mlp(arch, seed=31)
         rng = np.random.default_rng(32)
-        # signed inputs so that a leading relu clamps some coordinates
-        return model, rng, rng.standard_normal((7, 5)), rng.integers(0, 4, size=7)
+        # signed inputs so that a leading relu clamps some coordinates; the
+        # graph runs the stack of one's batch, batch[0]
+        return model, rng, rng.standard_normal((1, 7, 5)), rng.integers(0, 4, size=7)
 
     def test_forward_is_bitwise_the_graph(self, arch):
         model, _, batch, _ = self.setup_inputs(arch)
-        graph_features, graph_logits = GraphModel(model).forward(batch)
+        graph_features, graph_logits = GraphModel(model).forward(batch[0])
         for cache in (None, []):
             features, logits = model.forward(batch, cache)
-            assert np.array_equal(features, graph_features.data)
-            assert np.array_equal(logits, graph_logits.data)
-            assert np.array_equal(model.extract(batch, cache), graph_features.data)
-            assert np.array_equal(model.classify(graph_features.data, cache), graph_logits.data)
+            assert np.array_equal(features[0], graph_features.data)
+            assert np.array_equal(logits[0], graph_logits.data)
+            assert np.array_equal(model.extract(batch, cache)[0], graph_features.data)
+            assert np.array_equal(model.classify(graph_features.data[None], cache)[0], graph_logits.data)
         # forward, extract and classify appended each layer's input once per walk
         assert len(cache) == 2 * len(model._layers)
-        assert np.array_equal(cache[model._split], graph_features.data)
+        assert np.array_equal(cache[model._split][0], graph_features.data)
         if model._split == 0:  # a single dense layer: the features are the input itself
             assert np.array_equal(features, batch)
 
     @pytest.mark.parametrize("soft", [False, True], ids=["hard", "soft"])
     def test_real_only_param_grads_are_bitwise(self, arch, soft):
         model, rng, batch, labels = self.setup_inputs(arch)
-        targets = soft_labels(rng, len(batch), 4) if soft else np.eye(4)[labels]
+        targets = soft_labels(rng, 7, 4) if soft else np.eye(4)[labels]
         cache = []
         _, logits = model.forward(batch, cache)
-        value, d_logits = cross_entropy_grad(logits, targets)
+        value, d_logits = cross_entropy_grad(logits, targets[None], 1.0, [7])
         grads = model.views(backward_params(model, cache, d_logits))
 
         graph = GraphModel(model)
-        _, graph_logits = graph.forward(batch)
+        _, graph_logits = graph.forward(batch[0])
         loss = softmax_cross_entropy(graph_logits, targets if soft else labels)
         expected = model.views(gr.backward_params(loss, graph))
-        assert value == float(loss.data)
+        assert value.tolist() == [float(loss.data)]
         assert set(grads) == set(expected)
         for name in expected:
             assert np.array_equal(grads[name], expected[name]), name
@@ -478,19 +470,19 @@ class TestClosedForm:
     @pytest.mark.parametrize("alpha", [0.0, 0.4, 1.0])
     def test_blended_param_grads_match_graph(self, arch, alpha):
         model, rng, batch, labels = self.setup_inputs(arch)
-        syn_batch = rng.random((6, 5))
+        syn_batch = rng.random((1, 6, 5))
         syn_targets = soft_labels(rng, 6, 4)
         cache, syn_cache = [], []
         _, logits = model.forward(batch, cache)
         _, syn_logits = model.forward(syn_batch, syn_cache)
-        real_value, d_real = cross_entropy_grad(logits, np.eye(4)[labels], alpha)
-        syn_value, d_syn = cross_entropy_grad(syn_logits, syn_targets, 1.0 - alpha)
+        (real_value,), d_real = cross_entropy_grad(logits, np.eye(4)[labels][None], alpha, [7])
+        (syn_value,), d_syn = cross_entropy_grad(syn_logits, syn_targets[None], 1.0 - alpha, [6])
         real_grads = model.views(backward_params(model, cache, d_real))
         syn_grads = model.views(backward_params(model, syn_cache, d_syn))
 
         graph = GraphModel(model)
-        _, graph_logits = graph.forward(batch)
-        _, graph_syn_logits = graph.forward(syn_batch)
+        _, graph_logits = graph.forward(batch[0])
+        _, graph_syn_logits = graph.forward(syn_batch[0])
         loss = add(
             mul(softmax_cross_entropy(graph_logits, labels), alpha),
             mul(softmax_cross_entropy(graph_syn_logits, syn_targets), 1.0 - alpha),
@@ -503,28 +495,28 @@ class TestClosedForm:
     def test_input_grad_with_feature_term_matches_graph(self, arch):
         # loss = sum(features * A) + sum(logits * B): d_features = A, d_logits = B
         model, rng, batch, _ = self.setup_inputs(arch)
-        d_features = rng.standard_normal((len(batch), model.feature_dim))
-        d_logits = rng.standard_normal((len(batch), model.class_count))
+        d_features = rng.standard_normal((1, 7, model.feature_dim))
+        d_logits = rng.standard_normal((1, 7, model.class_count))
         cache = []
         model.forward(batch, cache)
         grad = backward_input(model, cache, d_logits, d_features)
 
-        leaf = Tensor(batch, requires_grad=True)
+        leaf = Tensor(batch[0], requires_grad=True)
         features, logits = GraphModel(model).forward(leaf)
-        loss = add(reduce_sum(mul(features, d_features)), reduce_sum(mul(logits, d_logits)))
-        assert_rel_close(grad, gr.backward_input(loss, leaf))
+        loss = add(reduce_sum(mul(features, d_features[0])), reduce_sum(mul(logits, d_logits[0])))
+        assert_rel_close(grad[0], gr.backward_input(loss, leaf))
 
     def test_param_grads_with_feature_term_match_graph(self, arch):
         model, rng, batch, _ = self.setup_inputs(arch)
-        d_features = rng.standard_normal((len(batch), model.feature_dim))
-        d_logits = rng.standard_normal((len(batch), model.class_count))
+        d_features = rng.standard_normal((1, 7, model.feature_dim))
+        d_logits = rng.standard_normal((1, 7, model.class_count))
         cache = []
         model.forward(batch, cache)
         grads = model.views(backward_params(model, cache, d_logits, d_features))
 
         graph = GraphModel(model)
-        features, logits = graph.forward(batch)
-        loss = add(reduce_sum(mul(features, d_features)), reduce_sum(mul(logits, d_logits)))
+        features, logits = graph.forward(batch[0])
+        loss = add(reduce_sum(mul(features, d_features[0])), reduce_sum(mul(logits, d_logits[0])))
         expected = model.views(gr.backward_params(loss, graph))
         for name in expected:
             assert_rel_close(grads[name], expected[name])
@@ -532,8 +524,8 @@ class TestClosedForm:
     @pytest.mark.parametrize("wrt", ["params", "input"])
     def test_backward_leaves_the_callers_gradients_alone(self, arch, wrt):
         model, rng, batch, _ = self.setup_inputs(arch)
-        d_features = rng.standard_normal((len(batch), model.feature_dim))
-        d_logits = rng.standard_normal((len(batch), model.class_count))
+        d_features = rng.standard_normal((1, 7, model.feature_dim))
+        d_logits = rng.standard_normal((1, 7, model.class_count))
         kept = d_features.copy(), d_logits.copy()
         cache = []
         model.forward(batch, cache)
@@ -546,8 +538,8 @@ class TestClosedForm:
 
     def test_both_entry_points_are_one_walk(self, arch):
         model, rng, batch, _ = self.setup_inputs(arch)
-        d_features = rng.standard_normal((len(batch), model.feature_dim))
-        d_logits = rng.standard_normal((len(batch), model.class_count))
+        d_features = rng.standard_normal((1, 7, model.feature_dim))
+        d_logits = rng.standard_normal((1, 7, model.class_count))
         cache = []
         model.forward(batch, cache)
         grad = np.empty_like(model.flat)
@@ -558,31 +550,31 @@ class TestClosedForm:
 
 
     def test_a_stack_runs_each_model_bitwise(self, arch):
-        """One walk over a stack of three models is each model's own walk, bit for bit."""
+        """One walk over a stack of three models is each model's own walk as a stack of one, bit for bit."""
         model, rng, batch, _ = self.setup_inputs(arch)
         models = [model, make_mlp(arch, seed=41), make_mlp(arch, seed=51)]
-        stack = Model(arch, np.stack([m.flat for m in models]))
-        batches = np.stack([batch, rng.standard_normal((7, 5)), rng.standard_normal((7, 5))])
+        stack = Model(arch, np.concatenate([m.flat for m in models]))
+        batches = np.concatenate([batch, rng.standard_normal((1, 7, 5)), rng.standard_normal((1, 7, 5))])
         targets = np.stack([np.eye(4)[rng.integers(0, 4, size=7)], soft_labels(rng, 7, 4), soft_labels(rng, 7, 4)])
         weights = rng.random((3, 7))
         d_features = rng.standard_normal((3, 7, model.feature_dim))
         cache = []
         features, logits = stack.forward(batches, cache)
-        loss, d_logits = cross_entropy_grad(logits, targets, 0.4)
+        loss, d_logits = cross_entropy_grad(logits, targets, 0.4, np.full(3, 7))
         row_loss, d_rows = cross_entropy_grad(logits, targets, weights)
         grads = backward_params(stack, cache, d_logits, d_features)
         by_input = backward_input(stack, cache, d_rows, d_features)
         assert grads.shape == stack.flat.shape and loss.shape == row_loss.shape == (3,)
         for i, m in enumerate(models):
-            own = []
-            f, z = m.forward(batches[i], own)
-            assert np.array_equal(features[i], f) and np.array_equal(logits[i], z)
-            value, d = cross_entropy_grad(z, targets[i], 0.4)
-            assert loss[i] == value and np.array_equal(d_logits[i], d)
-            value, d = cross_entropy_grad(z, targets[i], weights[i])
-            assert row_loss[i] == value and np.array_equal(d_rows[i], d)
-            assert np.array_equal(grads[i], backward_params(m, own, d_logits[i], d_features[i]))
-            assert np.array_equal(by_input[i], backward_input(m, own, d_rows[i], d_features[i]))
+            own, one = [], slice(i, i + 1)
+            f, z = m.forward(batches[one], own)
+            assert np.array_equal(features[one], f) and np.array_equal(logits[one], z)
+            value, d = cross_entropy_grad(z, targets[one], 0.4, [7])
+            assert loss[one] == value and np.array_equal(d_logits[one], d)
+            value, d = cross_entropy_grad(z, targets[one], weights[one])
+            assert row_loss[one] == value and np.array_equal(d_rows[one], d)
+            assert np.array_equal(grads[one], backward_params(m, own, d_logits[one], d_features[one]))
+            assert np.array_equal(by_input[one], backward_input(m, own, d_rows[one], d_features[one]))
         with pytest.raises(ValueError, match="input width 5"):
             stack.forward(batches[:2])
 
@@ -596,29 +588,33 @@ def test_padding_rows_get_no_gradient_and_stay_out_of_the_mean():
         targets[i, k:] = 0.0
     loss, d_logits = cross_entropy_grad(logits, targets, 0.4, rows)
     for i, k in enumerate(rows):
-        value, d = cross_entropy_grad(logits[i, :k], targets[i, :k], 0.4)
+        (value,), (d,) = cross_entropy_grad(logits[i : i + 1, :k], targets[i : i + 1, :k], 0.4, [k])
         assert np.array_equal(d_logits[i, :k], d)
         assert not d_logits[i, k:].any()
         assert abs(loss[i] - value) <= 1e-15 * abs(value)
-    assert loss[0] == cross_entropy_grad(logits[0], targets[0], 0.4)[0]  # an unpadded model is bitwise
+    assert loss[0] == cross_entropy_grad(logits[:1], targets[:1], 0.4, [5])[0][0]  # an unpadded model is bitwise
 
 
 def test_cross_entropy_row_weights_must_match_the_batch():
-    with pytest.raises(ValueError, match="3 row weights"):
-        cross_entropy_grad(np.zeros((3, 2)), np.eye(2)[[0, 1, 1]], np.ones(2))
+    with pytest.raises(ValueError, match="1 x 3 row weights"):
+        cross_entropy_grad(np.zeros((1, 3, 2)), np.eye(2)[[[0, 1, 1]]], np.ones((1, 2)))
 
 
 def test_cross_entropy_takes_a_target_matrix_only():
-    with pytest.raises(ValueError, match=r"targets must have shape \(3, 2\)"):
-        cross_entropy_grad(np.zeros((3, 2)), [0, 1, 1])
+    with pytest.raises(ValueError, match=r"targets must have shape \(1, 3, 2\)"):
+        cross_entropy_grad(np.zeros((1, 3, 2)), [[0, 1, 1]], 1.0, [3])
+    with pytest.raises(ValueError, match=r"\(models, batch, classes\) stack, got shape \(3, 2\)"):
+        cross_entropy_grad(np.zeros((3, 2)), np.eye(2)[[0, 1, 1]], 1.0, [3])
 
 
 def test_extract_and_classify_reject_wrong_width():
     model = make_mlp(["dense(3,6)", "relu", "dense(6,2)"])
     with pytest.raises(ValueError, match="input width 3"):
-        model.extract(np.zeros((2, 4)))
+        model.extract(np.zeros((1, 2, 4)))
+    with pytest.raises(ValueError, match=r"batch shape \(2, 3\) incompatible with 1 models"):
+        model.extract(np.zeros((2, 3)))
     with pytest.raises(ValueError, match="classifier width 6"):
-        model.classify(np.zeros((2, 3)))
+        model.classify(np.zeros((1, 2, 3)))
 
 
 def test_copy_and_aggregate_parse_no_architecture(monkeypatch):
@@ -638,7 +634,7 @@ def test_copy_and_aggregate_parse_no_architecture(monkeypatch):
     model = make_mlp(arch)
     assert calls == [arch]
     clones = [model.copy() for _ in range(3)]
-    merged = aggregate(Model(arch, np.stack([model.flat] + [c.flat for c in clones])))
+    merged = aggregate(Model(arch, np.concatenate([model.flat] + [c.flat for c in clones])))
     merged.copy()
     Model(arch, model.flat)
     assert calls == [arch]

@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from fedsynth.config import config_from_dict
 from fedsynth.data import (
     Dataset,
     largest_remainder,
@@ -59,12 +60,12 @@ class TestMakeBlobs:
                 assert np.linalg.norm(centroids[i] - centroids[j]) > 0.01
 
     def test_per_class_below_two_rejected(self):
-        with pytest.raises(ConfigError):
-            make_blobs(3, 4, 1, 0.2, seed=0)
+        with pytest.raises(ConfigError, match="dataset.per_class must be at least 2, got 1"):
+            config_from_dict({"dataset": {"classes": 3, "dim": 4, "per_class": 1, "spread": 0.2}})
 
     def test_bad_class_count_rejected(self):
-        with pytest.raises(ConfigError):
-            make_blobs(1, 4, 10, 0.2, seed=0)
+        with pytest.raises(ConfigError, match="dataset.classes must be at least 2, got 1"):
+            config_from_dict({"dataset": {"classes": 1, "dim": 4, "per_class": 10, "spread": 0.2}})
 
 
 class TestLargestRemainder:
@@ -106,14 +107,19 @@ class TestDirichletPartition:
             assert max(dominant) >= 0.9
 
     def test_dataset_smaller_than_clients_rejected(self):
+        dataset = {"classes": 2, "dim": 3, "per_class": 2, "spread": 0.2}
+        partition = {"scheme": "dirichlet", "clients": 5, "concentration": 1.0}
+        with pytest.raises(ConfigError, match="partition.clients must not exceed the 4 training samples"):
+            config_from_dict({"dataset": dataset, "partition": partition})
+        # what validation keeps out cannot be dealt either
         tiny = Dataset(np.zeros((2, 3)), np.array([0, 1]), 2)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="cannot repair empty shards"):
             partition_dirichlet(tiny, 3, 1.0, seed=0)
 
     def test_nonpositive_concentration_rejected(self):
-        train, _ = make_blobs(3, 4, 10, 0.2, seed=0)
-        with pytest.raises(ConfigError):
-            partition_dirichlet(train, 3, 0.0, seed=0)
+        partition = {"scheme": "dirichlet", "clients": 3, "concentration": 0.0}
+        with pytest.raises(ConfigError, match="partition.concentration must be positive, got 0.0"):
+            config_from_dict({"partition": partition})
 
     def test_determinism(self):
         train, _ = make_blobs(4, 6, 30, 0.3, seed=5)
@@ -145,14 +151,16 @@ class TestLabelSkewPartition:
             assert all(len(s) > 0 for s in shards)
 
     def test_classes_per_client_above_class_count_rejected(self):
-        train, _ = make_blobs(3, 4, 10, 0.2, seed=0)
-        with pytest.raises(ConfigError):
-            partition_label_skew(train, 4, 4, seed=0)
+        dataset = {"classes": 3, "dim": 4, "per_class": 10, "spread": 0.2}
+        partition = {"scheme": "label_skew", "clients": 4, "classes_per_client": 4}
+        with pytest.raises(ConfigError, match=r"partition.classes_per_client must lie in \[1, 3\], got 4"):
+            config_from_dict({"dataset": dataset, "partition": partition})
 
     def test_uncovered_classes_rejected(self):
-        train, _ = make_blobs(6, 8, 10, 0.2, seed=0)
-        with pytest.raises(ConfigError):
-            partition_label_skew(train, 3, 1, seed=0)
+        dataset = {"classes": 6, "dim": 8, "per_class": 10, "spread": 0.2}
+        partition = {"scheme": "label_skew", "clients": 3, "classes_per_client": 1}
+        with pytest.raises(ConfigError, match="partition.clients \\* classes_per_client must cover every class"):
+            config_from_dict({"dataset": dataset, "partition": partition})
 
 
 class TestPinnedShards:

@@ -12,6 +12,7 @@ from graph_reference import GraphModel, add, mul, softmax_cross_entropy
 from local_reference import local_update_one
 
 from fedsynth.autodiff import Model, Sgd, backward_params, cross_entropy_grad
+from fedsynth.config import config_from_dict
 from fedsynth.data import make_blobs
 from fedsynth.engine import ClientState, aggregate, local_update, run_round, sample_clients
 from fedsynth.errors import ConfigError
@@ -22,10 +23,6 @@ from fedsynth.synthesis import synthetic_rows
 
 def make_model(arch, seed=0):
     return Model.initialize(arch, np.random.default_rng(seed))
-
-
-def stack_of(*models):
-    return Model(models[0].architecture, np.stack([m.flat for m in models]))
 
 
 def hard_pool(train):
@@ -59,25 +56,26 @@ class TestSampleClients:
         assert np.all(np.abs(counts - 500) <= 60)
 
     def test_active_above_total_rejected(self):
-        with pytest.raises(ConfigError):
-            sample_clients(5, 6, np.random.default_rng(0))
+        partition = {"scheme": "label_skew", "clients": 5, "classes_per_client": 2}
+        with pytest.raises(ConfigError, match=r"active_clients must lie in \[1, 5\], got 6"):
+            config_from_dict({"partition": partition, "active_clients": 6})
 
 
 class TestAggregate:
     def test_identical_models_unchanged_bitwise(self):
         model = make_model(["dense(3,4)", "relu", "dense(4,2)"], seed=1)
-        out = aggregate(stack_of(model, model))
+        out = aggregate(Model(model.architecture, np.concatenate([model.flat, model.flat])))
         for name in model.params:
             assert np.array_equal(out.params[name], model.params[name])
 
     def test_scalar_average(self):
         stack = Model(["dense(1,1)"], np.array([[2.0, 0.0], [4.0, 0.0]]))
         out = aggregate(stack)
-        assert out.params["dense0.weight"][0, 0] == 3.0
+        assert out.params["dense0.weight"][0, 0, 0] == 3.0
 
     def test_matches_plain_averaging_oracle(self):
         models = [make_model(["dense(4,6)", "relu", "dense(6,3)"], seed=s) for s in range(3)]
-        out = aggregate(stack_of(*models))
+        out = aggregate(Model(models[0].architecture, np.concatenate([m.flat for m in models])))
         for name in models[0].params:
             expected = np.mean(np.stack([m.params[name] for m in models]), axis=0)
             assert np.max(np.abs(out.params[name] - expected)) < 1e-15
@@ -87,9 +85,9 @@ class TestAggregate:
         total = models[0].flat.copy()
         for m in models[1:]:
             total += m.flat
-        out = aggregate(stack_of(*models))
+        out = aggregate(Model(models[0].architecture, np.concatenate([m.flat for m in models])))
         assert np.array_equal(out.flat, total / 7)
-        assert out.flat.ndim == 1
+        assert out.flat.shape == total.shape == (1, 6 * 4 + 6 + 3 * 6 + 3)  # a stack of one
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -122,7 +120,7 @@ class TestLocalUpdate:
         grads = model.views(gr.backward_params(loss, base))
         for name in base.params:
             expected = model.params[name] - 0.1 * grads[name]
-            assert np.max(np.abs(stack.params[name][0] - expected)) < 1e-10
+            assert np.max(np.abs(stack.params[name] - expected)) < 1e-10
 
     def test_alpha_one_ignores_synthetic_pool(self):
         train, model, syn, _ = self.setup()
@@ -175,7 +173,7 @@ class TestLocalUpdate:
         original = Sgd.step
 
         def recording(self, m, grad, clients=None):
-            taken.append((m.flat[0].copy(), grad[0].copy()))  # a stack of this one client
+            taken.append((m.flat.copy(), grad.copy()))  # a stack of this one client
             return original(self, m, grad, clients)
 
         monkeypatch.setattr(Sgd, "step", recording)
@@ -195,15 +193,17 @@ class TestLocalUpdate:
                 flat, grad = next(steps)
                 at = Model(model.architecture, flat)
                 cache, syn_cache = [], []
-                features, logits = at.forward(train.inputs[idx], cache)
-                _, syn_logits = at.forward(syn["x"][syn_idx], syn_cache)
-                real_loss, d_real = cross_entropy_grad(logits, np.eye(3)[train.labels[idx]], alpha)
-                syn_loss, d_syn = cross_entropy_grad(syn_logits, np.eye(3)[syn["label"][syn_idx]], 1.0 - alpha)
+                features, logits = at.forward(train.inputs[None, idx], cache)
+                _, syn_logits = at.forward(syn["x"][None, syn_idx], syn_cache)
+                (real_loss,), d_real = cross_entropy_grad(logits, np.eye(3)[train.labels[None, idx]], alpha, [len(idx)])
+                (syn_loss,), d_syn = cross_entropy_grad(
+                    syn_logits, np.eye(3)[syn["label"][None, syn_idx]], 1.0 - alpha, [batch]
+                )
                 expected = backward_params(at, cache, d_real) + backward_params(at, syn_cache, d_syn)
                 assert np.max(np.abs(grad - expected)) <= 1e-12 * np.max(np.abs(expected))
                 losses.append(real_loss + syn_loss)
                 for c in np.unique(train.labels[idx]).tolist():
-                    rows = features[train.labels[idx] == c]
+                    rows = features[0, train.labels[idx] == c]
                     sums[c] = sums.get(c, 0.0) + rows.sum(axis=0)
                     counts[c] = counts.get(c, 0) + len(rows)
         assert next(steps, None) is None
@@ -271,13 +271,13 @@ class TestStackedMatchesPerClient:
             reference = self.make_clients(train, self.SIZES[layout], prior)
             stack, losses = local_update(model, stacked, syn, alpha, 2, 5, Sgd(0.1, 0.9, 5e-4), 0.5)
             assert np.array_equal(model.flat, before)  # the broadcast model is left alone
-            assert stack.flat.shape == (len(stacked), len(before))
+            assert stack.flat.shape == (len(stacked), before.shape[1])
             # row i is clients[i]; ragged shards train in another order than they are passed
             for flat, loss, client, ref in zip(stack.flat, losses, stacked, reference, strict=True):
                 expected, expected_loss = local_update_one(
                     model.copy(), ref.shard, syn, alpha, 2, 5, Sgd(0.1, 0.9, 5e-4), ref, 0.5
                 )
-                self.assert_agree(flat, expected.flat, exact)
+                self.assert_agree(flat, expected.flat[0], exact)
                 self.assert_agree(np.array(loss), np.array(expected_loss), exact)
                 present = np.unique(ref.shard.labels)  # the rows synthesis can read
                 self.assert_agree(client.prototypes[present], ref.prototypes[present], exact)
@@ -345,7 +345,7 @@ class TestRunRound:
         assert len(lines) == len(state.test_data) + len(pool) == len(state.test_data) + 20
         assert [row[-1] for row in tail] == ["synthetic"] * len(pool)
         assert [int(row[-2]) for row in tail] == pool["label"].tolist()
-        features = state.model.extract(pool["x"])
+        features = state.model.extract(pool["x"][None])[0]
         exported = np.array([[float(v) for v in row[:-2]] for row in tail])
         assert np.max(np.abs(exported - features)) <= 1e-12
 
@@ -375,9 +375,12 @@ class TestRunRound:
     def test_alignment_column_scores_local_models_on_test_set(self):
         cfg = small_config(rounds=4, active_clients=3)
         state, _ = build_state(cfg)
+        size = 8 * 32 + 32 + 32 * 32 + 32 + 32 * 4 + 4  # the default architecture's parameters
+        assert state.model.flat.shape == (1, size)  # the global model is a stack of one
         for _ in range(cfg.rounds):
             run_round(state, cfg)
-            assert len(state.local_models.flat) == 3
+            assert state.model.flat.shape == (1, size)
+            assert state.local_models.flat.shape == (3, size)
             assert state.rows[-1].alignment is not None
             assert state.rows[-1].alignment == self.local_alignment(state)
 

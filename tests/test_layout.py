@@ -1,5 +1,7 @@
 """The flat parameter layout: every named parameter is a view into `Model.flat`."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -29,16 +31,16 @@ def assert_views_of_own_flat(model):
     assert [layer is None for layer in model._plan] == [layer[0] == "relu" for layer in model._layers]
     names = list(model.params)
     for (weight, bias, w_slice, b_slice), w_name, b_name in zip(dense, names[::2], names[1::2], strict=True):
-        assert weight is model.params[w_name] and bias is model.params[b_name]
-        assert same_memory(weight, model.flat[w_slice]) and same_memory(bias, model.flat[b_slice])
+        assert weight is model.params[w_name] and same_memory(bias, model.params[b_name])
+        assert same_memory(weight, model.flat[:, w_slice]) and same_memory(bias, model.flat[:, b_slice])
 
 
 def assert_plan_is_live(model, batch, before):
     """`Model.forward` walks the plan; the graph reads `params`: both see the current weights."""
     features, logits = model.forward(batch)
-    graph_features, graph_logits = GraphModel(model).forward(batch)
-    assert np.array_equal(features, graph_features.data)
-    assert np.array_equal(logits, graph_logits.data)
+    graph_features, graph_logits = GraphModel(model).forward(batch[0])
+    assert np.array_equal(features[0], graph_features.data)
+    assert np.array_equal(logits[0], graph_logits.data)
     assert not np.array_equal(logits, before), "the weights did not change"
     assert_views_of_own_flat(model)
 
@@ -53,15 +55,15 @@ def test_desk_init_fingerprint_is_pinned():
 def test_flat_follows_name_order():
     model = desk_model()
     assert list(model.params) == [f"dense{d}.{s}" for d in range(3) for s in ("weight", "bias")]
-    assert np.array_equal(np.concatenate([p.ravel() for p in model.params.values()]), model.flat)
+    assert np.array_equal(np.concatenate([p.ravel() for p in model.params.values()]), model.flat[0])
 
 
 def test_sgd_step_updates_the_views():
     model = desk_model()
     rng = np.random.default_rng(0)
     cache = []
-    _, logits = model.forward(rng.random((10, 16)), cache)
-    _, d_logits = cross_entropy_grad(logits, np.eye(6)[rng.integers(0, 6, size=10)])
+    _, logits = model.forward(rng.random((1, 10, 16)), cache)
+    _, d_logits = cross_entropy_grad(logits, np.eye(6)[rng.integers(0, 6, size=(1, 10))], 1.0, [10])
     before = model.flat.copy()
     Sgd(0.1, momentum=0.9, weight_decay=5e-4).step(model, backward_params(model, cache, d_logits))
     assert not np.array_equal(model.flat, before)
@@ -75,7 +77,7 @@ def test_copy_and_aggregate_own_their_vectors():
     assert not np.shares_memory(clone.flat, model.flat)
     for p, q in zip(model.params.values(), clone.params.values()):
         assert not np.shares_memory(p, q)
-    stack = Model(DESK_ARCH, np.stack([model.flat, clone.flat, desk_model(seed=2).flat]))
+    stack = Model(DESK_ARCH, np.concatenate([model.flat, clone.flat, desk_model(seed=2).flat]))
     merged = aggregate(stack)
     assert_views_of_own_flat(merged)
     assert not any(np.shares_memory(merged.flat, m.flat) for m in (model, clone, stack))
@@ -83,17 +85,17 @@ def test_copy_and_aggregate_own_their_vectors():
 
 def test_layer_plan_follows_every_weight_change():
     model = desk_model()
-    batch = np.random.default_rng(3).random((10, 16))
+    batch = np.random.default_rng(3).random((1, 10, 16))
 
     cache = []
     _, before = model.forward(batch, cache)
-    _, d_logits = cross_entropy_grad(before, np.eye(6)[np.arange(10) % 6])
+    _, d_logits = cross_entropy_grad(before, np.eye(6)[np.arange(10) % 6][None], 1.0, [10])
     Sgd(0.5).step(model, backward_params(model, cache, d_logits))
     assert_plan_is_live(model, batch, before)
 
     before = model.forward(batch)[1]
     model.params["dense2.bias"][...] = 1.0
-    model.params["dense0.weight"][0, :] *= -1.0
+    model.params["dense0.weight"][0, 0, :] *= -1.0
     assert_plan_is_live(model, batch, before)
 
     before = model.forward(batch)[1]
@@ -102,27 +104,28 @@ def test_layer_plan_follows_every_weight_change():
     assert_plan_is_live(clone, batch, before)
     assert np.array_equal(model.forward(batch)[1], before)
 
-    merged = aggregate(Model(DESK_ARCH, np.stack([model.flat, clone.flat, desk_model(seed=2).flat])))
+    merged = aggregate(Model(DESK_ARCH, np.concatenate([model.flat, clone.flat, desk_model(seed=2).flat])))
     assert_plan_is_live(merged, batch, before)
 
 
-@pytest.mark.parametrize("size", [1797, 1799, 0])
-def test_wrong_length_flat_raises(size):
-    with pytest.raises(ValueError, match="1798 parameters"):
-        Model(DESK_ARCH, np.zeros(size))
+@pytest.mark.parametrize("shape", [(1, 1797), (1, 1799), (1, 0), (1798,)], ids=["1797", "1799", "0", "vector"])
+def test_wrong_length_flat_raises(shape):
+    """A `flat` must be a (models, 1798) stack: a wrong length or a lone (1798,) vector is refused."""
+    with pytest.raises(ValueError, match=rf"1798 parameters: .*got shape {re.escape(str(shape))}$"):
+        Model(DESK_ARCH, np.zeros(shape))
 
 
 def test_nan_in_bias_names_the_bias():
     model = desk_model()
     grad = np.zeros_like(model.flat)
-    grad[-1] = np.nan
+    grad[0, -1] = np.nan
     with pytest.raises(ValueError, match="dense2.bias"):
         Sgd(0.1).step(model, grad)
     assert np.array_equal(model.flat, desk_model().flat)
 
 
 def desk_stack(seeds=(1, 2, 3)):
-    return Model(DESK_ARCH, np.stack([desk_model(seed).flat for seed in seeds]))
+    return Model(DESK_ARCH, np.concatenate([desk_model(seed).flat for seed in seeds]))
 
 
 def test_nan_in_one_stacked_model_names_its_client():
@@ -154,6 +157,6 @@ def test_a_prefix_of_a_stack_steps_alone():
         single, lone = desk_model(seed), Sgd(0.1, momentum=0.9, weight_decay=5e-4)
         for _ in range(2):
             lone.step(single, np.ones_like(single.flat))
-        assert np.array_equal(stack.flat[row], single.flat)
+        assert np.array_equal(stack.flat[row], single.flat[0])
     with pytest.raises(ValueError, match="velocity"):
         optimizer.step(desk_stack((1, 2, 3, 4)), np.ones((4, 1798)))

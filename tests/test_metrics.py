@@ -70,8 +70,8 @@ class TestAccuracy:
         inputs = np.random.default_rng(5).random((10, 4))
         labels = np.random.default_rng(6).integers(0, 3, size=10)
         data = Dataset(inputs, labels, 3)
-        # an independent forward: relu(x W0 + b0) W1 + b1
-        p = model.params
+        # an independent forward of the stack of one: relu(x W0 + b0) W1 + b1
+        p = {name: view[0] for name, view in model.params.items()}
         logits = np.maximum(inputs @ p["dense0.weight"] + p["dense0.bias"], 0.0) @ p["dense1.weight"] + p["dense1.bias"]
         expected = float(np.mean(np.argmax(logits, axis=1) == labels))
         assert accuracy(model, data) == expected
@@ -145,9 +145,9 @@ class TestAlignment:
         model = Model.initialize(["dense(4,6)", "relu", "dense(6,3)"], np.random.default_rng(1))
         data, _ = make_blobs(3, 4, 10, 0.2, seed=2)
         means = class_feature_means(model, data)
-        assert means.shape == (3, 6)
-        features = model.extract(data.inputs)
-        assert np.array_equal(means[1], features[data.labels == 1].mean(axis=0))
+        assert means.shape == (1, 3, 6)
+        features = model.extract(data.inputs[None])[0]
+        assert np.array_equal(means[0, 1], features[data.labels == 1].mean(axis=0))
 
     def test_a_stack_gives_each_model_its_own_means_bitwise(self):
         # width 1 too: numpy sums a lone width-1 column pairwise, unlike the rows of a stack
@@ -155,10 +155,10 @@ class TestAlignment:
         for width in (6, 1):
             arch = [f"dense(4,{width})", "relu", f"dense({width},3)"]
             models = [Model.initialize(arch, np.random.default_rng(s)) for s in range(3)]
-            stacked = class_feature_means(Model(arch, np.stack([m.flat for m in models])), data)
+            stacked = class_feature_means(Model(arch, np.concatenate([m.flat for m in models])), data)
             assert stacked.shape == (3, 3, width)
             for row, m in zip(stacked, models):
-                assert np.array_equal(row, class_feature_means(m, data))
+                assert np.array_equal(row, class_feature_means(m, data)[0])
 
 
 class TestExportFeatures:

@@ -19,6 +19,7 @@ from graph_reference import (
 )
 
 from fedsynth.autodiff import Adam, Model
+from fedsynth.config import config_from_dict
 from fedsynth.data import make_blobs
 from fedsynth.engine import run_round
 from fedsynth.errors import ConfigError
@@ -97,7 +98,7 @@ class TestComputeCam:
             down[i] -= h
 
             def logit(v):
-                return float(model.classify(v.reshape(1, -1))[0, 2])
+                return float(model.classify(v.reshape(1, 1, -1))[0, 0, 2])
 
             fd = (logit(up) - logit(down)) / (2 * h)
             assert abs(fd - g[i]) / max(abs(fd), abs(g[i]), 1e-6) < 1e-4
@@ -287,8 +288,8 @@ class TestSynthesize:
         return SynthesisConfig(**base)
 
     def test_zero_steps_rejected(self):
-        with pytest.raises(ConfigError):
-            self.make_cfg(steps=0)
+        with pytest.raises(ConfigError, match="syn_steps must be at least 1, got 0"):
+            config_from_dict({"syn_steps": 0})
 
     def test_single_step_runs(self):
         model = make_model(["dense(5,6)", "relu", "dense(6,3)"], seed=21)
@@ -351,7 +352,7 @@ class TestProductionPath:
         model = make_model(arch, seed=40)
         # class 0's classifier column is all negative: its rows get an all-zero CAM mask
         last = model.params[f"dense{len(model.params) // 2 - 1}.weight"]
-        last[:, 0] = -np.abs(last[:, 0]) - 0.1
+        last[..., 0] = -np.abs(last[..., 0]) - 0.1
         shard, _ = make_blobs(3, 5, 20, 0.25, seed=41)
         protos = np.random.default_rng(42).standard_normal((model.class_count, model.feature_dim))
         cfg = SynthesisConfig(count=12, steps=3, scale=0.5)
@@ -364,23 +365,24 @@ class TestProductionPath:
     def test_masks_equal_compute_cam_rows(self, arch):
         for model, shard, protos, cfg in self.setup_cases(arch):
             labels = shard.labels
-            target_probs, masks = _matching_targets(model, shard.inputs, labels, protos, cfg.scale)
-            features = model.extract(shard.inputs)
-            assert not masks[labels == 0].any()
+            target_probs, masks = _matching_targets(model, shard.inputs[None], labels, protos, cfg.scale)
+            features = model.extract(shard.inputs[None])[0]
+            assert masks.shape == target_probs.shape == (1,) + features.shape
+            assert not masks[0, labels == 0].any()
             for i, y in enumerate(labels):
                 target = features[i] if protos is None else hard_feature(features[i], protos[y], cfg.scale)
                 mask = np.maximum(compute_cam(GraphModel(model), target, int(y)), 0.0)
-                assert np.array_equal(masks[i], mask)
+                assert np.array_equal(masks[0, i], mask)
                 e = np.exp(target * mask - (target * mask).max())
-                assert np.max(np.abs(target_probs[i] - e / e.sum())) <= 1e-15
+                assert np.max(np.abs(target_probs[0, i] - e / e.sum())) <= 1e-15
 
     def test_input_grad_equals_summed_per_row_graph(self, arch):
         for model, shard, protos, cfg in self.setup_cases(arch):
             reals, labels = shard.inputs, shard.labels
-            target_probs, masks = _matching_targets(model, reals, labels, protos, cfg.scale)
+            target_probs, masks = _matching_targets(model, reals[None], labels, protos, cfg.scale)
             onehot = np.eye(model.class_count)[labels]
             x = np.random.default_rng(43).standard_normal(reals.shape)
-            grad = _input_grad(model, x, target_probs, masks, onehot, cfg)
+            (grad,) = _input_grad(model, x[None], target_probs, masks, onehot, cfg)
 
             expected = np.empty_like(x)
             for i in range(len(x)):
@@ -395,11 +397,19 @@ class TestProductionPath:
             caplog.clear()
             with caplog.at_level(logging.WARNING, logger="fedsynth.synthesis"):
                 syn = synthesize(model, shard, protos, cfg, np.random.default_rng(44))
-            assert any("all-zero CAM masks" in rec.message for rec in caplog.records)
 
             # replay the generator: pair draw, then the Gaussian initial inputs
             replay = np.random.default_rng(44)
             pair_idx = _stratified_indices(shard, cfg.count, replay)
+            # the warning counts rows, each reduced over the width axis of the
+            # (1, n, width) masks: the rows whose label's classifier column has
+            # no positive entry. perfbench's ZeroCamCounter parses the message
+            # and reads the row count from its first argument.
+            dead = ~(model.params[f"dense{len(model.params) // 2 - 1}.weight"][0] > 0).any(axis=0)
+            zero_rows = int(dead[shard.labels[pair_idx]].sum())
+            assert zero_rows >= np.count_nonzero(shard.labels[pair_idx] == 0) > 0
+            warnings = [(rec.msg, rec.args) for rec in caplog.records if rec.name == "fedsynth.synthesis"]
+            assert warnings == [("synthesize: %d of %d samples have all-zero CAM masks", (zero_rows, len(pair_idx)))]
             x0 = replay.standard_normal((len(pair_idx), shard.inputs.shape[1]))
             assert [s.paired_index for s in syn.samples] == pair_idx.tolist()
             for s, x_init in zip(syn.samples, x0):
