@@ -40,20 +40,17 @@ def log_softmax_rows(z: Array) -> Array:
     return shifted
 
 
-def cross_entropy_grad(logits: Array, target: Array, weight, rows: Array | None = None) -> tuple:
+def cross_entropy_grad(logits: Array, target: Array, weight: Array, count: Array) -> tuple:
     """Weighted cross entropy of row-wise softmax(logits) against a target stack, one loss per model.
 
     `logits` and `target` are (models, batch, classes) stacks: one-hot
-    target rows for hard labels, soft rows otherwise. Returns each model's
-    weighted loss and the gradient w.r.t. the logits.
-
-    With a scalar `weight`, `rows` (required then) holds each model's count
-    of real rows, and its loss is `weight` times the mean over them; the
-    rows past it are padding, which must carry all-zero targets and get a
-    zero gradient. A full batch is `rows` equal to the batch size. A
-    (models, batch) `weight` array holds one weight per row and replaces the
-    mean: a model's loss is then sum_r weight[r] * CE(row r), so one call
-    can blend rows from different batches.
+    target rows for hard labels, soft rows otherwise. `weight` holds one
+    weight per (model, row) and `count` one divisor per model: a model's
+    loss is sum_r weight[r] * CE(row r) / count, and the gradient w.r.t.
+    its logits is (softmax - target) * weight / count. A mean over a
+    model's first k rows is weight 1 on them, 0 on the padding rows after
+    them, and count k; a blend of rows from different batches is their
+    blend weights with count 1.
     Target rows are not checked to sum to one here: local training passes
     one-hot rows, built once per update from the real and synthetic rows'
     labels.
@@ -61,28 +58,23 @@ def cross_entropy_grad(logits: Array, target: Array, weight, rows: Array | None 
     z = np.asarray(logits, dtype=np.float64)
     if z.ndim != 3:
         raise ValueError(f"logits must be a (models, batch, classes) stack, got shape {z.shape}")
-    batch = z.shape[1]
     target = np.asarray(target, dtype=np.float64)
     if target.shape != z.shape:
         raise ValueError(f"targets must have shape {z.shape}, got {target.shape}")
-    log_probs = log_softmax_rows(z)
-    if np.ndim(weight) == 0:
-        count = np.asarray(rows)
-        d_logits = np.exp(log_probs)
-        d_logits -= target
-        d_logits *= weight
-        d_logits /= count[:, None, None]
-        d_logits[np.arange(batch) >= count[:, None]] = 0.0
-        return -(target * log_probs).sum(axis=(-2, -1)) / count * weight, d_logits
     row_weight = np.asarray(weight, dtype=np.float64)
     if row_weight.shape != z.shape[:-1]:
         expected = " x ".join(map(str, z.shape[:-1]))
         raise ValueError(f"expected {expected} row weights, got shape {row_weight.shape}")
+    count = np.asarray(count)
+    if count.shape != z.shape[:1]:
+        raise ValueError(f"expected {len(z)} row counts, got shape {count.shape}")
     row_weight = row_weight[..., None]
+    log_probs = log_softmax_rows(z)
     d_logits = np.exp(log_probs)
     d_logits -= target
     d_logits *= row_weight
-    return -(row_weight * target * log_probs).sum(axis=(-2, -1)), d_logits
+    d_logits /= count[:, None, None]
+    return -(row_weight * target * log_probs).sum(axis=(-2, -1)) / count, d_logits
 
 
 _DENSE = re.compile(r"^dense\((\d+)\s*,\s*(\d+)\)$")

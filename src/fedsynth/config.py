@@ -284,14 +284,11 @@ def config_to_dict(cfg: ExperimentConfig | DatasetSpec | PartitionSpec) -> dict:
 
 
 def parse_config(source: str | Path) -> ExperimentConfig:
-    """Parse a config from a JSON file path or inline JSON text."""
-    if isinstance(source, Path) or not str(source).lstrip().startswith("{"):
-        path = Path(source)
-        if not path.is_file():
-            raise ConfigError(f"config file not found: {path}")
-        text = path.read_text(encoding="utf-8")
-    else:
-        text = str(source)
+    """Parse a config from a JSON file path."""
+    path = Path(source)
+    if not path.is_file():
+        raise ConfigError(f"config file not found: {path}")
+    text = path.read_text(encoding="utf-8")
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:

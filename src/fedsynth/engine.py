@@ -95,24 +95,24 @@ def local_update(
     a real mini-batch (shuffled without replacement per epoch) and, when
     alpha < 1, a synthetic mini-batch (with replacement if the pool is
     smaller than the batch); the step loss is
-    alpha * CE(real) + (1 - alpha) * CE(synthetic). A blended step runs both
-    batches as one forward/backward pass, each row's logit gradient weighted
-    by alpha / (real rows) or (1 - alpha) / batch_size.
+    alpha * CE(real) + (1 - alpha) * CE(synthetic). Every step is one
+    `cross_entropy_grad` call: a real-only step weights its real rows 1 and
+    divides by their count; a blended step runs both batches as one
+    forward/backward pass, each row weighted alpha / (real rows) or
+    (1 - alpha) / batch_size.
 
     The clients train as a stack of models: one stack step is one forward,
     one backward and one SGD step for every client still training. The
     stack holds the largest shard first, so those clients are a prefix of
     it, and the others keep their parameters and velocity. A short batch is
-    padded to full size with rows that get no gradient and stay out of the
-    loss and the prototypes. Real-row features are summed per class, per
-    step in row order; their per-class means are folded into each client's
-    prototypes at the end.
+    padded to full size with rows of weight 0 and an all-zero target, so
+    they stay out of the loss, the gradient and the prototypes. Each step's
+    one-hot real targets sum its real-row features per class, in row order;
+    the per-class means are folded into each client's prototypes at the end.
 
     Returns the trained stack, one row per client, and the mean step loss of
     each client, both in the order of `clients`.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
     use_syn = alpha < 1.0
     if use_syn and not len(syn_samples):
         raise ValueError("synthetic samples are required when alpha < 1")
@@ -121,7 +121,7 @@ def local_update(
     stacked = [clients[c] for c in order]
     shards = [client.shard for client in stacked]
     sizes = np.array([len(shard) for shard in shards])
-    classes, width = model.class_count, model.feature_dim
+    classes = model.class_count
     # the gather table: every shard's rows, one all-zero padding row labelled
     # `classes` (an all-zero target), then the synthetic pool
     pad = int(sizes.sum())
@@ -131,18 +131,19 @@ def local_update(
     inputs, labels = (np.concatenate(column) for column in zip(*parts))
     targets = np.eye(classes + 1, classes)[labels]
     index = _draw_batches(stacked, sizes, pad, len(syn_samples) if use_syn else 0, epochs, batch_size)
-    real = np.count_nonzero(index[..., :batch_size] != pad, axis=-1)
+    is_real = index[..., :batch_size] != pad
+    real = np.count_nonzero(is_real, axis=-1)
     if use_syn:
-        real_weight = np.where(np.arange(batch_size) < real[..., None], alpha / np.maximum(real, 1)[..., None], 0.0)
+        real_weight = np.where(is_real, alpha / np.maximum(real, 1)[..., None], 0.0)
         weights = np.concatenate((real_weight, np.full(real_weight.shape, (1.0 - alpha) / batch_size)), axis=-1)
-    # a real row's features sum into its stack row's class slot, padding into one extra slot
-    slots = (np.arange(len(stacked))[:, None, None] * (classes + 1) + labels[index[..., :batch_size]]) * width
-    per_row = (classes + 1) * width
+        counts = np.ones(real.shape)
+    else:
+        weights, counts = is_real.astype(np.float64), real
 
     stack = Model(model.architecture, np.tile(model.flat, (len(stacked), 1)))
     ids = [client.client_id for client in stacked]
     steps = np.count_nonzero(real, axis=1)
-    sums = np.zeros(len(stacked) * per_row)
+    sums = np.zeros((len(stacked), classes, model.feature_dim))
     losses = np.zeros(real.shape)
     live = stack
     for t in range(real.shape[1]):
@@ -150,20 +151,17 @@ def local_update(
         if len(live.flat) != size:
             live = Model(model.architecture, stack.flat[:size])
         rows = index[:size, t]
+        batch_targets = targets[rows]
         cache = []
         features, logits = live.forward(inputs[rows], cache)
-        if use_syn:
-            loss, d_logits = cross_entropy_grad(logits, targets[rows], weights[:size, t])
-        else:
-            loss, d_logits = cross_entropy_grad(logits, targets[rows], alpha, real[:size, t])
-        bins = (slots[:size, t, :, None] + np.arange(width)).ravel()
-        sums[: size * per_row] += np.bincount(bins, features[:, :batch_size].ravel(), size * per_row)
+        loss, d_logits = cross_entropy_grad(logits, batch_targets, weights[:size, t], counts[:size, t])
+        sums[:size] += batch_targets[:, :batch_size].swapaxes(-1, -2) @ features[:, :batch_size]
         optimizer.step(live, backward_params(live, cache, d_logits), ids[:size])
         losses[:size, t] = loss
 
     # every shard row is seen once per epoch; an absent class's row stays a finite zero
-    seen = epochs * np.stack([np.bincount(s.labels, minlength=classes) for s in shards])
-    means = sums.reshape(len(stacked), classes + 1, width)[:, :classes] / np.maximum(seen, 1)[..., None]
+    seen = epochs * np.stack([shard.class_histogram() for shard in shards])
+    means = sums / np.maximum(seen, 1)[..., None]
     mean_losses = np.array([losses[row, :n].mean() for row, n in enumerate(steps)])
     back = np.argsort(order)  # stack rows back into client order
     for client, client_means in zip(clients, means[back]):

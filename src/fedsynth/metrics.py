@@ -63,13 +63,13 @@ def class_feature_means(model: Model, data: Dataset) -> Array:
 
     A (models, classes, width) array: per model of the stack, one row per
     class present in `data`, in ascending class order. The models each see
-    the same inputs in one stacked forward pass.
+    the same inputs in one stacked forward pass, and one product of the
+    one-hot labels with the features sums every class's rows in row order.
     """
     features = model.extract(np.broadcast_to(data.inputs, (len(model.flat),) + data.inputs.shape))
-    masks = [data.labels == c for c in np.unique(data.labels)]
-    # each model's (rows, width) block is reduced on its own: numpy sums the
-    # rows of a lone width-1 block pairwise, but those of a stack in row order
-    return np.array([[block[mask].mean(axis=0) for mask in masks] for block in features])
+    _, labels, counts = np.unique(data.labels, return_inverse=True, return_counts=True)
+    onehot = np.eye(len(counts))[labels]
+    return onehot.T @ features / counts[:, None]
 
 
 def alignment_score(means: Array) -> float | None:

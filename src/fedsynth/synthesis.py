@@ -97,9 +97,6 @@ class SyntheticDataset:
     samples: Array
     client_id: int = 0
 
-    def __len__(self) -> int:
-        return len(self.samples)
-
 
 @dataclass
 class SynthesisEvent:
@@ -133,8 +130,6 @@ def update_prototypes(means, previous, momentum: float) -> Array:
     adopted outright; afterwards the prototypes move as
     (1-momentum)*means + momentum*previous.
     """
-    if not 0.0 <= momentum <= 1.0:
-        raise ValueError(f"prototype momentum must lie in [0, 1], got {momentum}")
     if previous is None:
         return np.array(means, dtype=np.float64)
     return (1.0 - momentum) * means + momentum * previous

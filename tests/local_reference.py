@@ -55,12 +55,13 @@ def local_update_one(model, shard, syn_samples, alpha, epochs, batch_size, optim
                 syn = syn_samples[syn_idx]
                 inputs = np.concatenate((shard.inputs[idx], syn["x"]))
                 targets = np.concatenate((onehot[idx], np.eye(model.class_count)[syn["label"]]))
-                weight = row_weights[len(idx)][None]
+                weight, count = row_weights[len(idx)][None], 1
             else:
-                inputs, targets, weight = shard.inputs[idx], onehot[idx], alpha
+                inputs, targets = shard.inputs[idx], onehot[idx]
+                weight, count = np.full((1, len(idx)), alpha), len(idx)
             cache = []
             features, logits = model.forward(inputs[None], cache)
-            (loss,), d_logits = cross_entropy_grad(logits, targets[None], weight, [len(idx)])
+            (loss,), d_logits = cross_entropy_grad(logits, targets[None], weight, [count])
             _accumulate_features(sums, counts, features[0, : len(idx)], batch_labels)
             optimizer.step(model, backward_params(model, cache, d_logits))
             losses.append(float(loss))

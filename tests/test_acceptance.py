@@ -220,7 +220,7 @@ def test_criterion_2_non_iid_improvement(bench_runs):
             idx = order[s * cfg.batch_size : (s + 1) * cfg.batch_size]
             cache = []
             _, logits = model.forward(train.inputs[None, idx], cache)
-            _, d_logits = cross_entropy_grad(logits, onehot[None, idx], 1.0, [len(idx)])
+            _, d_logits = cross_entropy_grad(logits, onehot[None, idx], np.ones((1, len(idx))), [len(idx)])
             optimizer.step(model, backward_params(model, cache, d_logits))
     central = accuracy(model, test)
 

@@ -291,7 +291,8 @@ class TestSgd:
         rng = np.random.default_rng(4)
         cache = []
         _, logits = model.forward(rng.random((3, 6, 5)), cache)
-        _, d_logits = cross_entropy_grad(logits, np.eye(4)[rng.integers(0, 4, size=(3, 6))], 1.0, np.full(3, 6))
+        targets = np.eye(4)[rng.integers(0, 4, size=(3, 6))]
+        _, d_logits = cross_entropy_grad(logits, targets, np.ones((3, 6)), np.full(3, 6))
         grad = backward_params(model, cache, d_logits)
         with pytest.raises(ValueError, match="^NaN gradient for parameter 'dense0.weight' of client 24$"):
             Sgd(0.1).step(model, grad, [7, 24, 13])
@@ -455,7 +456,7 @@ class TestClosedForm:
         targets = soft_labels(rng, 7, 4) if soft else np.eye(4)[labels]
         cache = []
         _, logits = model.forward(batch, cache)
-        value, d_logits = cross_entropy_grad(logits, targets[None], 1.0, [7])
+        value, d_logits = cross_entropy_grad(logits, targets[None], np.ones((1, 7)), [7])
         grads = model.views(backward_params(model, cache, d_logits))
 
         graph = GraphModel(model)
@@ -475,8 +476,8 @@ class TestClosedForm:
         cache, syn_cache = [], []
         _, logits = model.forward(batch, cache)
         _, syn_logits = model.forward(syn_batch, syn_cache)
-        (real_value,), d_real = cross_entropy_grad(logits, np.eye(4)[labels][None], alpha, [7])
-        (syn_value,), d_syn = cross_entropy_grad(syn_logits, syn_targets[None], 1.0 - alpha, [6])
+        (real_value,), d_real = cross_entropy_grad(logits, np.eye(4)[labels][None], np.full((1, 7), alpha), [7])
+        (syn_value,), d_syn = cross_entropy_grad(syn_logits, syn_targets[None], np.full((1, 6), 1.0 - alpha), [6])
         real_grads = model.views(backward_params(model, cache, d_real))
         syn_grads = model.views(backward_params(model, syn_cache, d_syn))
 
@@ -560,8 +561,8 @@ class TestClosedForm:
         d_features = rng.standard_normal((3, 7, model.feature_dim))
         cache = []
         features, logits = stack.forward(batches, cache)
-        loss, d_logits = cross_entropy_grad(logits, targets, 0.4, np.full(3, 7))
-        row_loss, d_rows = cross_entropy_grad(logits, targets, weights)
+        loss, d_logits = cross_entropy_grad(logits, targets, np.full((3, 7), 0.4), np.full(3, 7))
+        row_loss, d_rows = cross_entropy_grad(logits, targets, weights, np.ones(3))
         grads = backward_params(stack, cache, d_logits, d_features)
         by_input = backward_input(stack, cache, d_rows, d_features)
         assert grads.shape == stack.flat.shape and loss.shape == row_loss.shape == (3,)
@@ -569,9 +570,9 @@ class TestClosedForm:
             own, one = [], slice(i, i + 1)
             f, z = m.forward(batches[one], own)
             assert np.array_equal(features[one], f) and np.array_equal(logits[one], z)
-            value, d = cross_entropy_grad(z, targets[one], 0.4, [7])
+            value, d = cross_entropy_grad(z, targets[one], np.full((1, 7), 0.4), [7])
             assert loss[one] == value and np.array_equal(d_logits[one], d)
-            value, d = cross_entropy_grad(z, targets[one], weights[one])
+            value, d = cross_entropy_grad(z, targets[one], weights[one], [1])
             assert row_loss[one] == value and np.array_equal(d_rows[one], d)
             assert np.array_equal(grads[one], backward_params(m, own, d_logits[one], d_features[one]))
             assert np.array_equal(by_input[one], backward_input(m, own, d_rows[one], d_features[one]))
@@ -586,25 +587,28 @@ def test_padding_rows_get_no_gradient_and_stay_out_of_the_mean():
     rows = np.array([5, 2, 4])
     for i, k in enumerate(rows):
         targets[i, k:] = 0.0
-    loss, d_logits = cross_entropy_grad(logits, targets, 0.4, rows)
+    loss, d_logits = cross_entropy_grad(logits, targets, np.where(np.arange(5) < rows[:, None], 0.4, 0.0), rows)
     for i, k in enumerate(rows):
-        (value,), (d,) = cross_entropy_grad(logits[i : i + 1, :k], targets[i : i + 1, :k], 0.4, [k])
+        (value,), (d,) = cross_entropy_grad(logits[i : i + 1, :k], targets[i : i + 1, :k], np.full((1, k), 0.4), [k])
         assert np.array_equal(d_logits[i, :k], d)
         assert not d_logits[i, k:].any()
         assert abs(loss[i] - value) <= 1e-15 * abs(value)
-    assert loss[0] == cross_entropy_grad(logits[:1], targets[:1], 0.4, [5])[0][0]  # an unpadded model is bitwise
+    unpadded = cross_entropy_grad(logits[:1], targets[:1], np.full((1, 5), 0.4), [5])
+    assert loss[0] == unpadded[0][0]  # an unpadded model is bitwise
 
 
 def test_cross_entropy_row_weights_must_match_the_batch():
     with pytest.raises(ValueError, match="1 x 3 row weights"):
-        cross_entropy_grad(np.zeros((1, 3, 2)), np.eye(2)[[[0, 1, 1]]], np.ones((1, 2)))
+        cross_entropy_grad(np.zeros((1, 3, 2)), np.eye(2)[[[0, 1, 1]]], np.ones((1, 2)), [1])
+    with pytest.raises(ValueError, match=r"expected 3 row counts, got shape \(1,\)"):
+        cross_entropy_grad(np.zeros((3, 3, 2)), np.eye(2)[[[0, 1, 1]] * 3], np.ones((3, 3)), [3])
 
 
 def test_cross_entropy_takes_a_target_matrix_only():
     with pytest.raises(ValueError, match=r"targets must have shape \(1, 3, 2\)"):
-        cross_entropy_grad(np.zeros((1, 3, 2)), [[0, 1, 1]], 1.0, [3])
+        cross_entropy_grad(np.zeros((1, 3, 2)), [[0, 1, 1]], np.ones((1, 3)), [1])
     with pytest.raises(ValueError, match=r"\(models, batch, classes\) stack, got shape \(3, 2\)"):
-        cross_entropy_grad(np.zeros((3, 2)), np.eye(2)[[0, 1, 1]], 1.0, [3])
+        cross_entropy_grad(np.zeros((3, 2)), np.eye(2)[[0, 1, 1]], np.ones((3, 2)), [1])
 
 
 def test_extract_and_classify_reject_wrong_width():

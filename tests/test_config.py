@@ -170,9 +170,7 @@ class TestParseConfig:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"rounds": 5}))
         assert parse_config(path).rounds == 5
-
-    def test_parse_inline_text(self):
-        assert parse_config('{"rounds": 9}').rounds == 9
+        assert parse_config(str(path)).rounds == 5
 
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
@@ -184,9 +182,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="malformed"):
             parse_config(path)
 
-    def test_non_object_rejected(self):
+    def test_non_object_rejected(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
         with pytest.raises(ConfigError):
-            parse_config("[1, 2]")
+            parse_config(path)
 
 
 class TestSeedDerivation:

@@ -195,9 +195,11 @@ class TestLocalUpdate:
                 cache, syn_cache = [], []
                 features, logits = at.forward(train.inputs[None, idx], cache)
                 _, syn_logits = at.forward(syn["x"][None, syn_idx], syn_cache)
-                (real_loss,), d_real = cross_entropy_grad(logits, np.eye(3)[train.labels[None, idx]], alpha, [len(idx)])
+                (real_loss,), d_real = cross_entropy_grad(
+                    logits, np.eye(3)[train.labels[None, idx]], np.full((1, len(idx)), alpha), [len(idx)]
+                )
                 (syn_loss,), d_syn = cross_entropy_grad(
-                    syn_logits, np.eye(3)[syn["label"][None, syn_idx]], 1.0 - alpha, [batch]
+                    syn_logits, np.eye(3)[syn["label"][None, syn_idx]], np.full((1, batch), 1.0 - alpha), [batch]
                 )
                 expected = backward_params(at, cache, d_real) + backward_params(at, syn_cache, d_syn)
                 assert np.max(np.abs(grad - expected)) <= 1e-12 * np.max(np.abs(expected))

@@ -63,7 +63,7 @@ def test_sgd_step_updates_the_views():
     rng = np.random.default_rng(0)
     cache = []
     _, logits = model.forward(rng.random((1, 10, 16)), cache)
-    _, d_logits = cross_entropy_grad(logits, np.eye(6)[rng.integers(0, 6, size=(1, 10))], 1.0, [10])
+    _, d_logits = cross_entropy_grad(logits, np.eye(6)[rng.integers(0, 6, size=(1, 10))], np.ones((1, 10)), [10])
     before = model.flat.copy()
     Sgd(0.1, momentum=0.9, weight_decay=5e-4).step(model, backward_params(model, cache, d_logits))
     assert not np.array_equal(model.flat, before)
@@ -89,7 +89,7 @@ def test_layer_plan_follows_every_weight_change():
 
     cache = []
     _, before = model.forward(batch, cache)
-    _, d_logits = cross_entropy_grad(before, np.eye(6)[np.arange(10) % 6][None], 1.0, [10])
+    _, d_logits = cross_entropy_grad(before, np.eye(6)[np.arange(10) % 6][None], np.ones((1, 10)), [10])
     Sgd(0.5).step(model, backward_params(model, cache, d_logits))
     assert_plan_is_live(model, batch, before)
 

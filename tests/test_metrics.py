@@ -148,9 +148,16 @@ class TestAlignment:
         assert means.shape == (1, 3, 6)
         features = model.extract(data.inputs[None])[0]
         assert np.array_equal(means[0, 1], features[data.labels == 1].mean(axis=0))
+        # a probe set without class 1: only the present classes, ascending
+        lacking = data.subset(np.flatnonzero(data.labels != 1))
+        means = class_feature_means(model, lacking)
+        assert means.shape == (1, 2, 6)
+        features = model.extract(lacking.inputs[None])[0]
+        for row, c in zip(means[0], (0, 2)):
+            assert np.array_equal(row, features[lacking.labels == c].mean(axis=0))
 
     def test_a_stack_gives_each_model_its_own_means_bitwise(self):
-        # width 1 too: numpy sums a lone width-1 column pairwise, unlike the rows of a stack
+        # width 1 too: a lone model and a stack must sum each class's rows in one order at every width
         data, _ = make_blobs(3, 4, 60, 0.2, seed=2)
         for width in (6, 1):
             arch = [f"dense(4,{width})", "relu", f"dense({width},3)"]

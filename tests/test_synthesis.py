@@ -129,8 +129,8 @@ class TestUpdatePrototypes:
         assert not np.shares_memory(protos, means)
 
     def test_momentum_out_of_range_raises(self):
-        with pytest.raises(ValueError):
-            update_prototypes(np.zeros((1, 1)), None, momentum=1.5)
+        with pytest.raises(ConfigError, match="lambda"):
+            config_from_dict({"lambda": 1.5})
 
 
 class TestHardFeature:
@@ -295,7 +295,7 @@ class TestSynthesize:
         model = make_model(["dense(5,6)", "relu", "dense(6,3)"], seed=21)
         shard = self.make_shard()
         syn = synthesize(model, shard, None, self.make_cfg(steps=1), np.random.default_rng(0))
-        assert len(syn) == 9
+        assert len(syn.samples) == 9
 
     def test_labels_match_paired_reals_and_inputs_clamped(self):
         model = make_model(["dense(5,6)", "relu", "dense(6,3)"], seed=21)
@@ -316,7 +316,7 @@ class TestSynthesize:
         model = make_model(["dense(5,6)", "relu", "dense(6,3)"], seed=21)
         shard = self.make_shard().subset(range(4))
         syn = synthesize(model, shard, None, self.make_cfg(count=100), np.random.default_rng(3))
-        assert len(syn) == 4
+        assert len(syn.samples) == 4
 
     def test_deterministic_given_seed(self):
         model = make_model(["dense(5,6)", "relu", "dense(6,3)"], seed=21)
@@ -454,7 +454,7 @@ class TestMixup:
     def test_output_count(self):
         shard, _ = make_blobs(3, 4, 10, 0.2, seed=0)
         syn = mixup_generate(shard, 17, np.random.default_rng(1))
-        assert len(syn) == 17
+        assert len(syn.samples) == 17
 
     def test_too_small_shard_rejected(self):
         from fedsynth.data import Dataset
