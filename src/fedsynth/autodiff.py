@@ -8,8 +8,7 @@ split. A relu is `np.maximum(h, 0)`, so a NaN passes through it to the
 gradient, where `Sgd.step` reports it. Every `Model` is a stack of MLPs:
 local training runs a round's clients as one stack, and the global model is
 a stack of one. The walks run over the leading stack axis.
-Everything is float64 so gradient checks can run at tight tolerances.
-Models are value-semantic and may be copied across threads freely. The
+Everything is float64 so gradient checks can run at tight tolerances. The
 tests keep a graph autodiff as the reference these closed forms are pinned
 against.
 """
@@ -117,7 +116,7 @@ class _Layout(NamedTuple):
 
 @functools.lru_cache(maxsize=None)
 def _architecture_layout(architecture: tuple[str, ...]) -> _Layout:
-    # parsed once per architecture: `Model.copy` and `aggregate` build models
+    # parsed once per architecture: `local_update` and `aggregate` build models
     # of a known architecture every round
     layers = tuple(parse_architecture(architecture))
     dense = [i for i, layer in enumerate(layers) if layer[0] == "dense"]

@@ -41,7 +41,6 @@ class GlobalState:
     server_rng: np.random.Generator
     # the shared pool: the last synthesis event's rows (`synthetic_rows`)
     syn_samples: Array
-    round_index: int = 0
     rows: list[MetricsRow] = field(default_factory=list)
     events: list[SynthesisEvent] = field(default_factory=list)
     # the last round's post-update models: a stack, one row per active client in ascending id order
@@ -192,14 +191,8 @@ def _run_synthesis(state: GlobalState, config: ExperimentConfig, round_index: in
             derive_seed(config.seed, f"synthesis/round={round_index}/client={client.client_id}")
         )
         datasets.append(synthesize(state.model, client.shard, client.prototypes, syn_cfg, rng, client.client_id))
-    state.syn_samples = pool = np.concatenate([ds.samples for ds in datasets])
-    mean_psnr = float(np.mean(pool["psnr"]))
-    mean_drop = float(np.mean(pool["initial_loss"] - pool["final_loss"]))
-    improved = np.count_nonzero(pool["final_loss"] < pool["initial_loss"]) / len(pool)
-    fingerprint = model_fingerprint(state.model)
-    state.events.append(
-        SynthesisEvent(round_index, fingerprint, state.model.feature_dim, datasets, mean_psnr, mean_drop, improved)
-    )
+    state.syn_samples = np.concatenate([ds.samples for ds in datasets])
+    state.events.append(SynthesisEvent(round_index, model_fingerprint(state.model), state.model.feature_dim, datasets))
 
 
 def run_round(state: GlobalState, config: ExperimentConfig) -> GlobalState:
@@ -210,10 +203,11 @@ def run_round(state: GlobalState, config: ExperimentConfig) -> GlobalState:
     active set trains locally on the downloaded global model, the local models
     are kept on the state and averaged. Before the first synthesis event the
     blend weight is forced to 1 (the shared pool is still empty). One metrics
-    row is emitted.
+    row is emitted; its `psnr` and `loss_drop` are means over the shared pool,
+    None while the pool is empty.
     """
     start = time.perf_counter()
-    t = state.round_index + 1
+    t = len(state.rows) + 1
     synthesis_due = config.algorithm != "fedavg" and t % config.syn_interval == 0
     if synthesis_due:
         _run_synthesis(state, config, t)
@@ -232,23 +226,22 @@ def run_round(state: GlobalState, config: ExperimentConfig) -> GlobalState:
         config.lam,
     )
     state.model = aggregate(state.local_models)
-    state.round_index = t
 
     # alignment of the clients' own representations: every local model embeds
     # the same probe inputs, so centroid gaps are drift, not shard sampling
     align = None
     if config.algorithm != "fedavg":
         align = alignment_score(class_feature_means(state.local_models, state.test_data))
-    event = state.events[-1] if state.events else None
+    pool = state.syn_samples
     wall_ms = (time.perf_counter() - start) * 1000.0
     state.rows.append(
         MetricsRow(
             round_index=t,
             accuracy=accuracy(state.model, state.test_data),
             train_loss=float(np.mean(mean_losses)),
-            syn_size=len(state.syn_samples),
-            psnr=event.mean_psnr if event else None,
-            loss_drop=event.mean_loss_drop if event else None,
+            syn_size=len(pool),
+            psnr=float(np.mean(pool["psnr"])) if len(pool) else None,
+            loss_drop=float(np.mean(pool["initial_loss"] - pool["final_loss"])) if len(pool) else None,
             alignment=align,
             wall_ms=wall_ms,
         )

@@ -106,16 +106,15 @@ def write_csv(path: Path, header, rows) -> Path:
     return path
 
 
-def export_features(model: Model, inputs, labels, origins, path: Path) -> Path:
-    """Write a stack of one's extractor features as CSV rows of (f0..f{F-1}, label, origin)."""
-    x = np.asarray(inputs, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] == 0:
-        raise ValueError("export_features requires a nonempty (N, dim) input matrix")
-    labels = [int(v) for v in labels]
-    origins = [str(v) for v in origins]
-    if len(labels) != x.shape[0] or len(origins) != x.shape[0]:
-        raise ValueError("inputs, labels, and origins must have matching lengths")
-    features = model.extract(x[None])[0]
+def export_features(model: Model, test: Dataset, pool: Array, path: Path) -> Path:
+    """Write a stack of one's extractor features as CSV rows of (f0..f{F-1}, label, origin).
+
+    The test set's rows come first with origin `real`, then the synthetic
+    pool's (`synthetic_rows`) in pool order with origin `synthetic`.
+    """
+    features = model.extract(np.concatenate([test.inputs, pool["x"]])[None])[0]
+    labels = np.concatenate([test.labels, pool["label"]]).tolist()
+    origins = ["real"] * len(test) + ["synthetic"] * len(pool)
     header = [f"f{i}" for i in range(features.shape[1])] + ["label", "origin"]
     rows = (row.tolist() + [label, origin] for row, label, origin in zip(features, labels, origins))
     return write_csv(path, header, rows)

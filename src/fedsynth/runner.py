@@ -82,14 +82,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunManifest:
         for path in dump_synthetic_dataset(event, cfg.mu, cfg.lam, out / f"synthesis_round_{event.round_index:04d}"):
             artifacts.append(str(path.relative_to(out)))
 
-    test, pool = state.test_data, state.syn_samples
-    export_features(
-        state.model,
-        np.concatenate([test.inputs, pool["x"]]),
-        np.concatenate([test.labels, pool["label"]]),
-        ["real"] * len(test) + ["synthetic"] * len(pool),
-        out / "features.csv",
-    )
+    export_features(state.model, state.test_data, state.syn_samples, out / "features.csv")
     artifacts.append("features.csv")
 
     manifest = RunManifest(

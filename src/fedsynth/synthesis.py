@@ -100,19 +100,17 @@ class SyntheticDataset:
 
 @dataclass
 class SynthesisEvent:
-    """One synthesis round: every client's rows plus summary stats.
+    """One synthesis round: every client's rows.
 
     Every client inverts the same global model, so its fingerprint and
-    extractor width are recorded once, here, for all of them.
+    extractor width are recorded once, here, for all of them. Summaries of
+    the rows, such as a metrics row's mean PSNR, are computed from the rows.
     """
 
     round_index: int
     model_fingerprint: str
     feature_dim: int
     datasets: list[SyntheticDataset]
-    mean_psnr: float
-    mean_loss_drop: float
-    improved_fraction: float
 
 
 def model_fingerprint(model: Model) -> str:

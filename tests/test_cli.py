@@ -152,7 +152,7 @@ class TestSynthInspect:
 
         shard, _ = make_blobs(3, 5, 10, 0.25, seed=1)
         samples = synthetic_rows(shard, range(5), shard.inputs[:5])
-        event = SynthesisEvent(2, "", 4, [SyntheticDataset(samples)], 100.0, 0.0, 0.0)
+        event = SynthesisEvent(2, "", 4, [SyntheticDataset(samples)])
         dump_synthetic_dataset(event, 0.5, 0.5, tmp_path / "dump")
         assert main(["synth-inspect", "--dump", str(tmp_path / "dump")]) == 0
         assert "100.0" in capsys.readouterr().out

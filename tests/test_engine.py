@@ -336,6 +336,13 @@ class TestRunRound:
         assert np.array_equal(state.syn_samples, last)
         # the concatenated pool still reads row by row
         assert [row.paired_index for row in state.syn_samples] == state.syn_samples["paired_index"].tolist()
+        # each row's psnr and loss_drop are the means over the latest event's rows; None before the first
+        assert [state.rows[0].psnr, state.rows[0].loss_drop] == [None, None]
+        for row in state.rows[1:]:
+            event = [e for e in state.events if e.round_index <= row.round_index][-1]
+            pool = np.concatenate([ds.samples for ds in event.datasets])
+            assert row.psnr == float(np.mean(pool["psnr"]))
+            assert row.loss_drop == float(np.mean(pool["initial_loss"] - pool["final_loss"]))
 
     def test_features_csv_ends_with_the_pool_in_order(self, tmp_path):
         cfg = small_config(rounds=4, syn_interval=2, syn_per_client=5, out_dir=str(tmp_path))

@@ -18,6 +18,7 @@ from fedsynth.metrics import (
     write_csv,
     write_metrics_csv,
 )
+from fedsynth.synthesis import synthetic_rows
 
 
 def identity_model(width):
@@ -172,7 +173,7 @@ class TestExportFeatures:
     def test_row_count_and_width(self, tmp_path):
         model = Model.initialize(["dense(4,6)", "relu", "dense(6,3)"], np.random.default_rng(1))
         data, _ = make_blobs(3, 4, 5, 0.2, seed=2)
-        path = export_features(model, data.inputs, data.labels, ["real"] * len(data), tmp_path / "f.csv")
+        path = export_features(model, data, synthetic_rows(data, [], data.inputs[:0]), tmp_path / "f.csv")
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "f0,f1,f2,f3,f4,f5,label,origin"
         assert len(lines) == len(data) + 1
@@ -180,8 +181,8 @@ class TestExportFeatures:
     def test_reexport_byte_identical(self, tmp_path):
         model = Model.initialize(["dense(4,6)", "relu", "dense(6,3)"], np.random.default_rng(1))
         data, _ = make_blobs(3, 4, 5, 0.2, seed=2)
-        a = export_features(model, data.inputs, data.labels, ["real"] * len(data), tmp_path / "a.csv")
-        b = export_features(model, data.inputs, data.labels, ["real"] * len(data), tmp_path / "b.csv")
+        a = export_features(model, data, synthetic_rows(data, [], data.inputs[:0]), tmp_path / "a.csv")
+        b = export_features(model, data, synthetic_rows(data, [], data.inputs[:0]), tmp_path / "b.csv")
         assert a.read_bytes() == b.read_bytes()
 
 

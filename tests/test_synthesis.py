@@ -48,7 +48,7 @@ def make_model(arch, seed=0):
 
 def one_event(syn):
     """A synthesis event of one client's rows, as `dump_synthetic_dataset` takes it."""
-    return SynthesisEvent(1, "abc", 6, [syn], 0.0, 0.0, 0.0)
+    return SynthesisEvent(1, "abc", 6, [syn])
 
 
 def kl_oracle(z_hat, z_target, cam, eps=1e-8):
