@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -93,6 +94,97 @@ class TestValidation:
     def test_syn_steps_positive(self):
         with pytest.raises(ConfigError, match="syn_steps"):
             config_from_dict({"syn_steps": 0})
+
+
+ALGORITHM_CHOICES = "('fedavg', 'fmds_fl', 'hfmds_fl')"
+DIRICHLET = {"scheme": "dirichlet", "clients": 4, "concentration": 0.1}
+# one fault each, with the full message it must fail with
+SINGLE_FAULTS = [
+    ({"dataset": {"classes": 1}}, "dataset.classes must be at least 2, got 1"),
+    ({"dataset": {"dim": 1}}, "dataset.dim must be at least 2, got 1"),
+    ({"dataset": {"per_class": 1}}, "dataset.per_class must be at least 2, got 1"),
+    ({"dataset": {"spread": -0.1}}, "dataset.spread must be non-negative, got -0.1"),
+    ({"partition": {"scheme": "iid"}}, "partition.scheme must be one of ('dirichlet', 'label_skew'), got 'iid'"),
+    ({"partition": {"clients": 1, "classes_per_client": 6}}, "partition.clients must be at least 2, got 1"),
+    ({"partition": {**DIRICHLET, "concentration": 0}}, "partition.concentration must be positive, got 0"),
+    ({"partition": {**DIRICHLET, "concentration": -1.5}}, "partition.concentration must be positive, got -1.5"),
+    (
+        {"partition": {"scheme": "dirichlet", "clients": 4}},
+        "partition.concentration is required for the dirichlet scheme",
+    ),
+    (
+        {"partition": {**DIRICHLET, "classes_per_client": 2}},
+        "partition.classes_per_client is not a dirichlet field",
+    ),
+    (
+        {"partition": {"classes_per_client": None}},
+        "partition.classes_per_client is required for the label_skew scheme",
+    ),
+    ({"partition": {"concentration": 0.1}}, "partition.concentration is not a label_skew field"),
+    ({"partition": {"classes_per_client": 0}}, "partition.classes_per_client must lie in [1, 6], got 0"),
+    ({"partition": {"classes_per_client": 7}}, "partition.classes_per_client must lie in [1, 6], got 7"),
+    ({"partition": {"clients": 5}}, "partition.clients * classes_per_client must cover every class"),
+    ({"algorithm": "fedprox"}, f"algorithm must be one of {ALGORITHM_CHOICES}, got 'fedprox'"),
+    ({"rounds": 0}, "rounds must be at least 1, got 0"),
+    ({"active_clients": -1}, "active_clients must lie in [1, 10], got -1"),
+    ({"active_clients": 11}, "active_clients must lie in [1, 10], got 11"),
+    ({"local_epochs": 0}, "local_epochs must be at least 1, got 0"),
+    ({"batch_size": 0}, "batch_size must be at least 1, got 0"),
+    ({"learning_rate": 0}, "learning_rate must be positive, got 0"),
+    ({"learning_rate": -0.005}, "learning_rate must be positive, got -0.005"),
+    ({"momentum": -0.1}, "momentum must lie in [0, 1), got -0.1"),
+    ({"momentum": 1}, "momentum must lie in [0, 1), got 1"),
+    ({"weight_decay": -1e-4}, "weight_decay must be non-negative, got -0.0001"),
+    ({"alpha": -0.1}, "alpha must lie in [0, 1], got -0.1"),
+    ({"alpha": 1.5}, "alpha must lie in [0, 1], got 1.5"),
+    ({"mu": -1.5}, "mu must be at least -1, got -1.5"),
+    ({"lambda": -0.1}, "lambda must lie in [0, 1], got -0.1"),
+    ({"lambda": 2.0}, "lambda must lie in [0, 1], got 2.0"),
+    ({"syn_per_client": 0}, "syn_per_client must be at least 1, got 0"),
+    ({"syn_steps": 0}, "syn_steps must be at least 1, got 0"),
+    ({"syn_interval": 0}, "syn_interval must be at least 1, got 0"),
+    ({"adam_lr": 0}, "adam_lr must be positive, got 0"),
+    ({"adam_lr": -0.02}, "adam_lr must be positive, got -0.02"),
+    ({"kl_eps": 0.0}, "kl_eps must be positive, got 0.0"),
+    ({"kl_eps": -1e-8}, "kl_eps must be positive, got -1e-08"),
+    ({"seed": -1}, "seed must be non-negative, got -1"),
+]
+# configs that sit exactly on an inclusive bound, each of which must be accepted
+ON_THE_BOUND = [
+    {"dataset": {"classes": 2}},
+    {"dataset": {"dim": 2}},
+    {"dataset": {"per_class": 2}},
+    {"dataset": {"spread": 0}},
+    {"partition": {"clients": 2, "classes_per_client": 3}},
+    {"partition": {"classes_per_client": 6}},
+    {"active_clients": 1},
+    {"active_clients": 10},
+    {"rounds": 1},
+    {"local_epochs": 1},
+    {"batch_size": 1},
+    {"momentum": 0},
+    {"weight_decay": 0},
+    {"alpha": 0},
+    {"alpha": 1},
+    {"mu": -1},
+    {"lambda": 0},
+    {"lambda": 1},
+    {"syn_per_client": 1},
+    {"syn_steps": 1},
+    {"syn_interval": 1},
+    {"seed": 0},
+]
+
+
+class TestMessages:
+    @pytest.mark.parametrize("raw, message", SINGLE_FAULTS, ids=[message for _, message in SINGLE_FAULTS])
+    def test_single_fault_fails_with_its_message(self, raw, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            config_from_dict(raw)
+
+    @pytest.mark.parametrize("raw", ON_THE_BOUND, ids=[json.dumps(raw) for raw in ON_THE_BOUND])
+    def test_config_on_the_bound_is_accepted(self, raw):
+        config_from_dict(raw)
 
 
 class TestFieldTypes:
