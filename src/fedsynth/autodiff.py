@@ -115,9 +115,13 @@ class _Layout(NamedTuple):
 
 
 @functools.lru_cache(maxsize=None)
-def _architecture_layout(architecture: tuple[str, ...]) -> _Layout:
-    # parsed once per architecture: `local_update` and `aggregate` build models
-    # of a known architecture every round
+def architecture_layout(architecture: tuple[str, ...]) -> _Layout:
+    """Parse an architecture and lay out its parameters, once per process.
+
+    `validate_config` checks a config's architecture through this layout, and
+    every `Model` built from it later (`local_update` and `aggregate` build
+    them every round) reuses the cached result.
+    """
     layers = tuple(parse_architecture(architecture))
     dense = [i for i, layer in enumerate(layers) if layer[0] == "dense"]
     params = []
@@ -146,7 +150,7 @@ class Model:
 
     def __init__(self, architecture: Sequence[str], flat: Array):
         self.architecture = [str(s) for s in architecture]
-        self._layers, self._split, self._first_dense, self._layout = _architecture_layout(tuple(self.architecture))
+        self._layers, self._split, self._first_dense, self._layout = architecture_layout(tuple(self.architecture))
         self.input_dim = self._layers[self._first_dense][1]
         self.flat = np.ascontiguousarray(flat, dtype=np.float64)
         size = self._layout[-1][2]
@@ -176,7 +180,7 @@ class Model:
     @classmethod
     def initialize(cls, architecture: Sequence[str], rng: np.random.Generator) -> "Model":
         """Seeded init of a stack of one: every weight and bias uniform in +/- sqrt(1/fan_in)."""
-        weights = _architecture_layout(tuple(str(s) for s in architecture)).params[::2]
+        weights = architecture_layout(tuple(str(s) for s in architecture)).params[::2]
         draws = []
         for _, _, _, (fan_in, fan_out) in weights:
             bound = math.sqrt(1.0 / fan_in)

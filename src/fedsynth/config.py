@@ -7,11 +7,12 @@ import hashlib
 import json
 import logging
 import math
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping
+from typing import Callable, Mapping, NamedTuple
 
-from .autodiff import parse_architecture
+from .autodiff import architecture_layout
 from .errors import ConfigError
 
 logger = logging.getLogger(__name__)
@@ -30,20 +31,41 @@ def derive_seed(master: int, label: str) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
+class Rule(NamedTuple):
+    """A test one value must pass; a failure reads "<key> must <what>, got <value>"."""
+
+    what: str
+    accepts: Callable[[object], bool]
+
+
+def _at_least(n: int) -> Rule:
+    return Rule(f"be at least {n}", lambda v: v >= n)
+
+
+def _one_of(choices: tuple) -> Rule:
+    return Rule(f"be one of {choices}", lambda v: v in choices)
+
+
+_POSITIVE = Rule("be positive", lambda v: v > 0)
+_NON_NEGATIVE = Rule("be non-negative", lambda v: v >= 0)
+_UNIT = Rule("lie in [0, 1]", lambda v: 0 <= v <= 1)
+
+
 @dataclass
 class DatasetSpec:
-    classes: int = 6
-    dim: int = 16
-    per_class: int = 200
-    spread: float = 0.25
+    classes: int = field(default=6, metadata={"rule": _at_least(2)})
+    dim: int = field(default=16, metadata={"rule": _at_least(2)})
+    per_class: int = field(default=200, metadata={"rule": _at_least(2)})
+    spread: float = field(default=0.25, metadata={"rule": _NON_NEGATIVE})
 
 
 @dataclass
 class PartitionSpec:
-    scheme: str = "label_skew"
-    clients: int = 10
-    # each scheme reads one of these two; the other is None and is not serialized
-    concentration: float | None = field(default=None, metadata={"scheme": "dirichlet"})
+    scheme: str = field(default="label_skew", metadata={"rule": _one_of(PARTITION_SCHEMES)})
+    clients: int = field(default=10, metadata={"rule": _at_least(2)})
+    # each scheme reads the field tagged with it; the other is None and is not serialized
+    concentration: float | None = field(default=None, metadata={"scheme": "dirichlet", "rule": _POSITIVE})
+    # its range [1, dataset.classes] involves another key, so validate_config checks it
     classes_per_client: int | None = field(default=1, metadata={"scheme": "label_skew"})
 
 
@@ -51,31 +73,34 @@ class PartitionSpec:
 class ExperimentConfig:
     """Single source of truth for a run; defaults mirror the reference setup.
 
-    The fields of this class and of its two sections are the config keys: a
-    JSON key is the field name unless the field's metadata gives another, and
-    its type check follows the field's annotation.
+    The fields of this class and of its two sections are the config keys,
+    and each field declares its key's own rules: the JSON key is the field
+    name unless the metadata gives another `key`, the type check follows the
+    annotation, and the metadata's `rule` (a range or the choices) and
+    `scheme` tag complete them. `validate_config` checks those in one pass
+    and adds only the rules that involve more than one key.
     """
 
     dataset: DatasetSpec = field(default_factory=DatasetSpec)
     partition: PartitionSpec = field(default_factory=PartitionSpec)
-    algorithm: str = "hfmds_fl"
+    algorithm: str = field(default="hfmds_fl", metadata={"rule": _one_of(ALGORITHMS)})
     architecture: list[str] = field(default_factory=list)
-    rounds: int = 60
-    active_clients: int = 0  # 0 resolves to full participation
-    local_epochs: int = 1
-    batch_size: int = 10
-    learning_rate: float = 0.005
-    momentum: float = 0.9
-    weight_decay: float = 5e-4
-    alpha: float = 0.1
-    mu: float = 0.5
-    lam: float = field(default=0.5, metadata={"key": "lambda"})
-    syn_per_client: int = 100
-    syn_steps: int = 500
-    syn_interval: int = 20
-    adam_lr: float = 0.02
-    kl_eps: float = 1e-8
-    seed: int = 0
+    rounds: int = field(default=60, metadata={"rule": _at_least(1)})
+    active_clients: int = 0  # 0 resolves to full participation; at most partition.clients
+    local_epochs: int = field(default=1, metadata={"rule": _at_least(1)})
+    batch_size: int = field(default=10, metadata={"rule": _at_least(1)})
+    learning_rate: float = field(default=0.005, metadata={"rule": _POSITIVE})
+    momentum: float = field(default=0.9, metadata={"rule": Rule("lie in [0, 1)", lambda v: 0 <= v < 1)})
+    weight_decay: float = field(default=5e-4, metadata={"rule": _NON_NEGATIVE})
+    alpha: float = field(default=0.1, metadata={"rule": _UNIT})
+    mu: float = field(default=0.5, metadata={"rule": _at_least(-1)})
+    lam: float = field(default=0.5, metadata={"key": "lambda", "rule": _UNIT})
+    syn_per_client: int = field(default=100, metadata={"rule": _at_least(1)})
+    syn_steps: int = field(default=500, metadata={"rule": _at_least(1)})
+    syn_interval: int = field(default=20, metadata={"rule": _at_least(1)})
+    adam_lr: float = field(default=0.02, metadata={"rule": _POSITIVE})
+    kl_eps: float = field(default=1e-8, metadata={"rule": _POSITIVE})
+    seed: int = field(default=0, metadata={"rule": _NON_NEGATIVE})
     out_dir: str = "runs/default"
 
 
@@ -90,33 +115,45 @@ _KEYS = {
     for cls in (ExperimentConfig, *_SECTIONS.values())
 }
 
-# annotation -> (what the message says a value must be, the test it must pass)
+# annotation -> the rule a value of that type must pass
 _TYPES = {
-    "int": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
-    "float": (
-        "a finite number",
+    "int": Rule("be an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    "float": Rule(
+        "be a finite number",
         lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v),
     ),
-    "str": ("a string", lambda v: isinstance(v, str)),
-    "list[str]": (
-        "a list of layer strings",
+    "str": Rule("be a string", lambda v: isinstance(v, str)),
+    "list[str]": Rule(
+        "be a list of layer strings",
         lambda v: isinstance(v, (list, tuple)) and all(isinstance(s, str) for s in v),
     ),
 }
 
-# (key path, section attribute or None, field name, None allowed, (what, test)), built once
-_TYPED_FIELDS = [
-    (
+
+class _Check(NamedTuple):
+    path: str  # the key as messages name it, e.g. "partition.clients"
+    attr: str  # the attribute path from the config, e.g. "partition.clients"
+    optional: bool  # a `X | None` field also takes null and then skips its rule
+    type: Rule
+    rule: Rule | None
+    scheme: str | None  # the partition scheme that reads this field
+
+
+# every leaf field's checks, built once; sections come first and `scheme` precedes the fields it tags
+_CHECKS = [
+    _Check(
         f"{section}.{key}" if section else key,
-        section,
-        f.name,
+        f"{section}.{f.name}" if section else f.name,
         f.type.endswith(" | None"),
         _TYPES[f.type.removesuffix(" | None")],
+        f.metadata.get("rule"),
+        f.metadata.get("scheme"),
     )
     for section, cls in [*_SECTIONS.items(), (None, ExperimentConfig)]
     for key, f in _KEYS[cls].items()
     if not dataclasses.is_dataclass(f.default_factory)
 ]
+_VALUES = operator.attrgetter(*(check.attr for check in _CHECKS))  # one call reads every checked value
 
 
 def _require(condition: bool, message: str) -> None:
@@ -124,31 +161,41 @@ def _require(condition: bool, message: str) -> None:
         raise ConfigError(message)
 
 
-def _check_types(cfg: ExperimentConfig) -> None:
-    """Reject values of the wrong type before any range check compares them.
+def _check_fields(cfg: ExperimentConfig) -> None:
+    """Check every key against the rules its field declares.
 
-    Integers exclude bool; finite numbers take integers but not bool, NaN or
-    infinities; a `X | None` field also takes null.
+    All types are checked before any rule compares a value: integers exclude
+    bool; finite numbers take integers but not bool, NaN or infinities; a
+    `X | None` field also takes null. A field tagged with a scheme is
+    required under that scheme and must be null under any other.
     """
-    for path, section, name, optional, (what, accepts) in _TYPED_FIELDS:
-        value = getattr(getattr(cfg, section) if section else cfg, name)
-        if not (optional and value is None) and not accepts(value):
-            raise ConfigError(f"{path} must be {what}, got {value!r}")
+    values = _VALUES(cfg)
+    for check, value in zip(_CHECKS, values):
+        if not (check.optional and value is None) and not check.type.accepts(value):
+            raise ConfigError(f"{check.path} must {check.type.what}, got {value!r}")
+    for check, value in zip(_CHECKS, values):
+        if check.scheme is not None:
+            scheme = cfg.partition.scheme
+            if scheme == check.scheme and value is None:
+                raise ConfigError(f"{check.path} is required for the {scheme} scheme")
+            if scheme != check.scheme and value is not None:
+                raise ConfigError(f"{check.path} is not a {scheme} field")
+        if check.rule is not None and value is not None and not check.rule.accepts(value):
+            raise ConfigError(f"{check.path} must {check.rule.what}, got {value!r}")
 
 
 def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
-    """Validate every field and resolve derived defaults; returns a new config."""
+    """Validate every field and resolve derived defaults; returns a new config.
+
+    Each key's own rules come from its field (`_check_fields`); the checks
+    here are the ones that involve more than one key.
+    """
     cfg = dataclasses.replace(
         cfg, dataset=dataclasses.replace(cfg.dataset), partition=dataclasses.replace(cfg.partition)
     )
-    _check_types(cfg)
-    _require(cfg.algorithm in ALGORITHMS, f"algorithm must be one of {ALGORITHMS}, got {cfg.algorithm!r}")
+    _check_fields(cfg)
 
     ds = cfg.dataset
-    _require(ds.classes >= 2, f"dataset.classes must be at least 2, got {ds.classes}")
-    _require(ds.dim >= 2, f"dataset.dim must be at least 2, got {ds.dim}")
-    _require(ds.per_class >= 2, f"dataset.per_class must be at least 2, got {ds.per_class}")
-    _require(ds.spread >= 0, f"dataset.spread must be non-negative, got {ds.spread}")
     values = ds.classes * ds.per_class * ds.dim
     _require(
         values <= MAX_INPUT_VALUES,
@@ -156,11 +203,6 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
     )
 
     part = cfg.partition
-    _require(
-        part.scheme in PARTITION_SCHEMES,
-        f"partition.scheme must be one of {PARTITION_SCHEMES}, got {part.scheme!r}",
-    )
-    _require(part.clients >= 2, f"partition.clients must be at least 2, got {part.clients}")
     # with at least one training row per client, either scheme can fill every shard
     rows = ds.classes * ds.per_class
     _require(
@@ -169,18 +211,7 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
         f"got {part.clients}",
     )
     _require(part.clients <= MAX_CLIENTS, f"partition.clients must be at most {MAX_CLIENTS}, got {part.clients}")
-    if part.scheme == "dirichlet":
-        _require(part.concentration is not None, "partition.concentration is required for the dirichlet scheme")
-        _require(part.concentration > 0, f"partition.concentration must be positive, got {part.concentration}")
-        _require(
-            part.classes_per_client is None,
-            "partition.classes_per_client is not a dirichlet field",
-        )
-    else:
-        _require(
-            part.classes_per_client is not None,
-            "partition.classes_per_client is required for the label_skew scheme",
-        )
+    if part.classes_per_client is not None:
         _require(
             1 <= part.classes_per_client <= ds.classes,
             f"partition.classes_per_client must lie in [1, {ds.classes}], got {part.classes_per_client}",
@@ -189,23 +220,6 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
             part.clients * part.classes_per_client >= ds.classes,
             "partition.clients * classes_per_client must cover every class",
         )
-        _require(part.concentration is None, "partition.concentration is not a label_skew field")
-
-    _require(cfg.rounds >= 1, f"rounds must be at least 1, got {cfg.rounds}")
-    _require(cfg.local_epochs >= 1, f"local_epochs must be at least 1, got {cfg.local_epochs}")
-    _require(cfg.batch_size >= 1, f"batch_size must be at least 1, got {cfg.batch_size}")
-    _require(cfg.learning_rate > 0, f"learning_rate must be positive, got {cfg.learning_rate}")
-    _require(0 <= cfg.momentum < 1, f"momentum must lie in [0, 1), got {cfg.momentum}")
-    _require(cfg.weight_decay >= 0, f"weight_decay must be non-negative, got {cfg.weight_decay}")
-    _require(0 <= cfg.alpha <= 1, f"alpha must lie in [0, 1], got {cfg.alpha}")
-    _require(cfg.mu >= -1, f"mu must be at least -1, got {cfg.mu}")
-    _require(0 <= cfg.lam <= 1, f"lambda must lie in [0, 1], got {cfg.lam}")
-    _require(cfg.syn_per_client >= 1, f"syn_per_client must be at least 1, got {cfg.syn_per_client}")
-    _require(cfg.syn_steps >= 1, f"syn_steps must be at least 1, got {cfg.syn_steps}")
-    _require(cfg.syn_interval >= 1, f"syn_interval must be at least 1, got {cfg.syn_interval}")
-    _require(cfg.adam_lr > 0, f"adam_lr must be positive, got {cfg.adam_lr}")
-    _require(cfg.kl_eps > 0, f"kl_eps must be positive, got {cfg.kl_eps}")
-    _require(cfg.seed >= 0, f"seed must be non-negative, got {cfg.seed}")
 
     if cfg.active_clients == 0:
         cfg.active_clients = part.clients
@@ -222,14 +236,14 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
             "relu",
             f"dense(32,{ds.classes})",
         ]
-    layers = parse_architecture(cfg.architecture)
-    count = sum(layer[1] * layer[2] + layer[2] for layer in layers if layer[0] == "dense")
+    layout = architecture_layout(tuple(cfg.architecture))
+    count = layout.params[-1][2]
     _require(count <= MAX_PARAMETERS, f"architecture has {count} parameters, at most {MAX_PARAMETERS} are allowed")
-    first = next(layer for layer in layers if layer[0] == "dense")
-    _require(first[1] == ds.dim, f"architecture input width {first[1]} must equal dataset.dim {ds.dim}")
+    width = layout.layers[layout.first_dense][1]
+    _require(width == ds.dim, f"architecture input width {width} must equal dataset.dim {ds.dim}")
     _require(
-        layers[-1][2] == ds.classes,
-        f"architecture output width {layers[-1][2]} must equal dataset.classes {ds.classes}",
+        layout.layers[-1][2] == ds.classes,
+        f"architecture output width {layout.layers[-1][2]} must equal dataset.classes {ds.classes}",
     )
 
     if cfg.algorithm == "fmds_fl" and cfg.mu != 0.0:
@@ -257,9 +271,11 @@ def config_from_dict(raw: Mapping) -> ExperimentConfig:
     for key, cls in _SECTIONS.items():
         if key in kwargs:
             section = _field_values(kwargs[key], cls, key)
-            if section.get("scheme") == "dirichlet":
-                # the scheme decides which optional field is live; unset the other default
-                section.setdefault("classes_per_client", None)
+            if "scheme" in section:
+                # the scheme decides which tagged field is live; unset the others' defaults
+                for f in _KEYS[cls].values():
+                    if f.metadata.get("scheme", section["scheme"]) != section["scheme"]:
+                        section.setdefault(f.name, None)
             kwargs[key] = cls(**section)
     return validate_config(ExperimentConfig(**kwargs))
 

@@ -622,8 +622,11 @@ def test_extract_and_classify_reject_wrong_width():
 
 
 def test_copy_and_aggregate_parse_no_architecture(monkeypatch):
+    import fedsynth
     import fedsynth.autodiff as ad
+    from fedsynth.config import config_from_dict
     from fedsynth.engine import aggregate
+    from fedsynth.runner import build_state
 
     calls = []
     original = ad.parse_architecture
@@ -632,8 +635,11 @@ def test_copy_and_aggregate_parse_no_architecture(monkeypatch):
         calls.append(list(layers))
         return original(layers)
 
-    monkeypatch.setattr(ad, "parse_architecture", counting)
-    ad._architecture_layout.cache_clear()
+    # every module that holds the parser is patched, so no second parse path goes uncounted
+    for module in vars(fedsynth).values():
+        if getattr(module, "parse_architecture", None) is original:
+            monkeypatch.setattr(module, "parse_architecture", counting)
+    ad.architecture_layout.cache_clear()
     arch = ["dense(3,11)", "relu", "dense(11,11)", "relu", "dense(11,2)"]
     model = make_mlp(arch)
     assert calls == [arch]
@@ -642,3 +648,10 @@ def test_copy_and_aggregate_parse_no_architecture(monkeypatch):
     merged.copy()
     Model(arch, model.flat)
     assert calls == [arch]
+
+    # a config's check and the state built from it share the parse too
+    arch = ["dense(16,5)", "relu", "dense(5,6)"]
+    cfg = config_from_dict({"architecture": arch})
+    config_from_dict({"architecture": arch})
+    build_state(cfg)
+    assert calls[1:] == [arch]

@@ -13,6 +13,7 @@ from fedsynth.config import (
     DatasetSpec,
     ExperimentConfig,
     PartitionSpec,
+    Rule,
     config_from_dict,
     config_to_dict,
 )
@@ -39,6 +40,23 @@ def test_key_paths_are_the_dataclass_fields():
     leaves = [f for cls in (ExperimentConfig, DatasetSpec, PartitionSpec) for f in dataclasses.fields(cls)]
     assert len(KEY_PATHS) == len(leaves) - len(SECTIONS) == 27
     assert "lambda" in KEY_PATHS and "lam" not in KEY_PATHS
+
+
+def test_every_number_key_declares_its_own_rule():
+    """An int or float key's range sits on its field, so a key added without one fails here."""
+    # their bounds involve other keys (partition.clients, dataset.classes), so validate_config checks them
+    cross_key = {"active_clients", "partition.classes_per_client"}
+    without = set()
+    for section, cls in [(None, ExperimentConfig), ("dataset", DatasetSpec), ("partition", PartitionSpec)]:
+        for f in dataclasses.fields(cls):
+            if f.type.removesuffix(" | None") not in ("int", "float"):
+                continue
+            key = f.metadata.get("key", f.name)
+            if "rule" in f.metadata:
+                assert isinstance(f.metadata["rule"], Rule), key
+            else:
+                without.add(f"{section}.{key}" if section else key)
+    assert without == cross_key
 
 
 def test_readme_configuration_table_lists_every_key():
