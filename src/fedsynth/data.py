@@ -17,7 +17,13 @@ Array = np.ndarray
 
 @dataclass
 class Dataset:
-    """Feature matrix with integer class labels; treated as immutable."""
+    """Feature matrix with integer class labels; treated as immutable.
+
+    Construction checks the rows: aligned, finite inputs, labels in
+    [0, class_count). Rows taken from a checked dataset (`subset`, the
+    partition shards) are not checked again. Partition shards are
+    read-only row ranges of one shared table.
+    """
 
     inputs: Array
     labels: Array
@@ -36,9 +42,16 @@ class Dataset:
     def __len__(self) -> int:
         return self.inputs.shape[0]
 
+    @classmethod
+    def _checked(cls, inputs: Array, labels: Array, class_count: int) -> "Dataset":
+        """Wrap rows taken from a checked dataset without checking them again."""
+        data = object.__new__(cls)
+        data.inputs, data.labels, data.class_count = inputs, labels, class_count
+        return data
+
     def subset(self, indices) -> "Dataset":
         idx = np.asarray(indices, dtype=np.int64)
-        return Dataset(self.inputs[idx], self.labels[idx], self.class_count)
+        return Dataset._checked(self.inputs[idx], self.labels[idx], self.class_count)
 
     def class_histogram(self) -> Array:
         return np.bincount(self.labels, minlength=self.class_count)
@@ -79,9 +92,10 @@ def _class_means(class_count: int, dim: int) -> Array:
 
 def _sample_blobs(means: Array, per_class: int, spread: float, rng: np.random.Generator) -> tuple[Array, Array]:
     class_count, dim = means.shape
-    blocks = [means[c] + spread * rng.standard_normal((per_class, dim)) for c in range(class_count)]
+    # one draw fills the classes in order, as one draw per class would
+    blobs = means[:, None, :] + spread * rng.standard_normal((class_count, per_class, dim))
     labels = np.repeat(np.arange(class_count, dtype=np.int64), per_class)
-    return np.concatenate(blocks, axis=0), labels
+    return blobs.reshape(class_count * per_class, dim), labels
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a spread that overflows is reported as a config error
@@ -115,18 +129,21 @@ def _deal(dataset: Dataset, client_count: int, rng: np.random.Generator, counts)
     `counts(c, size)` gives class c's per-client row counts, summing to its
     `size`; classes without rows are skipped. Each empty shard then takes
     the last-dealt row of the largest shard, lowest index first.
+
+    One sort orders the dealt rows by (client, row index), as sorting each
+    client's rows would, and one gather copies them into a read-only
+    table. Shard k is a view of its own range of that table, taken with no
+    per-client mask, gather or re-check.
     """
-    order = np.empty(len(dataset), dtype=np.int64)
+    order = np.argsort(dataset.labels, kind="stable")  # each class's rows, ascending
     owner = np.empty_like(order)
     start = 0
-    for c in range(dataset.class_count):
-        idx = np.flatnonzero(dataset.labels == c)
-        if idx.size == 0:
+    for c, size in enumerate(np.bincount(dataset.labels, minlength=dataset.class_count).tolist()):
+        if size == 0:
             continue
-        rng.shuffle(idx)
-        stop = start + idx.size
-        order[start:stop] = idx
-        owner[start:stop] = np.repeat(np.arange(client_count), counts(c, int(idx.size)))
+        stop = start + size
+        rng.shuffle(order[start:stop])
+        owner[start:stop] = np.repeat(np.arange(client_count), counts(c, size))
         start = stop
     sizes = np.bincount(owner, minlength=client_count)
     for k in np.flatnonzero(sizes == 0):
@@ -136,7 +153,14 @@ def _deal(dataset: Dataset, client_count: int, rng: np.random.Generator, counts)
         owner[np.flatnonzero(owner == donor)[-1]] = k
         sizes[donor] -= 1
         sizes[k] += 1
-    return [dataset.subset(np.sort(order[owner == k])) for k in range(client_count)]
+    rows = order[np.lexsort((order, owner))]
+    inputs, labels = dataset.inputs[rows], dataset.labels[rows]
+    inputs.flags.writeable = labels.flags.writeable = False
+    ends = np.cumsum(sizes).tolist()
+    return [
+        Dataset._checked(inputs[lo:hi], labels[lo:hi], dataset.class_count)
+        for lo, hi in zip([0] + ends[:-1], ends)
+    ]
 
 
 def partition_dirichlet(dataset: Dataset, client_count: int, concentration: float, seed: int) -> list[Dataset]:

@@ -96,13 +96,15 @@ def write_csv(path: Path, header, rows) -> Path:
     """Write a header and rows of cells as CSV with LF endings.
 
     A float is written as `repr(float(v))`, so a numpy float reads like a
-    Python one, None as an empty cell, anything else with `str`.
+    Python one, None as an empty cell, anything else with `str`. Each line
+    goes straight to the open file; the whole text is never held at once.
     """
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(["" if v is None else repr(float(v)) if isinstance(v, float) else str(v) for v in row]))
     path = Path(path)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with path.open("w", encoding="utf-8", newline="\n") as out:
+        out.write(",".join(header) + "\n")
+        for row in rows:
+            cells = ["" if v is None else repr(float(v)) if isinstance(v, float) else str(v) for v in row]
+            out.write(",".join(cells) + "\n")
     return path
 
 

@@ -6,6 +6,8 @@ import pytest
 from fedsynth.config import config_from_dict
 from fedsynth.data import (
     Dataset,
+    _class_means,
+    _sample_blobs,
     largest_remainder,
     make_blobs,
     partition_dirichlet,
@@ -43,6 +45,14 @@ class TestMakeBlobs:
         b_train, b_test = make_blobs(4, 6, 25, 0.3, seed=42)
         assert np.array_equal(a_train.inputs, b_train.inputs)
         assert np.array_equal(a_test.inputs, b_test.inputs)
+
+    def test_one_draw_is_the_per_class_draws(self):
+        means = _class_means(3, 4)
+        x, y = _sample_blobs(means, 7, 0.3, np.random.default_rng(5))
+        rng = np.random.default_rng(5)
+        reference = np.concatenate([means[c] + 0.3 * rng.standard_normal((7, 4)) for c in range(3)])
+        assert np.array_equal(x, reference)
+        assert np.array_equal(y, np.repeat(np.arange(3), 7))
 
     def test_normalized_to_unit_interval(self):
         train, test = make_blobs(5, 8, 30, 0.5, seed=2)
@@ -197,3 +207,27 @@ class TestPinnedShards:
             h.update(np.int64(indices.size).tobytes())
             h.update(indices.tobytes())
         assert h.hexdigest()[:16] == digest
+
+
+class TestShardMemory:
+    """Shards are read-only row ranges of one table that belongs to the partition."""
+
+    @pytest.mark.parametrize(
+        "partition, arg", [(partition_dirichlet, 0.3), (partition_label_skew, 2)], ids=["dirichlet", "label_skew"]
+    )
+    def test_shards_are_read_only_and_share_no_memory(self, partition, arg):
+        train, _ = make_blobs(5, 6, 24, 0.2, seed=11)
+        shards = partition(train, 6, arg, seed=3)
+        arrays = [(shard.inputs, shard.labels) for shard in shards]
+        for inputs, labels in arrays:
+            for array in (inputs, labels):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = array[0]
+                assert not np.shares_memory(array, train.inputs)
+                assert not np.shares_memory(array, train.labels)
+        for i, first in enumerate(arrays):
+            for second in arrays[i + 1 :]:
+                assert not any(np.shares_memory(a, b) for a in first for b in second)
+        # the source keeps its own, writable arrays
+        train.inputs[0] = train.inputs[0]
+        train.labels[0] = train.labels[0]
