@@ -4,10 +4,9 @@ Gradients are written out by hand: `backward` walks the model's layers in
 reverse over what a forward pass cached (each dense layer's input and each
 relu's positive mask), with cross entropy entering at the logits
 (`cross_entropy_grad`) and any feature-space loss at the extractor/classifier
-split. A relu is `np.maximum(h, 0)`, so a NaN passes through it to the
-gradient, where `Sgd.step` reports it. Every `Model` is a stack of MLPs:
-local training runs a round's clients as one stack, and the global model is
-a stack of one. The walks run over the leading stack axis.
+split. Every `Model` is a stack of MLPs: local training runs a round's
+local models as one stack, and the global model is a stack of one. The walks
+run over the leading stack axis.
 Everything is float64 so gradient checks can run at tight tolerances. The
 tests keep a graph autodiff as the reference these closed forms are pinned
 against.
@@ -249,8 +248,7 @@ def backward(
     """Backpropagate through the forward pass cached in `cache`.
 
     The cache holds each dense layer's input and each relu's positive mask
-    (`h > 0`), by which a relu's backward multiplies. The forward relu passed
-    any NaN through to the logits, so a NaN parameter shows in the gradient.
+    (`h > 0`), by which a relu's backward multiplies.
 
     `d_logits` is the loss gradient w.r.t. the logits; `d_features`, when
     given, joins at the extractor/classifier split (for a single dense layer
@@ -297,22 +295,15 @@ class Sgd:
         self.weight_decay = float(weight_decay)
         self.velocity: Array | None = None
 
-    def step(self, model: Model, grad: Array, clients: Sequence[int] | None = None) -> None:
+    def step(self, model: Model, grad: Array) -> None:
         """Update `model.flat` in place from a gradient laid out like it.
 
         A later step may update a prefix of the stack the first step saw
         (models that finished drop off its end): it then moves the first
-        rows of the velocity and leaves the others alone. `clients` names
-        the stacked models in a NaN error (default: their row).
+        rows of the velocity and leaves the others alone.
         """
         if grad.shape != model.flat.shape:
             raise ValueError(f"gradient shape {grad.shape} does not match parameters {model.flat.shape}")
-        nan = np.isnan(grad)
-        if nan.any():
-            row = int(nan.any(axis=1).argmax())
-            name = next(name for name, g in model.views(nan[row : row + 1]).items() if g.any())
-            client = row if clients is None else clients[row]
-            raise ValueError(f"NaN gradient for parameter {name!r} of client {client}")
         decayed = None
         if self.weight_decay:
             decayed = self.weight_decay * model.flat

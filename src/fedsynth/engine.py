@@ -140,7 +140,6 @@ def local_update(
         weights, counts = is_real.astype(np.float64), real
 
     stack = Model(model.architecture, np.tile(model.flat, (len(stacked), 1)))
-    ids = [client.client_id for client in stacked]
     steps = np.count_nonzero(real, axis=1)
     sums = np.zeros((len(stacked), classes, model.feature_dim))
     losses = np.zeros(real.shape)
@@ -155,7 +154,7 @@ def local_update(
         features, logits = live.forward(inputs[rows], cache)
         loss, d_logits = cross_entropy_grad(logits, batch_targets, weights[:size, t], counts[:size, t])
         sums[:size] += batch_targets[:, :batch_size].swapaxes(-1, -2) @ features[:, :batch_size]
-        optimizer.step(live, backward_params(live, cache, d_logits), ids[:size])
+        optimizer.step(live, backward_params(live, cache, d_logits))
         losses[:size, t] = loss
 
     # every shard row is seen once per epoch; an absent class's row stays a finite zero

@@ -1,4 +1,4 @@
-"""End-to-end experiment runs: state construction, round loop, artifact output."""
+"""End-to-end experiment runs: state construction, the guarded round loop, artifact output."""
 
 from __future__ import annotations
 
@@ -13,6 +13,7 @@ from .autodiff import Model
 from .config import ExperimentConfig, config_to_dict, derive_seed
 from .data import make_blobs, partition_dirichlet, partition_label_skew
 from .engine import ClientState, GlobalState, run_round
+from .errors import DivergenceError
 from .metrics import export_features, write_metrics_csv
 from .synthesis import dump_synthetic_dataset, synthetic_rows
 
@@ -61,10 +62,15 @@ def build_state(cfg: ExperimentConfig) -> tuple[GlobalState, dict]:
 
 
 def execute(cfg: ExperimentConfig) -> tuple[GlobalState, dict]:
-    """Run the full round loop in memory; no files are written."""
+    """Run the full round loop in memory, a diverging round raising `DivergenceError`; no files are written."""
     state, seeds = build_state(cfg)
-    for _ in range(cfg.rounds):
-        run_round(state, cfg)
+    for t in range(1, cfg.rounds + 1):
+        # the data and the initial model are finite: an inf or NaN in a round comes from an operation that raises
+        try:
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                run_round(state, cfg)
+        except FloatingPointError as exc:
+            raise DivergenceError(f"round {t}: {exc}") from exc
     return state, seeds
 
 

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -23,6 +26,13 @@ def small_config(**overrides):
         else:
             base[key] = value
     return config_from_dict(base)
+
+
+def divergence_probe(**overrides):
+    """The shipped default config cut to 50 rows per class and 4 rounds, with a synthesis event every second round."""
+    base = json.loads((Path(__file__).resolve().parent.parent / "configs" / "default.json").read_text())
+    base["dataset"]["per_class"] = 50
+    return config_from_dict({**base, "rounds": 4, "syn_interval": 2, "syn_steps": 50, "seed": 1, **overrides})
 
 
 @pytest.fixture

@@ -1,7 +1,8 @@
+import dataclasses
 import json
 from pathlib import Path
 
-from conftest import small_config
+from conftest import divergence_probe, small_config
 from test_config import MORE_CLIENTS_THAN_ROWS
 
 from fedsynth.cli import main
@@ -130,6 +131,15 @@ class TestRunCommand:
         path.write_text(json.dumps({"dataset": {"spread": 1e308}, "out_dir": str(tmp_path / "out")}))
         assert main(["run", "--config", str(path)]) == 2
         assert "dataset.spread" in capsys.readouterr().err
+
+    def test_diverging_run_exits_1_naming_the_round(self, tmp_path, capsys):
+        path = tmp_path / "diverging.json"
+        cfg = dataclasses.replace(divergence_probe(learning_rate=1e6), out_dir=str(tmp_path / "out"))
+        path.write_text(json.dumps(config_to_dict(cfg)))
+        assert main(["run", "--config", str(path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: round 2: "), err
+        assert not (tmp_path / "out" / "metrics.csv").exists()
 
 
 class TestSynthInspect:
