@@ -9,10 +9,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Model, Sgd, backward_params, cross_entropy_grad
-from .config import ExperimentConfig, derive_seed
+from .config import ExperimentConfig
 from .data import Dataset
 from .metrics import MetricsRow, accuracy, alignment_score, class_feature_means
-from .synthesis import SynthesisConfig, SynthesisEvent, model_fingerprint, synthesize, update_prototypes
+from .synthesis import SynthesisEvent, run_event, update_prototypes
 
 Array = np.ndarray
 
@@ -39,7 +39,7 @@ class GlobalState:
     clients: list[ClientState]
     test_data: Dataset
     server_rng: np.random.Generator
-    # the shared pool: the last synthesis event's rows (`synthetic_rows`)
+    # the shared pool: the last synthesis event's `pool`, the same array (`synthetic_rows`)
     syn_samples: Array
     rows: list[MetricsRow] = field(default_factory=list)
     events: list[SynthesisEvent] = field(default_factory=list)
@@ -174,26 +174,6 @@ def aggregate(stack: Model) -> Model:
     return Model(stack.architecture, stack.flat.sum(axis=0, keepdims=True) / len(stack.flat))
 
 
-def _run_synthesis(state: GlobalState, config: ExperimentConfig, round_index: int) -> None:
-    """Every client synthesizes against the current global model; the pooled
-    result replaces the previous shared synthetic dataset."""
-    syn_cfg = SynthesisConfig(
-        count=config.syn_per_client,
-        steps=config.syn_steps,
-        adam_lr=config.adam_lr,
-        scale=config.mu,
-        kl_eps=config.kl_eps,
-    )
-    datasets = []
-    for client in state.clients:
-        rng = np.random.default_rng(
-            derive_seed(config.seed, f"synthesis/round={round_index}/client={client.client_id}")
-        )
-        datasets.append(synthesize(state.model, client.shard, client.prototypes, syn_cfg, rng, client.client_id))
-    state.syn_samples = np.concatenate([ds.samples for ds in datasets])
-    state.events.append(SynthesisEvent(round_index, model_fingerprint(state.model), state.model.feature_dim, datasets))
-
-
 def run_round(state: GlobalState, config: ExperimentConfig) -> GlobalState:
     """Advance the simulation by one communication round.
 
@@ -209,7 +189,8 @@ def run_round(state: GlobalState, config: ExperimentConfig) -> GlobalState:
     t = len(state.rows) + 1
     synthesis_due = config.algorithm != "fedavg" and t % config.syn_interval == 0
     if synthesis_due:
-        _run_synthesis(state, config, t)
+        state.events.append(run_event(state.model, state.clients, config, t))
+        state.syn_samples = state.events[-1].pool
     active = sample_clients(len(state.clients), config.active_clients, state.server_rng)
 
     alpha = config.alpha if len(state.syn_samples) else 1.0

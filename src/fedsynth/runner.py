@@ -75,10 +75,10 @@ def execute(cfg: ExperimentConfig) -> tuple[GlobalState, dict]:
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunManifest:
-    """Execute a configured run and write all artifacts below cfg.out_dir."""
+    """Execute a configured run, then write all artifacts below cfg.out_dir; a failed run writes nothing."""
+    state, seeds = execute(cfg)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    state, seeds = execute(cfg)
 
     artifacts = []
     write_metrics_csv(state.rows, out / "metrics.csv")

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import Adam, Model, backward_input, log_softmax_rows
+from .config import ExperimentConfig, derive_seed
 from .data import Dataset, largest_remainder
 from .metrics import psnr, write_csv
 
@@ -63,17 +64,19 @@ def _row_dtype(dim: int) -> np.dtype:
         ("initial_loss", np.float64),
         ("final_loss", np.float64),
         ("psnr", np.float64),
+        ("client", np.int64),
     ]
     return np.dtype((SyntheticRow, fields))
 
 
-def synthetic_rows(shard: Dataset, paired_index, x, initial_loss=0.0, final_loss=0.0) -> Array:
+def synthetic_rows(shard: Dataset, paired_index, x, initial_loss=0.0, final_loss=0.0, client=0) -> Array:
     """The one row format of synthetic data, from synthesis to local training.
 
     A numpy record array with columns `x` (n, dim), `label` (the hard label
     of the paired real `shard` row, which the row trains on), `psnr` (against
-    that row), `paired_index`, `initial_loss` and `final_loss`. Columns read
-    as arrays (`rows["x"]`) and rows as records (`rows[i].x`).
+    that row), `paired_index`, `initial_loss`, `final_loss` and `client` (the
+    id of the client that made the row). Columns read as arrays
+    (`rows["x"]`) and rows as records (`rows[i].x`).
     """
     paired_index = np.asarray(paired_index, dtype=np.int64)
     x = np.asarray(x, dtype=np.float64)
@@ -87,20 +90,20 @@ def synthetic_rows(shard: Dataset, paired_index, x, initial_loss=0.0, final_loss
     rows["initial_loss"] = initial_loss
     rows["final_loss"] = final_loss
     rows["psnr"] = psnr(x, shard.inputs[paired_index])
+    rows["client"] = client
     return rows
 
 
 @dataclass
 class SyntheticDataset:
-    """Rows produced by one client in one synthesis event (`synthetic_rows`)."""
+    """The rows (`synthetic_rows`) of one `synthesize` job."""
 
     samples: Array
-    client_id: int = 0
 
 
 @dataclass
 class SynthesisEvent:
-    """One synthesis round: every client's rows.
+    """One synthesis round: the pool of every client's rows, in client order.
 
     Every client inverts the same global model, so its fingerprint and
     extractor width are recorded once, here, for all of them. Summaries of
@@ -110,7 +113,7 @@ class SynthesisEvent:
     round_index: int
     model_fingerprint: str
     feature_dim: int
-    datasets: list[SyntheticDataset]
+    pool: Array
 
 
 def model_fingerprint(model: Model) -> str:
@@ -286,7 +289,25 @@ def synthesize(
         x_hat.clip(0.0, 1.0, out=x_hat)
     final = _row_losses(model, x_hat, target_probs, masks, labels, cfg)
 
-    return SyntheticDataset(synthetic_rows(shard, pair_idx, x_hat[0], initial[0], final[0]), client_id)
+    return SyntheticDataset(synthetic_rows(shard, pair_idx, x_hat[0], initial[0], final[0], client_id))
+
+
+def run_event(model: Model, clients, config: ExperimentConfig, round_index: int) -> SynthesisEvent:
+    """One synthesis event: each client's rows against `model`, from its own round stream, pooled in client order."""
+    cfg = SynthesisConfig(
+        count=config.syn_per_client,
+        steps=config.syn_steps,
+        adam_lr=config.adam_lr,
+        scale=config.mu,
+        kl_eps=config.kl_eps,
+    )
+    rows = []
+    for client in clients:
+        rng = np.random.default_rng(
+            derive_seed(config.seed, f"synthesis/round={round_index}/client={client.client_id}")
+        )
+        rows.append(synthesize(model, client.shard, client.prototypes, cfg, rng, client.client_id).samples)
+    return SynthesisEvent(round_index, model_fingerprint(model), model.feature_dim, np.concatenate(rows))
 
 
 def dump_synthetic_dataset(
@@ -295,16 +316,18 @@ def dump_synthetic_dataset(
     proto_momentum: float,
     out_dir: Path,
 ) -> list[Path]:
-    """Write one synthesis event: per client, JSON metadata plus a CSV of rows."""
+    """Write one synthesis event: per client in its pool, JSON metadata plus a CSV of rows."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = []
-    for syn in event.datasets:
-        stem = f"client_{syn.client_id:02d}"
-        rows = syn.samples
+    clients = event.pool["client"]
+    # the distinct ids in pool order; a first `np.unique` call would import numpy.ma (~1 MB)
+    for client in dict.fromkeys(clients.tolist()):
+        stem = f"client_{client:02d}"
+        rows = event.pool[clients == client]
         initial, final = rows["initial_loss"].tolist(), rows["final_loss"].tolist()
         meta = {
-            "client_id": syn.client_id,
+            "client_id": client,
             "round": event.round_index,
             "count": len(rows),
             "mu": scale,

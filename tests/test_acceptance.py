@@ -263,10 +263,11 @@ def test_criterion_4_privacy_ordering(bench_runs):
         state = bench_runs[("hfmds_fl", seed)][0]
         event = state.events[-1]
         syn_values, mix_values = [], []
-        for ds, client in zip(event.datasets, state.clients):
-            syn_values.append(float(np.mean(ds.samples["psnr"])))
+        for client in state.clients:
+            rows = event.pool[event.pool["client"] == client.client_id]
+            syn_values.append(float(np.mean(rows["psnr"])))
             mix_rng = np.random.default_rng(derive_seed(seed, f"mixup/{client.client_id}"))
-            mix = mixup_generate(client.shard, len(ds.samples), mix_rng)
+            mix = mixup_generate(client.shard, len(rows), mix_rng)
             mix_values.append(float(np.mean(mix.samples["psnr"])))
         syn_mean, mix_mean = float(np.mean(syn_values)), float(np.mean(mix_values))
         details.append(f"seed {seed}: {syn_mean:.2f} vs {mix_mean:.2f} dB")
@@ -294,7 +295,7 @@ def test_criterion_6_synthesis_effectiveness(bench_runs):
     for seed in BENCH_SEEDS:
         state = bench_runs[("hfmds_fl", seed)][0]
         for event in state.events:
-            rows = np.concatenate([ds.samples for ds in event.datasets])
+            rows = event.pool
             worst = min(worst, np.count_nonzero(rows["final_loss"] < rows["initial_loss"]) / len(rows))
     report(
         6,

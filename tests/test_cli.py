@@ -140,6 +140,7 @@ class TestRunCommand:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: round 2: "), err
         assert not (tmp_path / "out" / "metrics.csv").exists()
+        assert not (tmp_path / "out").exists()  # a failed run writes nothing
 
 
 class TestSynthInspect:
@@ -158,11 +159,11 @@ class TestSynthInspect:
 
     def test_identical_to_real_reports_cap(self, tmp_path, capsys):
         from fedsynth.data import make_blobs
-        from fedsynth.synthesis import SynthesisEvent, SyntheticDataset, dump_synthetic_dataset, synthetic_rows
+        from fedsynth.synthesis import SynthesisEvent, dump_synthetic_dataset, synthetic_rows
 
         shard, _ = make_blobs(3, 5, 10, 0.25, seed=1)
         samples = synthetic_rows(shard, range(5), shard.inputs[:5])
-        event = SynthesisEvent(2, "", 4, [SyntheticDataset(samples)])
+        event = SynthesisEvent(2, "", 4, samples)
         dump_synthetic_dataset(event, 0.5, 0.5, tmp_path / "dump")
         assert main(["synth-inspect", "--dump", str(tmp_path / "dump")]) == 0
         assert "100.0" in capsys.readouterr().out

@@ -311,17 +311,21 @@ class TestRunRound:
         state, _ = execute(cfg)
         assert len(state.syn_samples) == 20
         assert state.events[-1].round_index == 4
-        last = np.concatenate([ds.samples for ds in state.events[-1].datasets])
-        assert np.array_equal(state.syn_samples, last)
+        assert np.array_equal(state.syn_samples, state.events[-1].pool)
         # the concatenated pool still reads row by row
         assert [row.paired_index for row in state.syn_samples] == state.syn_samples["paired_index"].tolist()
         # each row's psnr and loss_drop are the means over the latest event's rows; None before the first
         assert [state.rows[0].psnr, state.rows[0].loss_drop] == [None, None]
         for row in state.rows[1:]:
             event = [e for e in state.events if e.round_index <= row.round_index][-1]
-            pool = np.concatenate([ds.samples for ds in event.datasets])
+            pool = event.pool
             assert row.psnr == float(np.mean(pool["psnr"]))
             assert row.loss_drop == float(np.mean(pool["initial_loss"] - pool["final_loss"]))
+
+    def test_shared_pool_is_the_last_events_pool_not_a_copy(self):
+        state, _ = execute(small_config(rounds=2, syn_interval=2))
+        assert len(state.events) == 1 and len(state.syn_samples) == 4 * 8
+        assert state.syn_samples is state.events[-1].pool
 
     def test_features_csv_ends_with_the_pool_in_order(self, tmp_path):
         cfg = small_config(rounds=4, syn_interval=2, syn_per_client=5, out_dir=str(tmp_path))
@@ -425,3 +429,21 @@ class TestDivergence:
             values = [row.accuracy, row.train_loss, row.alignment] + ([row.psnr, row.loss_drop] if row.syn_size else [])
             assert np.isfinite(values).all(), row
 
+
+
+class TestFailedRun:
+    """A run that raises before its round loop ends leaves no output directory behind."""
+
+    @pytest.mark.parametrize(
+        "make_config, error",
+        [
+            (lambda out: divergence_probe(learning_rate=1e6, out_dir=out), DivergenceError),
+            (lambda out: config_from_dict({"dataset": {"spread": 1e308}, "out_dir": out}), ConfigError),
+        ],
+        ids=["diverging-round", "overflowing-spread-in-build-state"],
+    )
+    def test_writes_nothing(self, tmp_path, make_config, error):
+        out = tmp_path / "out"
+        with pytest.raises(error):
+            run_experiment(make_config(str(out)))
+        assert not out.exists()

@@ -19,7 +19,7 @@ from graph_reference import (
 )
 
 from fedsynth.autodiff import Adam, Model
-from fedsynth.config import config_from_dict
+from fedsynth.config import config_from_dict, derive_seed
 from fedsynth.data import make_blobs
 from fedsynth.engine import run_round
 from fedsynth.errors import ConfigError
@@ -28,7 +28,6 @@ from fedsynth.runner import build_state, run_experiment
 from fedsynth.synthesis import (
     SynthesisConfig,
     SynthesisEvent,
-    SyntheticDataset,
     _input_grad,
     _matching_targets,
     _softmax_np,
@@ -36,6 +35,7 @@ from fedsynth.synthesis import (
     dump_synthetic_dataset,
     hard_feature,
     model_fingerprint,
+    run_event,
     synthesize,
     synthetic_rows,
     update_prototypes,
@@ -46,9 +46,9 @@ def make_model(arch, seed=0):
     return Model.initialize(arch, np.random.default_rng(seed))
 
 
-def one_event(syn):
-    """A synthesis event of one client's rows, as `dump_synthetic_dataset` takes it."""
-    return SynthesisEvent(1, "abc", 6, [syn])
+def one_event(rows):
+    """A synthesis event whose pool is `rows`, as `dump_synthetic_dataset` takes it."""
+    return SynthesisEvent(1, "abc", 6, rows)
 
 
 def kl_oracle(z_hat, z_target, cam, eps=1e-8):
@@ -468,7 +468,7 @@ class TestDump:
     def test_an_event_carries_the_fingerprint_of_the_model_it_inverted(self, tmp_path, monkeypatch):
         import json
 
-        import fedsynth.engine as engine
+        import fedsynth.synthesis as synthesis
 
         cfg = small_config(rounds=4, syn_interval=2, out_dir=str(tmp_path))
         state, _ = build_state(cfg)
@@ -478,7 +478,7 @@ class TestDump:
             run_round(state, cfg)
 
         hashed = []
-        monkeypatch.setattr(engine, "model_fingerprint", lambda model: hashed.append(1) or model_fingerprint(model))
+        monkeypatch.setattr(synthesis, "model_fingerprint", lambda model: hashed.append(1) or model_fingerprint(model))
         run_experiment(cfg)
         assert len(hashed) == 2  # once per event, not once per client
         for t in (2, 4):
@@ -487,11 +487,26 @@ class TestDump:
             assert fingerprints == [inverted[t]] * cfg.partition.clients
         assert inverted[2] != inverted[4]
 
+    def test_pool_dump_splits_by_client_column(self, tmp_path):
+        shard, _ = make_blobs(3, 5, 10, 0.25, seed=22)
+        first = synthetic_rows(shard, range(4), 0.5 * shard.inputs[:4], 1.0, 0.5, client=0)
+        second = synthetic_rows(shard, [7, 2, 9], 0.25 * shard.inputs[[7, 2, 9]], [2.0, 1.0, 3.0], 0.25, client=3)
+        pooled = dump_synthetic_dataset(one_event(np.concatenate([first, second])), 0.5, 0.5, tmp_path / "pool")
+        names = ["client_00.json", "client_00.csv", "client_03.json", "client_03.csv"]
+        assert [p.name for p in pooled] == names
+        alone = [
+            *dump_synthetic_dataset(one_event(first), 0.5, 0.5, tmp_path / "first"),
+            *dump_synthetic_dataset(one_event(second), 0.5, 0.5, tmp_path / "second"),
+        ]
+        assert [p.name for p in alone] == names
+        for a, b in zip(pooled, alone):
+            assert a.read_bytes() == b.read_bytes(), a.name
+
     def test_dump_writes_json_and_csv(self, tmp_path):
         model = make_model(["dense(5,6)", "relu", "dense(6,3)"], seed=21)
         shard, _ = make_blobs(3, 5, 10, 0.25, seed=22)
         syn = synthesize(model, shard, None, SynthesisConfig(count=6, steps=2), np.random.default_rng(4))
-        paths = dump_synthetic_dataset(one_event(syn), 0.5, 0.5, tmp_path)
+        paths = dump_synthetic_dataset(one_event(syn.samples), 0.5, 0.5, tmp_path)
         assert [p.name for p in paths] == ["client_00.json", "client_00.csv"]
         lines = paths[1].read_text().strip().split("\n")
         assert lines[0] == "x0,x1,x2,x3,x4,label,paired_index,initial_loss,final_loss"
@@ -501,8 +516,8 @@ class TestDump:
         import json
 
         shard, _ = make_blobs(3, 5, 10, 0.25, seed=22)
-        syn = SyntheticDataset(synthetic_rows(shard, range(4), shard.inputs[:4]))
-        json_path, _ = dump_synthetic_dataset(one_event(syn), 0.5, 0.5, tmp_path)
+        rows = synthetic_rows(shard, range(4), shard.inputs[:4])
+        json_path, _ = dump_synthetic_dataset(one_event(rows), 0.5, 0.5, tmp_path)
         meta = json.loads(json_path.read_text())
         assert meta["psnr"] == [100.0, 100.0, 100.0, 100.0]
 
@@ -516,12 +531,34 @@ class TestDump:
             syn = synthesize(model, shard, None, SynthesisConfig(count=6, steps=2), np.random.default_rng(4))
         else:
             syn = mixup_generate(shard, 7, np.random.default_rng(4))
-        json_path, csv_path = dump_synthetic_dataset(one_event(syn), 0.5, 0.5, tmp_path)
+        json_path, csv_path = dump_synthetic_dataset(one_event(syn.samples), 0.5, 0.5, tmp_path)
         meta = json.loads(json_path.read_text())
         rows = [line.split(",") for line in csv_path.read_text().strip().split("\n")[1:]]
         expected = [psnr([float(v) for v in row[:5]], shard.inputs[int(row[6])]) for row in rows]
         assert meta["psnr"] == expected
         assert meta["psnr"] == [psnr(s.x, shard.inputs[s.paired_index]) for s in syn.samples]
+
+
+class TestRunEvent:
+    def test_pool_is_each_clients_rows_in_client_order(self):
+        cfg = small_config(syn_per_client=5, syn_steps=3)
+        state, _ = build_state(cfg)
+        run_round(state, cfg)  # round 1 trains, so the clients hold prototypes and synthesis hardens
+        clients = [state.clients[k] for k in (0, 2, 3)]
+        event = run_event(state.model, clients, cfg, 2)
+
+        syn_cfg = SynthesisConfig(count=5, steps=3, adam_lr=cfg.adam_lr, scale=cfg.mu, kl_eps=cfg.kl_eps)
+        alone = []
+        for client in clients:
+            assert client.prototypes is not None
+            rng = np.random.default_rng(derive_seed(cfg.seed, f"synthesis/round=2/client={client.client_id}"))
+            syn = synthesize(state.model, client.shard, client.prototypes, syn_cfg, rng, client.client_id)
+            alone.append(syn.samples)
+        assert event.pool.dtype == alone[0].dtype
+        assert event.pool.tobytes() == np.concatenate(alone).tobytes()
+        assert event.pool["client"].tolist() == [0] * 5 + [2] * 5 + [3] * 5
+        assert (event.round_index, event.model_fingerprint) == (2, model_fingerprint(state.model))
+        assert event.feature_dim == state.model.feature_dim
 
 
 class TestSyntheticRows:
@@ -533,7 +570,7 @@ class TestSyntheticRows:
 
     def test_columns_and_rows(self):
         shard, rows = self.make(initial_loss=[2.0, 3.0], final_loss=1.0)
-        assert rows.dtype.names == ("x", "label", "paired_index", "initial_loss", "final_loss", "psnr")
+        assert rows.dtype.names == ("x", "label", "paired_index", "initial_loss", "final_loss", "psnr", "client")
         assert rows["x"].shape == (2, 4)
         assert rows["label"].tolist() == shard.labels[[0, 7]].tolist()
         assert rows["paired_index"].tolist() == [0, 7]
