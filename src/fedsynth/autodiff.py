@@ -1,15 +1,25 @@
 """The MLP, its closed-form forward and backward passes, and the optimizers.
 
-Gradients are written out by hand: `backward` walks the model's layers in
-reverse over what a forward pass cached (each dense layer's input and each
-relu's positive mask), with cross entropy entering at the logits
-(`cross_entropy_grad`) and any feature-space loss at the extractor/classifier
-split. Every `Model` is a stack of MLPs: local training runs a round's
-local models as one stack, and the global model is a stack of one. The walks
-run over the leading stack axis.
-Everything is float64 so gradient checks can run at tight tolerances. The
-tests keep a graph autodiff as the reference these closed forms are pinned
-against.
+Every `Model` is a stack of MLPs: local training runs a round's local
+models as one stack, and the global model is a stack of one. Every walk is
+feature-major: an activation is a (models, width, batch) array, one column
+per sample, so a reduction over a sample's features runs over axis -2 as
+plain elementwise work on rows of length batch.
+
+Each dense layer is its (fan_in + 1, fan_out) block of `flat`, the weight
+followed by the bias as the last row. Its forward is one matmul,
+blockᵀ @ [h; 1], against its input augmented with a ones row, and its
+parameter gradient is one matmul, [h; 1] @ gᵀ, written straight into the
+block's slice of the gradient. A `Tape` holds every buffer a walk writes:
+the augmented inputs, the relu masks and the gradients. A training or
+synthesis job makes one and reuses it on every step.
+
+Gradients are written out by hand: `backward` walks the layers in reverse
+over the tape, with cross entropy entering at the logits
+(`cross_entropy_grad`) and any feature-space loss at the
+extractor/classifier split. Everything is float64 so gradient checks can
+run at tight tolerances. The tests keep a graph autodiff as the reference
+these closed forms are pinned against.
 """
 
 from __future__ import annotations
@@ -27,52 +37,50 @@ from .errors import ConfigError
 Array = np.ndarray
 
 
-def log_softmax_rows(z: Array) -> Array:
-    """Row-wise log-softmax over the last axis, stabilized by max subtraction.
+def log_softmax(z: Array) -> Array:
+    """Log-softmax over the class axis (-2) of a feature-major (..., classes, batch) array, stabilized by max subtraction.
 
     The one definition behind every cross entropy here: `cross_entropy_grad`
-    and the per-row synthesis losses.
+    and the per-sample synthesis losses.
     """
-    shifted = z - z.max(axis=-1, keepdims=True)
-    shifted -= np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    shifted = z - z.max(axis=-2, keepdims=True)
+    shifted -= np.log(np.exp(shifted).sum(axis=-2, keepdims=True))
     return shifted
 
 
-def cross_entropy_grad(logits: Array, target: Array, weight: Array, count: Array) -> tuple:
-    """Weighted cross entropy of row-wise softmax(logits) against a target stack, one loss per model.
+def cross_entropy_grad(logits: Array, target: Array, weight: Array, count: Array, out: Array | None = None) -> tuple:
+    """Weighted cross entropy of column-wise softmax(logits) against a target stack, one loss per model.
 
-    `logits` and `target` are (models, batch, classes) stacks: one-hot
-    target rows for hard labels, soft rows otherwise. `weight` holds one
-    weight per (model, row) and `count` one divisor per model: a model's
-    loss is sum_r weight[r] * CE(row r) / count, and the gradient w.r.t.
-    its logits is (softmax - target) * weight / count. A mean over a
-    model's first k rows is weight 1 on them, 0 on the padding rows after
-    them, and count k; a blend of rows from different batches is their
-    blend weights with count 1.
-    Target rows are not checked to sum to one here: local training passes
-    one-hot rows, built once per update from the real and synthetic rows'
-    labels.
+    `logits` and `target` are feature-major (models, classes, batch)
+    stacks: one-hot target columns for hard labels, soft ones otherwise.
+    `weight` holds one weight per (model, sample) and `count` one divisor
+    per model: a model's loss is sum_r weight[r] * CE(sample r) / count,
+    and the gradient w.r.t. its logits is (softmax - target) * weight /
+    count, written into `out` when given. A mean over a model's first k
+    samples is weight 1 on them, 0 on the padding samples after them, and
+    count k; a blend of samples from different batches is their blend
+    weights with count 1.
+    Target columns are not checked to sum to one here: local training
+    passes one-hot columns, made on each step from the samples' labels.
     """
     z = np.asarray(logits, dtype=np.float64)
     if z.ndim != 3:
-        raise ValueError(f"logits must be a (models, batch, classes) stack, got shape {z.shape}")
+        raise ValueError(f"logits must be a (models, classes, batch) stack, got shape {z.shape}")
     target = np.asarray(target, dtype=np.float64)
     if target.shape != z.shape:
         raise ValueError(f"targets must have shape {z.shape}, got {target.shape}")
     row_weight = np.asarray(weight, dtype=np.float64)
-    if row_weight.shape != z.shape[:-1]:
-        expected = " x ".join(map(str, z.shape[:-1]))
-        raise ValueError(f"expected {expected} row weights, got shape {row_weight.shape}")
+    if row_weight.shape != (len(z), z.shape[2]):
+        raise ValueError(f"expected {len(z)} x {z.shape[2]} sample weights, got shape {row_weight.shape}")
     count = np.asarray(count)
     if count.shape != z.shape[:1]:
-        raise ValueError(f"expected {len(z)} row counts, got shape {count.shape}")
-    row_weight = row_weight[..., None]
-    log_probs = log_softmax_rows(z)
-    d_logits = np.exp(log_probs)
+        raise ValueError(f"expected {len(z)} sample counts, got shape {count.shape}")
+    log_probs = log_softmax(z)
+    d_logits = np.exp(log_probs, out=out)
     d_logits -= target
-    d_logits *= row_weight
+    d_logits *= row_weight[:, None]
     d_logits /= count[:, None, None]
-    return -(row_weight * target * log_probs).sum(axis=(-2, -1)) / count, d_logits
+    return -(row_weight * (target * log_probs).sum(axis=-2)).sum(axis=-1) / count, d_logits
 
 
 _DENSE = re.compile(r"^dense\((\d+)\s*,\s*(\d+)\)$")
@@ -111,6 +119,7 @@ class _Layout(NamedTuple):
     split: int  # index of the classifier, the last dense layer
     first_dense: int
     params: tuple  # (name, start, stop, shape) of every parameter, in `flat` order
+    blocks: tuple  # (start, stop, fan_in, fan_out) of every dense layer's weight-then-bias block
 
 
 @functools.lru_cache(maxsize=None)
@@ -123,15 +132,30 @@ def architecture_layout(architecture: tuple[str, ...]) -> _Layout:
     """
     layers = tuple(parse_architecture(architecture))
     dense = [i for i, layer in enumerate(layers) if layer[0] == "dense"]
-    params = []
+    params, blocks = [], []
     start = 0
     for d, i in enumerate(dense):
         _, fan_in, fan_out = layers[i]
+        blocks.append((start, start + (fan_in + 1) * fan_out, fan_in, fan_out))
         for suffix, shape in (("weight", (fan_in, fan_out)), ("bias", (fan_out,))):
             stop = start + math.prod(shape)
             params.append((f"dense{d}.{suffix}", start, stop, shape))
             start = stop
-    return _Layout(layers, dense[-1], dense[0], tuple(params))
+    return _Layout(layers, dense[-1], dense[0], tuple(params), tuple(blocks))
+
+
+# samples per walk of a batch given without a tape (evaluation, the feature
+# export). OpenBLAS runs a product of more than 262,144 multiply-adds on
+# several threads, and where it splits the samples changes how a sample's
+# column rounds. Pieces of 128 keep a product of layers up to 32 wide on one
+# thread, and as a multiple of the 8-column kernel they round each column as
+# one unsplit single-thread walk does
+_COLUMNS = 128
+
+
+def _block_views(vector: Array, blocks: tuple) -> list[Array]:
+    """The (models, fan_in + 1, fan_out) block of every dense layer in a (models, parameters) array laid out like `flat`."""
+    return [vector[:, start:stop].reshape(len(vector), fan_in + 1, fan_out) for start, stop, fan_in, fan_out in blocks]
 
 
 class Model:
@@ -140,41 +164,37 @@ class Model:
     All parameters live in one contiguous float64 (models, parameters)
     array, `flat`: each row is one model's parameters in name order
     (dense0.weight, dense0.bias, dense1.weight, ...), and each `params`
-    entry is a reshaped view into it with a leading models axis. The forward
-    pass maps a (models, batch, width) input to per-model outputs; a single
-    model, such as the global one, is a stack of one. The last dense layer
-    is the classifier; everything before it (including any trailing relu) is
-    the feature extractor.
+    entry is a reshaped view into it with a leading models axis. A dense
+    layer's weight and bias are adjacent, so each layer is also one
+    (models, fan_in + 1, fan_out) block view of `flat`. The forward pass
+    maps a feature-major (models, width, batch) input to per-model
+    outputs; a single model, such as the global one, is a stack of one.
+    The last dense layer is the classifier; everything before it
+    (including any trailing relu) is the feature extractor.
     """
 
     def __init__(self, architecture: Sequence[str], flat: Array):
         self.architecture = [str(s) for s in architecture]
-        self._layers, self._split, self._first_dense, self._layout = architecture_layout(tuple(self.architecture))
+        self._layout = architecture_layout(tuple(self.architecture))
+        self._layers, self._split, self._first_dense = self._layout[:3]
         self.input_dim = self._layers[self._first_dense][1]
         self.flat = np.ascontiguousarray(flat, dtype=np.float64)
-        size = self._layout[-1][2]
+        size = self._layout.params[-1][2]
         if self.flat.ndim != 2 or self.flat.shape[1] != size:
             raise ValueError(
                 f"{self.architecture} has {size} parameters: need (models, {size}), got shape {self.flat.shape}"
             )
         self.params = self.views(self.flat)
-        # the layer plan the forward and backward walks follow: None for a
-        # relu, (weight view, bias view, weight slice, bias slice) for a
-        # dense layer; the biases broadcast over each model's batch
-        dense = iter(
-            (
-                self.params[w[0]],
-                self.params[b[0]][:, None],
-                slice(w[1], w[2]),
-                slice(b[1], b[2]),
-            )
-            for w, b in zip(self._layout[::2], self._layout[1::2])
-        )
+        # the layer plan the walks follow: None for a relu, (weight view,
+        # block view) for a dense layer
+        dense = zip((self.params[p[0]] for p in self._layout.params[::2]), _block_views(self.flat, self._layout.blocks))
         self._plan = [None if layer[0] == "relu" else next(dense) for layer in self._layers]
 
     def views(self, vector: Array) -> dict[str, Array]:
         """Named, reshaped views into a (models, parameters) array laid out like `flat` (parameters or gradients)."""
-        return {name: vector[:, start:stop].reshape(len(vector), *shape) for name, start, stop, shape in self._layout}
+        return {
+            name: vector[:, start:stop].reshape(len(vector), *shape) for name, start, stop, shape in self._layout.params
+        }
 
     @classmethod
     def initialize(cls, architecture: Sequence[str], rng: np.random.Generator) -> "Model":
@@ -198,92 +218,201 @@ class Model:
     def class_count(self) -> int:
         return self._layers[self._split][2]
 
-    def _walk(self, h: Array, start: int, stop: int, cache: list | None) -> Array:
-        for layer in self._plan[start:stop]:
-            if cache is not None:
-                cache.append(h > 0 if layer is None else h)
-            if layer is None:
-                h = np.maximum(h, 0.0)  # never in place: a leading relu's input is the caller's batch
-            else:
-                h = h @ layer[0]
-                h += layer[1]
+    def _check(self, batch, tape: "Tape | None", width: int, kind: str) -> Array:
+        """Check a (models, width, batch) input and the tape it is to run on."""
+        h = np.asarray(batch)
+        if h.ndim != 3 or len(h) != len(self.flat) or h.shape[1] != width:
+            noun = "batch" if kind == "input" else "feature"
+            raise ValueError(f"{noun} shape {h.shape} incompatible with {len(self.flat)} models of {kind} width {width}")
+        if tape is not None and tape.logits.shape[::2] != (len(self.flat), h.shape[2]):
+            shape = tape.logits.shape[::2]
+            raise ValueError(f"a tape of shape {shape} cannot run {len(self.flat)} models on {h.shape[2]} samples")
         return h
 
-    def extract(self, batch, cache: list | None = None) -> Array:
-        """Extractor forward pass; returns the features.
+    def _walk(self, h: Array, tape: "Tape", start: int, stop: int) -> tuple[Array, Array]:
+        """Run layers [start, stop) on the tape from a checked input `h`; returns the tape's (features, logits).
 
-        With a `cache` list, appends what `backward` needs of every layer
-        walked: a dense layer's input, a relu's positive mask. For a single
-        dense layer the features are the batch itself.
+        A walk from the split reads `h` as the features; one from the input
+        reads it where the first layer does: a leading relu reads the
+        caller's batch and never writes it.
         """
-        h = np.ascontiguousarray(batch, dtype=np.float64)
-        if h.ndim != 3 or len(h) != len(self.flat) or h.shape[2] != self.input_dim:
-            raise ValueError(
-                f"batch shape {h.shape} incompatible with {len(self.flat)} models of input width {self.input_dim}"
-            )
-        return self._walk(h, 0, self._split, cache)
+        if start:
+            if h is not tape.features:
+                tape.features[...] = h
+        elif not tape._layout.first_dense and h is not tape.input:
+            tape.input[...] = h
+        steps = tape._steps
+        for i in range(start, stop):
+            layer = self._plan[i]
+            if layer is None:
+                mask, slot = steps[i]
+                source = h if i == 0 else slot
+                np.greater(source, 0.0, out=mask)
+                np.maximum(source, 0.0, out=slot)
+            else:
+                act, out = steps[i][:2]
+                np.matmul(layer[1].swapaxes(-1, -2), act, out=out)
+        return tape.features, tape.logits
 
-    def classify(self, features, cache: list | None = None) -> Array:
-        """Classifier forward pass from a feature batch; returns the logits."""
-        f = np.ascontiguousarray(features, dtype=np.float64)
-        if f.ndim != 3 or len(f) != len(self.flat) or f.shape[2] != self.feature_dim:
-            raise ValueError(
-                f"feature shape {f.shape} incompatible with {len(self.flat)} models of classifier width {self.feature_dim}"
-            )
-        return self._walk(f, self._split, len(self._plan), cache)
+    def _run(self, batch, tape: "Tape | None", start: int, stop: int, kind: str) -> tuple[Array, Array]:
+        """Check an input and walk it on `tape`; without one, into fresh outputs, `_COLUMNS` samples at a time."""
+        h = self._check(batch, tape, self.feature_dim if start else self.input_dim, kind)
+        if tape is not None:
+            return self._walk(h, tape, start, stop)
+        n = h.shape[2]
+        if n <= _COLUMNS:
+            return self._walk(h, Tape(self, n), start, stop)
+        outputs = np.empty((len(h), self.feature_dim, n)), np.empty((len(h), self.class_count, n))
+        tape = Tape(self, _COLUMNS)
+        for lo in range(0, n, _COLUMNS):
+            piece = h[..., lo : lo + _COLUMNS]
+            if piece.shape[2] != tape.batch:
+                tape = Tape(self, piece.shape[2])
+            for out, part in zip(outputs, self._walk(piece, tape, start, stop)):
+                out[..., lo : lo + _COLUMNS] = part
+        return outputs
 
-    def forward(self, batch, cache: list | None = None) -> tuple[Array, Array]:
-        """Full forward pass; returns (features, logits), caching like `extract`."""
-        features = self.extract(batch, cache)
-        return features, self._walk(features, self._split, len(self._plan), cache)
+    def extract(self, batch, tape: "Tape | None" = None) -> Array:
+        """Extractor forward pass of a (models, input width, batch) batch; returns the features.
+
+        With a `tape`, the walk writes into its buffers and the features are
+        the tape's (a later walk on it overwrites them); without, the result
+        is a fresh array, the caller's to keep. The batch is never written.
+        For a single dense layer the features are the batch itself.
+        """
+        return self._run(batch, tape, 0, self._split, "input")[0]
+
+    def classify(self, features, tape: "Tape | None" = None) -> Array:
+        """Classifier forward pass from a (models, feature width, batch) feature batch; returns the logits."""
+        return self._run(features, tape, self._split, len(self._plan), "classifier")[1]
+
+    def forward(self, batch, tape: "Tape | None" = None) -> tuple[Array, Array]:
+        """Full forward pass; returns (features, logits), on a tape like `extract`."""
+        return self._run(batch, tape, 0, len(self._plan), "input")
 
 
-def backward(
-    model: Model,
-    cache: list[Array],
-    d_logits: Array,
-    d_features: Array | None = None,
-    grad: Array | None = None,
-) -> Array:
-    """Backpropagate through the forward pass cached in `cache`.
+class Tape:
+    """Every buffer one forward/backward walk writes, for a stack of models and a batch of `batch` samples.
 
-    The cache holds each dense layer's input and each relu's positive mask
-    (`h > 0`), by which a relu's backward multiplies.
+    A job makes one tape (a `synthesize` job, a `local_update` call) and
+    every step rewrites it in place:
+    - each dense layer's augmented input, (models, fan_in + 1, batch),
+      whose last row is ones, written once here. Each layer writes its
+      output into the next dense layer's input rows, and a relu runs in
+      place there. `features` are the classifier's input rows.
+    - `input`: where the walk reads its batch. For a leading dense layer it
+      is that layer's input rows, so a caller that keeps its batch there
+      (synthesis keeps its optimized inputs) pays no copy.
+    - each relu's positive mask, by which its backward multiplies.
+    - `logits`, and the gradients: `grad` laid out like `Model.flat`, each
+      dense layer's input gradient, and `d_logits` and `d_features`, where
+      a caller may write the loss gradients it passes in.
+
+    `prefix(size)` views the first `size` models of every buffer, for a
+    stack that drops the models that have finished.
+    """
+
+    def __init__(self, model: Model, batch: int):
+        layout, models = model._layout, len(model.flat)
+        acts, masks = [], []
+        for _, _, fan_in, _ in layout.blocks:
+            acts.append(np.empty((models, fan_in + 1, batch)))
+            acts[-1][:, -1] = 1.0
+        dense = 0
+        for layer in layout.layers:
+            if layer[0] == "dense":
+                masks.append(None)
+                dense += 1
+            else:  # a relu has the width of the dense layer it feeds, the next one
+                masks.append(np.empty((models, layout.blocks[dense][2], batch), dtype=bool))
+        source = np.empty((models, model.input_dim, batch)) if layout.first_dense else None
+        logits = np.empty((models, model.class_count, batch))
+        grads = (
+            np.empty_like(model.flat),
+            [np.empty((models, fan_in, batch)) for _, _, fan_in, _ in layout.blocks],
+            np.empty_like(logits),
+            np.empty((models, model.feature_dim, batch)),
+        )
+        self._bind(layout, acts, masks, source, logits, *grads)
+
+    def _bind(self, layout, acts, masks, source, logits, grad, deltas, d_logits, d_features) -> None:
+        """Keep the base buffers and lay out the per-layer views the walks read."""
+        self._layout = layout
+        self._buffers = (acts, masks, source, logits, grad, deltas, d_logits, d_features)
+        self.batch = logits.shape[2]
+        self.logits, self.grad, self.d_logits, self.d_features = logits, grad, d_logits, d_features
+        rows = [act[:, :-1] for act in acts]
+        self.input = rows[0] if source is None else source
+        self.features = rows[-1]
+        outputs = rows[1:] + [logits]
+        blocks = _block_views(grad, layout.blocks)
+        # per layer: (mask, slot) of a relu; (input, output, gradient block, input gradient) of a dense layer
+        self._steps, d = [], 0
+        for mask, layer in zip(masks, layout.layers):
+            if layer[0] == "relu":
+                self._steps.append((mask, rows[d]))
+            else:
+                self._steps.append((acts[d], outputs[d], blocks[d], deltas[d]))
+                d += 1
+
+    def prefix(self, size: int) -> "Tape":
+        """The first `size` models of this tape, sharing its memory."""
+        acts, masks, source, logits, grad, deltas, d_logits, d_features = self._buffers
+        tape = object.__new__(Tape)
+        tape._bind(
+            self._layout,
+            [a[:size] for a in acts],
+            [None if m is None else m[:size] for m in masks],
+            None if source is None else source[:size],
+            logits[:size],
+            grad[:size],
+            [g[:size] for g in deltas],
+            d_logits[:size],
+            d_features[:size],
+        )
+        return tape
+
+
+def backward(model: Model, tape: Tape, d_logits: Array, d_features: Array | None = None, *, params: bool) -> Array:
+    """Backpropagate through the forward pass last walked on `tape`.
 
     `d_logits` is the loss gradient w.r.t. the logits; `d_features`, when
     given, joins at the extractor/classifier split (for a single dense layer
-    the features are the input itself). With a `grad` array laid out like
-    `model.flat`, fills it with the parameter gradients and returns it,
-    stopping at the first dense layer; without, returns the gradient w.r.t.
-    the batch. Neither `d_logits` nor `d_features` is written to.
+    the features are the input itself). With `params`, returns the tape's
+    `grad`, filled with the parameter gradients: each dense layer's block
+    gradient is one matmul of its augmented input with the gradient at its
+    output, and the walk stops at the first dense layer. Without, returns
+    the tape's gradient w.r.t. the batch. Either is the tape's, rewritten
+    by the next backward on it. Neither `d_logits` nor `d_features` is
+    written to.
     """
-    plan = model._plan
+    plan, steps = model._plan, tape._steps
     g = d_logits
     for i in range(len(plan) - 1, -1, -1):
         layer = plan[i]
         if layer is None:
-            g *= cache[i]  # g is never the caller's: the top layer is dense
-        else:
-            weight, _, w_slice, b_slice = layer
-            if grad is not None:
-                np.matmul(cache[i].swapaxes(-1, -2), g, out=grad[..., w_slice].reshape(weight.shape))
-                np.sum(g, axis=-2, out=grad[..., b_slice])
-                if i == model._first_dense:
-                    return grad  # nothing below the first dense layer has parameters
-            g = g @ weight.swapaxes(-1, -2)
+            g *= steps[i][0]  # g is the tape's: the top layer is dense
+            continue
+        act, _, grad_block, delta = steps[i]
+        if params:
+            np.matmul(act, g.swapaxes(-1, -2), out=grad_block)
+            if i == model._first_dense:
+                return tape.grad  # nothing below the first dense layer has parameters
+        np.matmul(layer[0], g, out=delta)
+        g = delta
         if i == model._split and d_features is not None:
             g += d_features
     return g
 
 
-def backward_params(model: Model, cache: list[Array], d_logits: Array, d_features: Array | None = None) -> Array:
-    """Gradient w.r.t. the stack's parameters, one array laid out like `model.flat`."""
-    return backward(model, cache, d_logits, d_features, np.empty_like(model.flat))
+def backward_params(model: Model, tape: Tape, d_logits: Array, d_features: Array | None = None) -> Array:
+    """Gradient w.r.t. the stack's parameters: the tape's `grad`, laid out like `model.flat`."""
+    return backward(model, tape, d_logits, d_features, params=True)
 
 
-def backward_input(model: Model, cache: list[Array], d_logits: Array, d_features: Array | None = None) -> Array:
-    """Gradient w.r.t. the batch the cached forward pass started from."""
-    return backward(model, cache, d_logits, d_features)
+def backward_input(model: Model, tape: Tape, d_logits: Array, d_features: Array | None = None) -> Array:
+    """Gradient w.r.t. the batch the tape's forward pass started from, in the tape."""
+    return backward(model, tape, d_logits, d_features, params=False)
 
 
 class Sgd:

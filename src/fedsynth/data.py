@@ -6,6 +6,7 @@ has checked; they are not checked again here.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,7 +129,11 @@ def _deal(dataset: Dataset, client_count: int, rng: np.random.Generator, counts)
 
     `counts(c, size)` gives class c's per-client row counts, summing to its
     `size`; classes without rows are skipped. Each empty shard then takes
-    the last-dealt row of the largest shard, lowest index first.
+    the last-dealt row of the largest shard, lowest index first: a heap
+    keeps the shards by size, and each client's dealt positions give its
+    last row, so a repair costs a heap step rather than a scan of every
+    row and client. A shard that gave a row never takes one back, and a
+    repaired shard of one row is never a donor.
 
     One sort orders the dealt rows by (client, row index), as sorting each
     client's rows would, and one gather copies them into a read-only
@@ -146,13 +151,21 @@ def _deal(dataset: Dataset, client_count: int, rng: np.random.Generator, counts)
         owner[start:stop] = np.repeat(np.arange(client_count), counts(c, size))
         start = stop
     sizes = np.bincount(owner, minlength=client_count)
-    for k in np.flatnonzero(sizes == 0):
-        donor = int(np.argmax(sizes))
-        if sizes[donor] <= 1:
-            raise ConfigError("cannot repair empty shards: not enough samples")
-        owner[np.flatnonzero(owner == donor)[-1]] = k
-        sizes[donor] -= 1
-        sizes[k] += 1
+    empty = np.flatnonzero(sizes == 0).tolist()
+    if empty:
+        # every client's dealt positions, in dealing order, and a heap of the
+        # shards by size, largest first and lowest index on ties
+        dealt, ends = np.argsort(owner, kind="stable"), np.cumsum(sizes)
+        heap = [(-size, k) for k, size in enumerate(sizes.tolist())]
+        heapq.heapify(heap)
+        for k in empty:
+            size, donor = heapq.heappop(heap)
+            if -size <= 1:
+                raise ConfigError("cannot repair empty shards: not enough samples")
+            ends[donor] -= 1
+            owner[dealt[ends[donor]]] = k
+            heapq.heappush(heap, (size + 1, donor))
+        sizes = np.bincount(owner, minlength=client_count)
     rows = order[np.lexsort((order, owner))]
     inputs, labels = dataset.inputs[rows], dataset.labels[rows]
     inputs.flags.writeable = labels.flags.writeable = False

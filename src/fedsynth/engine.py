@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Model, Sgd, backward_params, cross_entropy_grad
+from .autodiff import Model, Sgd, Tape, backward_params, cross_entropy_grad
 from .config import ExperimentConfig
 from .data import Dataset
 from .metrics import MetricsRow, accuracy, alignment_score, class_feature_means
@@ -105,9 +105,11 @@ def local_update(
     stack holds the largest shard first, so those clients are a prefix of
     it, and the others keep their parameters and velocity. A short batch is
     padded to full size with rows of weight 0 and an all-zero target, so
-    they stay out of the loss, the gradient and the prototypes. Each step's
-    one-hot real targets sum its real-row features per class, in row order;
-    the per-class means are folded into each client's prototypes at the end.
+    they stay out of the loss, the gradient and the prototypes. The whole
+    update walks one `Tape`, and the shrinking stack its prefix. Each
+    step's one-hot real targets sum its real-row features per class, in row
+    order; the per-class means are folded into each client's prototypes at
+    the end.
 
     Returns the trained stack, one row per client, and the mean step loss of
     each client, both in the order of `clients`.
@@ -128,7 +130,6 @@ def local_update(
     if use_syn:
         parts.append((syn_samples["x"], syn_samples["label"]))
     inputs, labels = (np.concatenate(column) for column in zip(*parts))
-    targets = np.eye(classes + 1, classes)[labels]
     index = _draw_batches(stacked, sizes, pad, len(syn_samples) if use_syn else 0, epochs, batch_size)
     is_real = index[..., :batch_size] != pad
     real = np.count_nonzero(is_real, axis=-1)
@@ -143,18 +144,19 @@ def local_update(
     steps = np.count_nonzero(real, axis=1)
     sums = np.zeros((len(stacked), classes, model.feature_dim))
     losses = np.zeros(real.shape)
-    live = stack
+    # one tape for the update; a step's one-hot targets are feature-major, like its logits
+    live, tape = stack, Tape(stack, index.shape[-1])
+    targets, class_column = np.empty_like(tape.logits), np.arange(classes)[:, None]
     for t in range(real.shape[1]):
         size = int(np.count_nonzero(steps > t))
         if len(live.flat) != size:
-            live = Model(model.architecture, stack.flat[:size])
+            live, tape, targets = Model(model.architecture, stack.flat[:size]), tape.prefix(size), targets[:size]
         rows = index[:size, t]
-        batch_targets = targets[rows]
-        cache = []
-        features, logits = live.forward(inputs[rows], cache)
-        loss, d_logits = cross_entropy_grad(logits, batch_targets, weights[:size, t], counts[:size, t])
-        sums[:size] += batch_targets[:, :batch_size].swapaxes(-1, -2) @ features[:, :batch_size]
-        optimizer.step(live, backward_params(live, cache, d_logits))
+        features, logits = live.forward(inputs[rows].swapaxes(-1, -2), tape)
+        np.equal(labels[rows][:, None], class_column, out=targets)
+        loss, d_logits = cross_entropy_grad(logits, targets, weights[:size, t], counts[:size, t], tape.d_logits)
+        sums[:size] += targets[..., :batch_size] @ features[..., :batch_size].swapaxes(-1, -2)
+        optimizer.step(live, backward_params(live, tape, d_logits))
         losses[:size, t] = loss
 
     # every shard row is seen once per epoch; an absent class's row stays a finite zero

@@ -37,8 +37,8 @@ def accuracy(model: Model, data: Dataset) -> float:
     """Fraction of a stack of one's argmax-correct predictions; ties resolve to the lowest class."""
     if len(data) == 0:
         raise ValueError("accuracy requires a nonempty dataset")
-    _, logits = model.forward(data.inputs[None])
-    predictions = np.argmax(logits[0], axis=1)
+    _, logits = model.forward(data.inputs.T[None])
+    predictions = np.argmax(logits[0], axis=0)
     return float(np.mean(predictions == data.labels))
 
 
@@ -66,10 +66,10 @@ def class_feature_means(model: Model, data: Dataset) -> Array:
     the same inputs in one stacked forward pass, and one product of the
     one-hot labels with the features sums every class's rows in row order.
     """
-    features = model.extract(np.broadcast_to(data.inputs, (len(model.flat),) + data.inputs.shape))
+    features = model.extract(np.broadcast_to(data.inputs.T, (len(model.flat),) + data.inputs.T.shape))
     _, labels, counts = np.unique(data.labels, return_inverse=True, return_counts=True)
     onehot = np.eye(len(counts))[labels]
-    return onehot.T @ features / counts[:, None]
+    return onehot.T @ features.swapaxes(-1, -2) / counts[:, None]
 
 
 def alignment_score(means: Array) -> float | None:
@@ -114,7 +114,7 @@ def export_features(model: Model, test: Dataset, pool: Array, path: Path) -> Pat
     The test set's rows come first with origin `real`, then the synthetic
     pool's (`synthetic_rows`) in pool order with origin `synthetic`.
     """
-    features = model.extract(np.concatenate([test.inputs, pool["x"]])[None])[0]
+    features = model.extract(np.concatenate([test.inputs, pool["x"]]).T[None])[0].T
     labels = np.concatenate([test.labels, pool["label"]]).tolist()
     origins = ["real"] * len(test) + ["synthetic"] * len(pool)
     header = [f"f{i}" for i in range(features.shape[1])] + ["label", "origin"]

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Adam, Model, backward_input, log_softmax_rows
+from .autodiff import Adam, Model, Tape, backward_input, log_softmax
 from .config import ExperimentConfig, derive_seed
 from .data import Dataset, largest_remainder
 from .metrics import psnr, write_csv
@@ -151,23 +151,25 @@ def hard_feature(feature, prototype, scale: float) -> Array:
 
 @functools.lru_cache(maxsize=None)
 def _ones(width: int) -> Array:
-    """A read-only ones vector: `m @ _ones(width)` sums the rows of a (..., n, width) array.
+    """A read-only ones vector: `_ones(width) @ m` sums the columns of a feature-major (..., width, n) array.
 
-    For the short rows here one BLAS matrix-vector product is faster than
-    a reduction over the last axis. Cached: allocating the vector costs about as
-    much as the reduction it replaces.
+    One BLAS product is faster than a reduction over axis -2, and it sums
+    more exactly than that reduction's row-by-row adds: the softmax stays
+    within 4 ulp of an exactly summed one at width 32, which the adds miss
+    by one ulp. Cached: allocating the vector costs about as much as the
+    product.
     """
     ones = np.ones(width)
     ones.flags.writeable = False
     return ones
 
 
-def _softmax_np(v: Array) -> Array:
-    """Row-wise softmax over the last axis."""
-    e = v - v.max(axis=-1, keepdims=True)
-    np.exp(e, out=e)
-    e /= (e @ _ones(e.shape[-1]))[..., None]
-    return e
+def _softmax(v: Array, out: Array | None = None) -> Array:
+    """Softmax over the width axis (-2) of a feature-major (..., width, n) array: one distribution per sample."""
+    out = np.subtract(v, v.max(axis=-2, keepdims=True), out=out)
+    np.exp(out, out=out)
+    out /= (_ones(out.shape[-2]) @ out)[..., None, :]
+    return out
 
 
 def _stratified_indices(shard: Dataset, n: int, rng: np.random.Generator) -> Array:
@@ -188,22 +190,22 @@ def _stratified_indices(shard: Dataset, n: int, rng: np.random.Generator) -> Arr
 def _matching_targets(
     model: Model, reals: Array, labels: Array, prototypes, scale: float
 ) -> tuple[Array, Array]:
-    """Per-row matching distribution p = softmax(target * mask) and the mask.
+    """Per-sample matching distribution p = softmax(target * mask) and the mask.
 
-    `reals` is a (1, n, dim) batch for the stack of one `model`, and both
-    results are (1, n, width). The target is each real's feature, hardened
-    against its class prototype (row `label` of the (classes, width)
-    `prototypes`) unless `prototypes` is None; the mask is ReLU of the CAM
-    at the row's label. The CAM of class y is the gradient of logit y w.r.t.
-    the features (Grad-CAM, arXiv:1610.02391); the classifier is exactly the
-    last dense layer, so it is column y of that layer's weight, whatever the
-    features are.
+    `reals` is a feature-major (1, dim, n) batch for the stack of one
+    `model`, and both results are (1, width, n). The target is each real's
+    feature, hardened against its class prototype (row `label` of the
+    (classes, width) `prototypes`) unless `prototypes` is None; the mask is
+    ReLU of the CAM at the sample's label. The CAM of class y is the
+    gradient of logit y w.r.t. the features (Grad-CAM, arXiv:1610.02391);
+    the classifier is exactly the last dense layer, so it is column y of
+    that layer's weight, whatever the features are.
     """
     z = model.extract(reals)
-    targets = z if prototypes is None else hard_feature(z, prototypes[None, labels], scale)
+    targets = z if prototypes is None else hard_feature(z, prototypes[labels].T[None], scale)
     weight = model._plan[model._split][0]
-    masks = np.maximum(weight[..., labels].swapaxes(-1, -2), 0.0)
-    return _softmax_np(targets * masks), masks
+    masks = np.maximum(weight[..., labels], 0.0)
+    return _softmax(targets * masks), masks
 
 
 def _input_grad(
@@ -213,27 +215,31 @@ def _input_grad(
     masks: Array,
     onehot: Array,
     cfg: SynthesisConfig,
+    tape: Tape | None = None,
 ) -> Array:
-    """Gradient w.r.t. x of the rows' summed synthesis loss, in closed form.
+    """Gradient w.r.t. x of the samples' summed synthesis loss, in closed form.
 
-    Cross entropy enters at the logits as softmax - onehot. The masked KL
-    enters at the features: with q the softmax of the masked features,
-    d/dq of -sum p*log(q+eps) is -p/(q+eps), followed by the softmax and mask
-    backward passes. An all-zero mask gives the row no matching gradient.
+    `x` is a (1, dim, n) batch, walked on `tape` (a fresh one when None);
+    the gradient is the tape's. Cross entropy enters at the logits as
+    softmax - onehot. The masked KL enters at the features: with q the
+    softmax of the masked features, d/dq of -sum p*log(q+eps) is
+    -p/(q+eps), followed by the softmax and mask backward passes. An
+    all-zero mask gives the sample no matching gradient.
     """
-    cache = []
-    features, logits = model.forward(x, cache)
-    q = _softmax_np(features * masks)
-    # d_features = q * (g - sum(g * q)) * masks with g = -p / (q + eps), in place
-    g = q + cfg.kl_eps
+    if tape is None:
+        tape = Tape(model, x.shape[-1])
+    features, logits = model.forward(x, tape)
+    q = features * masks
+    _softmax(q, out=q)
+    # d_features = q * (s - r) * masks with r = p / (q + eps) and s = sum(r * q), in place
+    g = np.add(q, cfg.kl_eps, out=tape.d_features)
     np.divide(target_probs, g, out=g)
-    np.negative(g, out=g)
-    g -= ((g * q) @ _ones(q.shape[-1]))[..., None]
+    np.subtract((_ones(q.shape[-2]) @ (g * q))[..., None, :], g, out=g)
     g *= q
     g *= masks
-    d_logits = _softmax_np(logits)
+    d_logits = _softmax(logits, out=tape.d_logits)
     d_logits -= onehot
-    return backward_input(model, cache, d_logits, g)
+    return backward_input(model, tape, d_logits, g)
 
 
 def _row_losses(
@@ -244,12 +250,12 @@ def _row_losses(
     labels: Array,
     cfg: SynthesisConfig,
 ) -> Array:
-    """Per-sample synthesis loss, masked KL + cross entropy, of a (1, n, dim) batch: (1, n)."""
+    """Per-sample synthesis loss, masked KL + cross entropy, of a (1, dim, n) batch: (1, n)."""
     features, logits = model.forward(x)
-    q = _softmax_np(features * masks)
-    kl_rows = (target_probs * (np.log(target_probs + cfg.kl_eps) - np.log(q + cfg.kl_eps))).sum(axis=-1)
-    ce_rows = -log_softmax_rows(logits)[:, np.arange(len(labels)), labels]
-    return kl_rows + ce_rows
+    q = _softmax(features * masks)
+    kl = (target_probs * (np.log(target_probs + cfg.kl_eps) - np.log(q + cfg.kl_eps))).sum(axis=-2)
+    ce = -log_softmax(logits)[:, labels, np.arange(len(labels))]
+    return kl + ce
 
 
 def synthesize(
@@ -263,8 +269,8 @@ def synthesize(
     """Optimize a batch of Gaussian-initialized inputs against paired reals.
 
     Pairs are drawn stratified to the shard's class histogram; all pairs are
-    optimized jointly, as one (1, n, dim) batch against the stack of one
-    `model`, for `cfg.steps` Adam steps, clamping inputs into [0, 1] after
+    optimized jointly, as one feature-major (1, dim, n) batch against the
+    stack of one `model`, for `cfg.steps` Adam steps on one tape, clamping inputs into [0, 1] after
     every step. Labels are copied from the paired reals and the loss of
     each sample is recorded at initialization and after the final step.
     """
@@ -272,24 +278,26 @@ def synthesize(
         raise ValueError("cannot synthesize from an empty shard")
     n = min(cfg.count, len(shard))
     pair_idx = _stratified_indices(shard, n, rng)
-    reals = shard.inputs[None, pair_idx]
     labels = shard.labels[pair_idx]
 
-    target_probs, masks = _matching_targets(model, reals, labels, prototypes, cfg.scale)
-    zero_rows = int((~masks.any(axis=-1)).sum())
+    target_probs, masks = _matching_targets(model, shard.inputs[pair_idx].T[None], labels, prototypes, cfg.scale)
+    zero_rows = int((~masks.any(axis=-2)).sum())
     if zero_rows:
         logger.warning("synthesize: %d of %d samples have all-zero CAM masks", zero_rows, n)
-    onehot = np.eye(model.class_count)[labels]
+    onehot = np.eye(model.class_count)[:, labels][None]
 
-    x_hat = rng.standard_normal(reals.shape)
+    # the job's one tape; the inputs live in it, where its first dense layer reads them
+    tape = Tape(model, n)
+    x_hat = tape.input
+    x_hat[0] = rng.standard_normal((n, shard.inputs.shape[1])).T
     initial = _row_losses(model, x_hat, target_probs, masks, labels, cfg)
     optimizer = Adam(cfg.adam_lr)
     for _ in range(cfg.steps):
-        optimizer.step(x_hat, _input_grad(model, x_hat, target_probs, masks, onehot, cfg))
+        optimizer.step(x_hat, _input_grad(model, x_hat, target_probs, masks, onehot, cfg, tape))
         x_hat.clip(0.0, 1.0, out=x_hat)
     final = _row_losses(model, x_hat, target_probs, masks, labels, cfg)
 
-    return SyntheticDataset(synthetic_rows(shard, pair_idx, x_hat[0], initial[0], final[0], client_id))
+    return SyntheticDataset(synthetic_rows(shard, pair_idx, x_hat[0].T, initial[0], final[0], client_id))
 
 
 def run_event(model: Model, clients, config: ExperimentConfig, round_index: int) -> SynthesisEvent:

@@ -5,7 +5,13 @@ backward call. Leaf tensors (model parameters, optimized inputs) persist
 across passes; interior nodes hold a backward closure and references to
 their parents. `GraphModel` runs a `fedsynth.autodiff.Model` through the
 graph, with one leaf per named parameter view, so the graph always reads
-the model's current weights. `compute_cam`, `masked_kl` and
+the model's current weights. The graph runs (batch, width) matrices, but a
+dense layer and the cross entropy form their numbers as the closed form
+does, feature-major: `dense` is one product of the layer's
+(fan_in + 1, fan_out) block with the input transposed and augmented by a
+ones row, and `softmax_cross_entropy` reduces a transposed copy of the
+logits over its class axis. So the graph and the closed form agree bit for
+bit where their operations are the same. `compute_cam`, `masked_kl` and
 `synthesis_loss` are the per-sample synthesis objective written as graph
 ops; `synthesis` runs their batched closed form.
 """
@@ -17,7 +23,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from fedsynth.autodiff import Model, log_softmax_rows
+from fedsynth.autodiff import Model, log_softmax
 from fedsynth.synthesis import hard_feature
 
 logger = logging.getLogger(__name__)
@@ -156,6 +162,34 @@ def matmul(a, b) -> Tensor:
     return _node(a.data @ b.data, (a, b), backprop)
 
 
+def dense(h, weight, bias) -> Tensor:
+    """h @ weight + bias, formed as blockᵀ @ [hᵀ; 1] with the (fan_in + 1, fan_out) block [weight; bias].
+
+    The products and their layouts are the closed form's: the block is
+    C-ordered and multiplied through its transposed view, the augmented
+    input and the output gradient are C-ordered (width, batch) arrays.
+    """
+    h, weight, bias = _lift(h), _lift(weight), _lift(bias)
+    if h.data.ndim != 2 or h.data.shape[1] != weight.data.shape[0]:
+        raise ValueError(f"dense input {h.data.shape} does not match weight {weight.data.shape}")
+    block = np.concatenate((weight.data, bias.data[None]))
+    augmented = np.ones((len(block), len(h.data)))
+    augmented[:-1] = h.data.T
+
+    def backprop(g: Array) -> None:
+        g = np.ascontiguousarray(g.T)  # the gradient at the output, feature-major
+        if weight.requires_grad or bias.requires_grad:
+            d_block = augmented @ g.T
+            if weight.requires_grad:
+                weight.grad += d_block[:-1]
+            if bias.requires_grad:
+                bias.grad += d_block[-1]
+        if h.requires_grad:
+            h.grad += (block[:-1] @ g).T
+
+    return _node((block.T @ augmented).T, (h, weight, bias), backprop)
+
+
 def relu(a) -> Tensor:
     a = _lift(a)
     mask = a.data > 0
@@ -246,14 +280,16 @@ def softmax_cross_entropy(logits, labels) -> Tensor:
     target = _target_matrix(labels, batch, classes)
     if not np.allclose(target.sum(axis=1), 1.0, atol=1e-6):
         raise ValueError("soft label rows must sum to 1")
-    log_probs = log_softmax_rows(z)
+    # feature-major, as the closed form reduces: one column per sample
+    target = np.ascontiguousarray(target.T)
+    log_probs = log_softmax(np.ascontiguousarray(z.T))
     probs = np.exp(log_probs)
 
     def backprop(g: Array) -> None:
         if logits.requires_grad:
-            logits.grad += g * (probs - target) / batch
+            logits.grad += (g * (probs - target) / batch).T
 
-    return _node(np.asarray(-(target * log_probs).sum() / batch), (logits,), backprop)
+    return _node(np.asarray(-(target * log_probs).sum(axis=0).sum() / batch), (logits,), backprop)
 
 
 def _toposort(root: Tensor) -> list[Tensor]:
@@ -345,7 +381,7 @@ class GraphModel:
             if layer[0] == "relu":
                 h = relu(h)
             else:
-                h = add(matmul(h, self.params[f"dense{d}.weight"]), self.params[f"dense{d}.bias"])
+                h = dense(h, self.params[f"dense{d}.weight"], self.params[f"dense{d}.bias"])
                 d += 1
         return h
 

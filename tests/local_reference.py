@@ -2,15 +2,15 @@
 stacked `engine.local_update` is pinned against.
 
 It runs each step of one client as its own forward, backward and SGD step on
-a stack of one `Model`, with the draws, row order and loss formulas the
-stacked update reproduces.
+a stack of one `Model`, on a fresh tape sized to the step's rows, with the
+draws, row order and loss formulas the stacked update reproduces.
 """
 
 import math
 
 import numpy as np
 
-from fedsynth.autodiff import backward_params, cross_entropy_grad
+from fedsynth.autodiff import Tape, backward_params, cross_entropy_grad
 from fedsynth.synthesis import update_prototypes
 
 
@@ -59,11 +59,11 @@ def local_update_one(model, shard, syn_samples, alpha, epochs, batch_size, optim
             else:
                 inputs, targets = shard.inputs[idx], onehot[idx]
                 weight, count = np.full((1, len(idx)), alpha), len(idx)
-            cache = []
-            features, logits = model.forward(inputs[None], cache)
-            (loss,), d_logits = cross_entropy_grad(logits, targets[None], weight, [count])
-            _accumulate_features(sums, counts, features[0, : len(idx)], batch_labels)
-            optimizer.step(model, backward_params(model, cache, d_logits))
+            tape = Tape(model, len(inputs))
+            features, logits = model.forward(inputs.T[None], tape)
+            (loss,), d_logits = cross_entropy_grad(logits, targets.T[None], weight, [count])
+            _accumulate_features(sums, counts, features[0, :, : len(idx)].T, batch_labels)
+            optimizer.step(model, backward_params(model, tape, d_logits))
             losses.append(float(loss))
     means = np.zeros((model.class_count, model.feature_dim))
     for c in counts:

@@ -24,7 +24,7 @@ from graph_reference import (
     synthesis_loss,
 )
 
-from fedsynth.autodiff import Model, Sgd, backward_params, cross_entropy_grad
+from fedsynth.autodiff import Model, Sgd, Tape, backward_params, cross_entropy_grad
 from fedsynth.config import config_from_dict, derive_seed
 from fedsynth.data import make_blobs
 from fedsynth.engine import aggregate
@@ -131,12 +131,12 @@ def test_criterion_1_gradient_integrity():
             protos = np.zeros((classes, model.feature_dim))
             protos[y] = prototype
         labels = np.array([y])
-        target_probs, masks = _matching_targets(model, x.reshape(1, 1, -1), labels, protos, scale)
-        onehot = np.eye(classes)[labels]
-        closed_grad = _input_grad(model, x_hat.data.reshape(1, 1, -1), target_probs, masks, onehot, cfg)[0, 0]
+        target_probs, masks = _matching_targets(model, x.reshape(1, -1, 1), labels, protos, scale)
+        onehot = np.eye(classes)[labels].T[None]
+        closed_grad = _input_grad(model, x_hat.data.reshape(1, -1, 1), target_probs, masks, onehot, cfg)[0, :, 0]
 
         def closed_value(x_hat_data):
-            return float(_row_losses(model, x_hat_data.reshape(1, 1, -1), target_probs, masks, labels, cfg)[0, 0])
+            return float(_row_losses(model, x_hat_data.reshape(1, -1, 1), target_probs, masks, labels, cfg)[0, 0])
 
         def central(step, plus, minus):
             return (plus(step) - minus(step)) / (2 * step)
@@ -213,15 +213,15 @@ def test_criterion_2_non_iid_improvement(bench_runs):
     model = Model.initialize(cfg.architecture, np.random.default_rng(derive_seed(1, "model-init")))
     optimizer = Sgd(cfg.learning_rate, cfg.momentum, cfg.weight_decay)
     rng = np.random.default_rng(0)
-    onehot = np.eye(6)[train.labels]
+    onehot = np.eye(6)[train.labels].T
+    tape = Tape(model, cfg.batch_size)
     for _ in range(60):
         order = rng.permutation(len(train))
         for s in range(len(train) // cfg.batch_size):
             idx = order[s * cfg.batch_size : (s + 1) * cfg.batch_size]
-            cache = []
-            _, logits = model.forward(train.inputs[None, idx], cache)
-            _, d_logits = cross_entropy_grad(logits, onehot[None, idx], np.ones((1, len(idx))), [len(idx)])
-            optimizer.step(model, backward_params(model, cache, d_logits))
+            _, logits = model.forward(train.inputs[idx].T[None], tape)
+            _, d_logits = cross_entropy_grad(logits, onehot[None, :, idx], np.ones((1, len(idx))), [len(idx)])
+            optimizer.step(model, backward_params(model, tape, d_logits))
     central = accuracy(model, test)
 
     hfmds = np.mean([bench_runs[("hfmds_fl", s)][0].rows[-1].accuracy for s in BENCH_SEEDS])

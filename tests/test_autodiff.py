@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -25,6 +28,7 @@ from fedsynth.autodiff import (
     Adam,
     Model,
     Sgd,
+    Tape,
     backward,
     backward_input,
     backward_params,
@@ -70,16 +74,16 @@ class TestForward:
                 model.params[name][...] = np.eye(2)
             else:
                 model.params[name][...] = np.zeros(2)
-        features, logits = model.forward(np.array([[[1.0, 2.0]]]))
-        assert np.array_equal(features, [[[1.0, 2.0]]])
-        assert np.array_equal(logits, [[[1.0, 2.0]]])
+        features, logits = model.forward(np.array([[[1.0], [2.0]]]))
+        assert np.array_equal(features, [[[1.0], [2.0]]])
+        assert np.array_equal(logits, [[[1.0], [2.0]]])
 
     def test_relu_clamps_negatives_in_features(self):
         model = make_mlp(["dense(2,2)", "relu", "dense(2,2)"])
         model.params["dense0.weight"][...] = np.eye(2)
         model.params["dense0.bias"][...] = np.zeros(2)
-        features, _ = model.forward(np.array([[[-1.0, 3.0]]]))
-        assert np.array_equal(features, [[[0.0, 3.0]]])
+        features, _ = model.forward(np.array([[[-1.0], [3.0]]]))
+        assert np.array_equal(features, [[[0.0], [3.0]]])
 
     def test_forward_matches_plain_numpy_oracle(self):
         model = make_mlp(["dense(5,16)", "relu", "dense(16,8)", "relu", "dense(8,3)"], seed=7)
@@ -92,22 +96,35 @@ class TestForward:
         h = np.maximum(h @ p["dense1.weight"] + p["dense1.bias"], 0.0)
         expected = h @ p["dense2.weight"] + p["dense2.bias"]
 
-        _, logits = model.forward(batch[None])
-        assert logits.shape == (1, 4, 3)
-        assert np.max(np.abs(logits[0] - expected)) < 1e-12
+        _, logits = model.forward(batch.T[None])
+        assert logits.shape == (1, 3, 4)
+        assert np.max(np.abs(logits[0].T - expected)) < 1e-12
 
-    @pytest.mark.parametrize("cached", [False, True], ids=["no_cache", "cache"])
+    @pytest.mark.parametrize("taped", [False, True], ids=["no_tape", "tape"])
     @pytest.mark.parametrize("arch", list(CLOSED_FORM_ARCHS.values()), ids=list(CLOSED_FORM_ARCHS))
-    def test_forward_is_pure(self, arch, cached):
-        """The caller's batch is never written, not even by a relu that reads it first."""
+    def test_forward_is_pure(self, arch, taped):
+        """The caller's batch is never written, not even by a relu that reads it first.
+
+        Without a tape the outputs are the caller's: a later call, with or
+        without a tape, never overwrites them.
+        """
         model = Model(arch, np.concatenate([make_mlp(arch, seed).flat for seed in (5, 6, 7)]))
         # signed inputs, so that a leading relu has entries to clamp
-        batch = np.random.default_rng(1).standard_normal((3, 4, 5))
+        rng = np.random.default_rng(1)
+        batch, other = rng.standard_normal((3, 5, 4)), rng.standard_normal((3, 5, 4))
         kept = batch.copy()
-        features, logits = model.forward(batch, [] if cached else None)
+        features, logits = model.forward(batch, Tape(model, 4) if taped else None)
         assert np.array_equal(batch, kept)
-        again = model.forward(kept, None if cached else [])
+        again = model.forward(kept, None if taped else Tape(model, 4))
         assert np.array_equal(features, again[0]) and np.array_equal(logits, again[1])
+        if not taped:
+            outputs = features.copy(), logits.copy()
+            for tape in (None, Tape(model, 4)):
+                model.forward(other, tape)
+                model.extract(other, tape)
+                model.classify(model.extract(other), tape)
+            assert np.array_equal(features, outputs[0]) and np.array_equal(logits, outputs[1])
+            assert not np.array_equal(logits, model.forward(other)[1])
 
     def test_batch_shape_mismatch_raises(self):
         model = make_mlp(["dense(3,6)", "relu", "dense(6,2)"])
@@ -284,11 +301,11 @@ class TestSgd:
         model = Model(arch, np.concatenate([make_mlp(arch, seed).flat for seed in (1, 2, 3)]))
         model.params["dense0.weight"][1, 2, 3] = np.nan
         rng = np.random.default_rng(4)
-        cache = []
-        _, logits = model.forward(rng.random((3, 6, 5)), cache)
-        targets = np.eye(4)[rng.integers(0, 4, size=(3, 6))]
+        tape = Tape(model, 6)
+        _, logits = model.forward(rng.random((3, 6, 5)).swapaxes(-1, -2), tape)
+        targets = np.eye(4)[rng.integers(0, 4, size=(3, 6))].swapaxes(-1, -2)
         _, d_logits = cross_entropy_grad(logits, targets, np.ones((3, 6)), np.full(3, 6))
-        nan = np.isnan(backward_params(model, cache, d_logits))
+        nan = np.isnan(backward_params(model, tape, d_logits))
         assert nan.any(axis=1).tolist() == [False, True, False]
         assert model.views(nan)["dense0.weight"][1].any()
 
@@ -355,12 +372,15 @@ class TestAdam:
 class TestModel:
     def test_parameter_split(self):
         model = make_mlp(["dense(4,8)", "relu", "dense(8,8)", "relu", "dense(8,3)"])
-        batch = np.random.default_rng(6).standard_normal((1, 5, 4))
+        batch = np.random.default_rng(6).standard_normal((1, 5, 4)).swapaxes(-1, -2)
         features, logits = model.forward(batch)
         assert model.feature_dim == 8
         assert model.class_count == 3
-        # the classifier is the last dense layer alone; the extractor is everything before it
-        assert np.array_equal(logits, features @ model.params["dense2.weight"] + model.params["dense2.bias"][:, None])
+        # the classifier is the last dense layer alone, one product of its block with the
+        # features and a ones row; the extractor is everything before it
+        block = np.concatenate((model.params["dense2.weight"], model.params["dense2.bias"][:, None]), axis=1)
+        augmented = np.concatenate((features, np.ones((1, 1, 5))), axis=1)
+        assert np.array_equal(logits, block.swapaxes(-1, -2) @ augmented)
         assert np.array_equal(model.classify(features), logits)
         model.params["dense2.weight"][...] = 0.0
         model.params["dense2.bias"][...] = 0.0
@@ -421,41 +441,53 @@ def soft_labels(rng, batch, classes):
 
 @pytest.mark.parametrize("arch", list(CLOSED_FORM_ARCHS.values()), ids=list(CLOSED_FORM_ARCHS))
 class TestClosedForm:
-    """`Model.forward` and `backward` against the graph reference."""
+    """`Model.forward` and `backward` against the graph reference.
+
+    The closed form runs feature-major (models, width, batch) stacks and the
+    graph (batch, width) matrices, so a stack of one's result is compared
+    through its transpose.
+    """
 
     def setup_inputs(self, arch):
         model = make_mlp(arch, seed=31)
         rng = np.random.default_rng(32)
         # signed inputs so that a leading relu clamps some coordinates; the
-        # graph runs the stack of one's batch, batch[0]
-        return model, rng, rng.standard_normal((1, 7, 5)), rng.integers(0, 4, size=7)
+        # graph runs the stack of one's batch as rows, batch[0].T
+        batch = rng.standard_normal((1, 7, 5)).swapaxes(-1, -2)
+        return model, rng, batch, rng.integers(0, 4, size=7)
+
+    def loss_terms(self, model, rng):
+        """Random gradients at the features and at the logits, feature-major."""
+        d_features = rng.standard_normal((1, 7, model.feature_dim)).swapaxes(-1, -2)
+        return d_features, rng.standard_normal((1, 7, model.class_count)).swapaxes(-1, -2)
 
     def test_forward_is_bitwise_the_graph(self, arch):
         model, _, batch, _ = self.setup_inputs(arch)
-        graph_features, graph_logits = GraphModel(model).forward(batch[0])
-        for cache in (None, []):
-            features, logits = model.forward(batch, cache)
-            assert np.array_equal(features[0], graph_features.data)
-            assert np.array_equal(logits[0], graph_logits.data)
-            assert np.array_equal(model.extract(batch, cache)[0], graph_features.data)
-            assert np.array_equal(model.classify(graph_features.data[None], cache)[0], graph_logits.data)
-        # forward, extract and classify appended each layer's input once per walk
-        assert len(cache) == 2 * len(model._layers)
-        assert np.array_equal(cache[model._split][0], graph_features.data)
+        graph_features, graph_logits = GraphModel(model).forward(batch[0].T)
+        tape = Tape(model, 7)
+        for walk in (None, tape):
+            features, logits = model.forward(batch, walk)
+            assert np.array_equal(features[0].T, graph_features.data)
+            assert np.array_equal(logits[0].T, graph_logits.data)
+            assert np.array_equal(model.extract(batch, walk)[0].T, graph_features.data)
+            assert np.array_equal(model.classify(graph_features.data.T[None], walk)[0].T, graph_logits.data)
+        # the tape holds the last walk: the classifier's input rows are the features
+        assert np.array_equal(tape.features[0].T, graph_features.data)
+        assert np.array_equal(tape.logits[0].T, graph_logits.data)
         if model._split == 0:  # a single dense layer: the features are the input itself
-            assert np.array_equal(features, batch)
+            assert np.array_equal(features, batch) and tape.features is tape.input
 
     @pytest.mark.parametrize("soft", [False, True], ids=["hard", "soft"])
     def test_real_only_param_grads_are_bitwise(self, arch, soft):
         model, rng, batch, labels = self.setup_inputs(arch)
         targets = soft_labels(rng, 7, 4) if soft else np.eye(4)[labels]
-        cache = []
-        _, logits = model.forward(batch, cache)
-        value, d_logits = cross_entropy_grad(logits, targets[None], np.ones((1, 7)), [7])
-        grads = model.views(backward_params(model, cache, d_logits))
+        tape = Tape(model, 7)
+        _, logits = model.forward(batch, tape)
+        value, d_logits = cross_entropy_grad(logits, targets.T[None], np.ones((1, 7)), [7])
+        grads = model.views(backward_params(model, tape, d_logits))
 
         graph = GraphModel(model)
-        _, graph_logits = graph.forward(batch[0])
+        _, graph_logits = graph.forward(batch[0].T)
         loss = softmax_cross_entropy(graph_logits, targets if soft else labels)
         expected = model.views(gr.backward_params(loss, graph))
         assert value.tolist() == [float(loss.data)]
@@ -466,19 +498,19 @@ class TestClosedForm:
     @pytest.mark.parametrize("alpha", [0.0, 0.4, 1.0])
     def test_blended_param_grads_match_graph(self, arch, alpha):
         model, rng, batch, labels = self.setup_inputs(arch)
-        syn_batch = rng.random((1, 6, 5))
+        syn_batch = rng.random((1, 6, 5)).swapaxes(-1, -2)
         syn_targets = soft_labels(rng, 6, 4)
-        cache, syn_cache = [], []
-        _, logits = model.forward(batch, cache)
-        _, syn_logits = model.forward(syn_batch, syn_cache)
-        (real_value,), d_real = cross_entropy_grad(logits, np.eye(4)[labels][None], np.full((1, 7), alpha), [7])
-        (syn_value,), d_syn = cross_entropy_grad(syn_logits, syn_targets[None], np.full((1, 6), 1.0 - alpha), [6])
-        real_grads = model.views(backward_params(model, cache, d_real))
-        syn_grads = model.views(backward_params(model, syn_cache, d_syn))
+        tape, syn_tape = Tape(model, 7), Tape(model, 6)
+        _, logits = model.forward(batch, tape)
+        _, syn_logits = model.forward(syn_batch, syn_tape)
+        (real_value,), d_real = cross_entropy_grad(logits, np.eye(4)[labels].T[None], np.full((1, 7), alpha), [7])
+        (syn_value,), d_syn = cross_entropy_grad(syn_logits, syn_targets.T[None], np.full((1, 6), 1.0 - alpha), [6])
+        real_grads = model.views(backward_params(model, tape, d_real))
+        syn_grads = model.views(backward_params(model, syn_tape, d_syn))
 
         graph = GraphModel(model)
-        _, graph_logits = graph.forward(batch[0])
-        _, graph_syn_logits = graph.forward(syn_batch[0])
+        _, graph_logits = graph.forward(batch[0].T)
+        _, graph_syn_logits = graph.forward(syn_batch[0].T)
         loss = add(
             mul(softmax_cross_entropy(graph_logits, labels), alpha),
             mul(softmax_cross_entropy(graph_syn_logits, syn_targets), 1.0 - alpha),
@@ -491,78 +523,80 @@ class TestClosedForm:
     def test_input_grad_with_feature_term_matches_graph(self, arch):
         # loss = sum(features * A) + sum(logits * B): d_features = A, d_logits = B
         model, rng, batch, _ = self.setup_inputs(arch)
-        d_features = rng.standard_normal((1, 7, model.feature_dim))
-        d_logits = rng.standard_normal((1, 7, model.class_count))
-        cache = []
-        model.forward(batch, cache)
-        grad = backward_input(model, cache, d_logits, d_features)
+        d_features, d_logits = self.loss_terms(model, rng)
+        tape = Tape(model, 7)
+        model.forward(batch, tape)
+        grad = backward_input(model, tape, d_logits, d_features)
 
-        leaf = Tensor(batch[0], requires_grad=True)
+        leaf = Tensor(batch[0].T, requires_grad=True)
         features, logits = GraphModel(model).forward(leaf)
-        loss = add(reduce_sum(mul(features, d_features[0])), reduce_sum(mul(logits, d_logits[0])))
-        assert_rel_close(grad[0], gr.backward_input(loss, leaf))
+        loss = add(reduce_sum(mul(features, d_features[0].T)), reduce_sum(mul(logits, d_logits[0].T)))
+        assert_rel_close(grad[0].T, gr.backward_input(loss, leaf))
 
     def test_param_grads_with_feature_term_match_graph(self, arch):
         model, rng, batch, _ = self.setup_inputs(arch)
-        d_features = rng.standard_normal((1, 7, model.feature_dim))
-        d_logits = rng.standard_normal((1, 7, model.class_count))
-        cache = []
-        model.forward(batch, cache)
-        grads = model.views(backward_params(model, cache, d_logits, d_features))
+        d_features, d_logits = self.loss_terms(model, rng)
+        tape = Tape(model, 7)
+        model.forward(batch, tape)
+        grads = model.views(backward_params(model, tape, d_logits, d_features))
 
         graph = GraphModel(model)
-        features, logits = graph.forward(batch[0])
-        loss = add(reduce_sum(mul(features, d_features[0])), reduce_sum(mul(logits, d_logits[0])))
+        features, logits = graph.forward(batch[0].T)
+        loss = add(reduce_sum(mul(features, d_features[0].T)), reduce_sum(mul(logits, d_logits[0].T)))
         expected = model.views(gr.backward_params(loss, graph))
         for name in expected:
             assert_rel_close(grads[name], expected[name])
 
     @pytest.mark.parametrize("wrt", ["params", "input"])
     def test_backward_leaves_the_callers_gradients_alone(self, arch, wrt):
+        """Neither loss gradient is written, nor the forward walk the tape holds: a second backward repeats the first."""
         model, rng, batch, _ = self.setup_inputs(arch)
-        d_features = rng.standard_normal((1, 7, model.feature_dim))
-        d_logits = rng.standard_normal((1, 7, model.class_count))
+        d_features, d_logits = self.loss_terms(model, rng)
         kept = d_features.copy(), d_logits.copy()
-        cache = []
-        model.forward(batch, cache)
-        cached = [h.copy() for h in cache]
+        tape = Tape(model, 7)
+        model.forward(batch, tape)
+        walked = [a.copy() for a in (tape.input, tape.features, tape.logits)]
         entry = backward_params if wrt == "params" else backward_input
         for features_term in (None, d_features):
-            entry(model, cache, d_logits, features_term)
+            first = entry(model, tape, d_logits, features_term).copy()
+            assert np.array_equal(entry(model, tape, d_logits, features_term), first)
         assert np.array_equal(d_features, kept[0]) and np.array_equal(d_logits, kept[1])
-        assert all(np.array_equal(h, c) for h, c in zip(cache, cached))
+        assert all(np.array_equal(a, b) for a, b in zip((tape.input, tape.features, tape.logits), walked))
 
     def test_both_entry_points_are_one_walk(self, arch):
         model, rng, batch, _ = self.setup_inputs(arch)
-        d_features = rng.standard_normal((1, 7, model.feature_dim))
-        d_logits = rng.standard_normal((1, 7, model.class_count))
-        cache = []
-        model.forward(batch, cache)
-        grad = np.empty_like(model.flat)
-        assert backward(model, cache, d_logits, d_features, grad) is grad
-        assert np.array_equal(grad, backward_params(model, cache, d_logits, d_features))
-        by_input = backward_input(model, cache, d_logits, d_features)
-        assert np.array_equal(backward(model, cache, d_logits, d_features), by_input)
-
+        d_features, d_logits = self.loss_terms(model, rng)
+        tape = Tape(model, 7)
+        model.forward(batch, tape)
+        grad = backward(model, tape, d_logits, d_features, params=True)
+        assert grad is tape.grad and grad.shape == model.flat.shape
+        grad = grad.copy()
+        assert np.array_equal(grad, backward_params(model, tape, d_logits, d_features))
+        by_input = backward_input(model, tape, d_logits, d_features).copy()
+        assert by_input.shape == batch.shape
+        assert np.array_equal(backward(model, tape, d_logits, d_features, params=False), by_input)
 
     def test_a_stack_runs_each_model_bitwise(self, arch):
         """One walk over a stack of three models is each model's own walk as a stack of one, bit for bit."""
         model, rng, batch, _ = self.setup_inputs(arch)
         models = [model, make_mlp(arch, seed=41), make_mlp(arch, seed=51)]
         stack = Model(arch, np.concatenate([m.flat for m in models]))
-        batches = np.concatenate([batch, rng.standard_normal((1, 7, 5)), rng.standard_normal((1, 7, 5))])
+        rows = rng.standard_normal((2, 7, 5)).swapaxes(-1, -2)
+        batches = np.concatenate([batch, rows])
         targets = np.stack([np.eye(4)[rng.integers(0, 4, size=7)], soft_labels(rng, 7, 4), soft_labels(rng, 7, 4)])
+        targets = targets.swapaxes(-1, -2)
         weights = rng.random((3, 7))
-        d_features = rng.standard_normal((3, 7, model.feature_dim))
-        cache = []
-        features, logits = stack.forward(batches, cache)
+        d_features = rng.standard_normal((3, 7, model.feature_dim)).swapaxes(-1, -2)
+        tape, input_tape = Tape(stack, 7), Tape(stack, 7)
+        features, logits = stack.forward(batches, tape)
+        stack.forward(batches, input_tape)
         loss, d_logits = cross_entropy_grad(logits, targets, np.full((3, 7), 0.4), np.full(3, 7))
         row_loss, d_rows = cross_entropy_grad(logits, targets, weights, np.ones(3))
-        grads = backward_params(stack, cache, d_logits, d_features)
-        by_input = backward_input(stack, cache, d_rows, d_features)
+        grads = backward_params(stack, tape, d_logits, d_features)
+        by_input = backward_input(stack, input_tape, d_rows, d_features)
         assert grads.shape == stack.flat.shape and loss.shape == row_loss.shape == (3,)
         for i, m in enumerate(models):
-            own, one = [], slice(i, i + 1)
+            own, one = Tape(m, 7), slice(i, i + 1)
             f, z = m.forward(batches[one], own)
             assert np.array_equal(features[one], f) and np.array_equal(logits[one], z)
             value, d = cross_entropy_grad(z, targets[one], np.full((1, 7), 0.4), [7])
@@ -577,43 +611,56 @@ class TestClosedForm:
 
 def test_padding_rows_get_no_gradient_and_stay_out_of_the_mean():
     rng = np.random.default_rng(9)
-    logits = rng.standard_normal((3, 5, 4))
-    targets = np.eye(4)[rng.integers(0, 4, size=(3, 5))]
+    logits = rng.standard_normal((3, 5, 4)).swapaxes(-1, -2)
+    targets = np.eye(4)[rng.integers(0, 4, size=(3, 5))].swapaxes(-1, -2)
     rows = np.array([5, 2, 4])
     for i, k in enumerate(rows):
-        targets[i, k:] = 0.0
+        targets[i, :, k:] = 0.0
     loss, d_logits = cross_entropy_grad(logits, targets, np.where(np.arange(5) < rows[:, None], 0.4, 0.0), rows)
     for i, k in enumerate(rows):
-        (value,), (d,) = cross_entropy_grad(logits[i : i + 1, :k], targets[i : i + 1, :k], np.full((1, k), 0.4), [k])
-        assert np.array_equal(d_logits[i, :k], d)
-        assert not d_logits[i, k:].any()
+        (value,), (d,) = cross_entropy_grad(
+            logits[i : i + 1, :, :k], targets[i : i + 1, :, :k], np.full((1, k), 0.4), [k]
+        )
+        assert np.array_equal(d_logits[i, :, :k], d)
+        assert not d_logits[i, :, k:].any()
         assert abs(loss[i] - value) <= 1e-15 * abs(value)
     unpadded = cross_entropy_grad(logits[:1], targets[:1], np.full((1, 5), 0.4), [5])
     assert loss[0] == unpadded[0][0]  # an unpadded model is bitwise
 
 
-def test_cross_entropy_row_weights_must_match_the_batch():
-    with pytest.raises(ValueError, match="1 x 3 row weights"):
-        cross_entropy_grad(np.zeros((1, 3, 2)), np.eye(2)[[[0, 1, 1]]], np.ones((1, 2)), [1])
-    with pytest.raises(ValueError, match=r"expected 3 row counts, got shape \(1,\)"):
-        cross_entropy_grad(np.zeros((3, 3, 2)), np.eye(2)[[[0, 1, 1]] * 3], np.ones((3, 3)), [3])
+def test_cross_entropy_writes_its_gradient_into_out():
+    rng = np.random.default_rng(10)
+    logits, targets = rng.standard_normal((2, 4, 5)), np.eye(4)[rng.integers(0, 4, size=(2, 5))].swapaxes(-1, -2)
+    loss, d_logits = cross_entropy_grad(logits, targets, np.ones((2, 5)), [5, 5])
+    out = np.empty_like(logits)
+    again, written = cross_entropy_grad(logits, targets, np.ones((2, 5)), [5, 5], out)
+    assert written is out and np.array_equal(written, d_logits) and np.array_equal(again, loss)
+
+
+def test_cross_entropy_sample_weights_must_match_the_batch():
+    with pytest.raises(ValueError, match="1 x 3 sample weights"):
+        cross_entropy_grad(np.zeros((1, 2, 3)), np.eye(2)[[[0, 1, 1]]].swapaxes(-1, -2), np.ones((1, 2)), [1])
+    with pytest.raises(ValueError, match=r"expected 3 sample counts, got shape \(1,\)"):
+        cross_entropy_grad(np.zeros((3, 2, 3)), np.eye(2)[[[0, 1, 1]] * 3].swapaxes(-1, -2), np.ones((3, 3)), [3])
 
 
 def test_cross_entropy_takes_a_target_matrix_only():
-    with pytest.raises(ValueError, match=r"targets must have shape \(1, 3, 2\)"):
-        cross_entropy_grad(np.zeros((1, 3, 2)), [[0, 1, 1]], np.ones((1, 3)), [1])
-    with pytest.raises(ValueError, match=r"\(models, batch, classes\) stack, got shape \(3, 2\)"):
+    with pytest.raises(ValueError, match=r"targets must have shape \(1, 2, 3\)"):
+        cross_entropy_grad(np.zeros((1, 2, 3)), [[0, 1, 1]], np.ones((1, 3)), [1])
+    with pytest.raises(ValueError, match=r"\(models, classes, batch\) stack, got shape \(3, 2\)"):
         cross_entropy_grad(np.zeros((3, 2)), np.eye(2)[[0, 1, 1]], np.ones((3, 2)), [1])
 
 
 def test_extract_and_classify_reject_wrong_width():
     model = make_mlp(["dense(3,6)", "relu", "dense(6,2)"])
     with pytest.raises(ValueError, match="input width 3"):
-        model.extract(np.zeros((1, 2, 4)))
+        model.extract(np.zeros((1, 4, 2)))
     with pytest.raises(ValueError, match=r"batch shape \(2, 3\) incompatible with 1 models"):
         model.extract(np.zeros((2, 3)))
     with pytest.raises(ValueError, match="classifier width 6"):
-        model.classify(np.zeros((1, 2, 3)))
+        model.classify(np.zeros((1, 3, 2)))
+    with pytest.raises(ValueError, match="cannot run 1 models on 2 samples"):
+        model.forward(np.zeros((1, 3, 2)), Tape(model, 3))
 
 
 def test_copy_and_aggregate_parse_no_architecture(monkeypatch):
@@ -650,3 +697,96 @@ def test_copy_and_aggregate_parse_no_architecture(monkeypatch):
     config_from_dict({"architecture": arch})
     build_state(cfg)
     assert calls[1:] == [arch]
+
+
+class TestTapeGradients:
+    """Finite differences of the loss the tape's walk differentiates, on the code that runs.
+
+    The loss is sum(features * A) plus each model's mean cross entropy, so
+    the feature term and the logit term both reach the input and the
+    parameters.
+    """
+
+    def loss(self, model, batch, targets, d_features):
+        features, logits = model.forward(batch)
+        ce, _ = cross_entropy_grad(logits, targets, np.ones(targets.shape[::2]), np.full(len(targets), targets.shape[2]))
+        return float(np.sum(features * d_features) + ce.sum())
+
+    def check(self, model, tape, batch, targets, d_features):
+        kept = batch.copy()
+        features, logits = model.forward(batch, tape)
+        _, d_logits = cross_entropy_grad(
+            logits, targets, np.ones(targets.shape[::2]), np.full(len(targets), targets.shape[2]), tape.d_logits
+        )
+        grad = backward_params(model, tape, d_logits, d_features).copy()
+        by_input = backward_input(model, tape, d_logits, d_features)
+        assert np.array_equal(batch, kept)  # a leading relu reads the caller's batch and never writes it
+
+        def in_batch(x):
+            return self.loss(model, x.reshape(batch.shape), targets, d_features)
+
+        def in_params(flat):
+            return self.loss(Model(model.architecture, flat.reshape(model.flat.shape)), batch, targets, d_features)
+
+        for fd, closed in ((finite_diff(in_batch, batch), by_input), (finite_diff(in_params, model.flat), grad)):
+            assert np.max(np.abs(fd - closed)) <= 1e-7 * max(1.0, np.max(np.abs(closed)))
+
+    def case(self, arch, models, samples, seed=3):
+        rng = np.random.default_rng(seed)
+        model = Model(arch, np.concatenate([make_mlp(arch, seed + s).flat for s in range(models)]))
+        batch = rng.standard_normal((models, 5, samples))
+        targets = np.eye(4)[rng.integers(0, 4, size=(models, samples))].swapaxes(-1, -2)
+        return model, batch, targets, rng.standard_normal((models, model.feature_dim, samples))
+
+    @pytest.mark.parametrize("samples", [1, 6], ids=["one_sample", "six_samples"])
+    @pytest.mark.parametrize("arch", list(CLOSED_FORM_ARCHS.values()), ids=list(CLOSED_FORM_ARCHS))
+    def test_walk_matches_finite_differences(self, arch, samples):
+        """Every architecture, a single dense layer (the features are the input) and a leading relu among them, at n=1 too."""
+        model, batch, targets, d_features = self.case(arch, 1, samples)
+        self.check(model, Tape(model, samples), batch, targets, d_features)
+
+    @pytest.mark.parametrize("arch", list(CLOSED_FORM_ARCHS.values()), ids=list(CLOSED_FORM_ARCHS))
+    def test_a_trimmed_prefix_matches_finite_differences(self, arch):
+        """A two-model stack's tape, trimmed to its first model, walks that model alone and leaves the other's rows."""
+        stack, batch, targets, d_features = self.case(arch, 2, 4)
+        tape = Tape(stack, 4)
+        stack.forward(batch, tape)
+        backward_params(stack, tape, tape.logits, d_features)
+        second = tape.grad[1].copy(), tape.logits[1].copy()
+        prefix = Model(arch, stack.flat[:1])
+        self.check(prefix, tape.prefix(1), batch[:1], targets[:1], d_features[:1])
+        assert np.array_equal(tape.grad[1], second[0]) and np.array_equal(tape.logits[1], second[1])
+        assert np.shares_memory(tape.prefix(1).grad, tape.grad)
+
+
+WIDE_WALK = """
+import hashlib, sys
+import numpy as np
+from fedsynth.autodiff import Model
+model = Model.initialize(["dense(16,32)", "relu", "dense(32,32)", "relu", "dense(32,6)"], np.random.default_rng(0))
+features, logits = model.forward(np.random.default_rng(1).random((1, 16, 1057)))
+print(hashlib.sha256(features.tobytes() + logits.tobytes()).hexdigest())
+"""
+
+
+def test_a_wide_walk_without_a_tape_does_not_depend_on_blas_threads():
+    """1057 samples, the feature export of a short ragged run: one thread and two give the same bits.
+
+    The walk runs 128 samples at a time, so each piece matches its own walk exactly.
+    """
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+        env["PYTHONPATH"] = os.pathsep.join(sys.path)
+        proc = subprocess.run([sys.executable, "-c", WIDE_WALK], capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.strip())
+    assert digests[0] == digests[1]
+
+    model = Model.initialize(["dense(16,32)", "relu", "dense(32,32)", "relu", "dense(32,6)"], np.random.default_rng(0))
+    batch = np.random.default_rng(1).random((1, 16, 300))
+    features, logits = model.forward(batch)
+    for lo in (0, 128, 256):
+        piece = model.forward(batch[..., lo : lo + 128], Tape(model, min(128, 300 - lo)))
+        assert np.array_equal(features[..., lo : lo + 128], piece[0])
+        assert np.array_equal(logits[..., lo : lo + 128], piece[1])

@@ -178,14 +178,15 @@ class TestPinnedShards:
 
     The dataset's one input column is the row index, so a shard's inputs
     name the rows it was dealt. The (1000, 0.01) Dirichlet case repairs
-    hundreds of empty shards, and the first case has a class with no rows
-    between classes with rows.
+    694 empty shards and the (3000, 0.01) case 2,143, and the first case
+    has a class with no rows between classes with rows.
     """
 
     CASES = [
         ("dirichlet", 11, 600, 10, 0.5, 0, "0a455f11925c7e9b"),
         ("dirichlet", 10, 2000, 100, 0.1, 1, "bde1a6434691f715"),
         ("dirichlet", 10, 3000, 1000, 0.01, 2, "3e29e585100b0450"),
+        ("dirichlet", 10, 6000, 3000, 0.01, 6, "356cd99704c9a5d4"),
         ("label_skew", 6, 600, 10, 1, 3, "b46edbbe0c7ebfb5"),
         ("label_skew", 8, 600, 7, 2, 4, "ce51d7de4e70e31f"),
         ("label_skew", 10, 3000, 1200, 1, 5, "15788a040f24429f"),

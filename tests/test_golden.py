@@ -15,10 +15,10 @@ from fedsynth.runner import run_experiment
 
 # sha256 prefix of every artifact apart from wall-clock fields, per algorithm
 GOLDEN = {
-    "fedavg": "2692de0bb8979aab",
+    "fedavg": "4f4b1623fb511ebb",
     # mu forced to 0: every prototype-hardened target is hard_feature(z, p, 0)
-    "fmds_fl": "f5acd7c8d2eed1bf",
-    "hfmds_fl": "94db8d952c726b95",
+    "fmds_fl": "f3af4796ca0190ee",
+    "hfmds_fl": "8e4b4096c9c9f3e2",
 }
 
 
@@ -26,7 +26,7 @@ GOLDEN = {
 # client ends each epoch on a short batch, and the small shards finish their
 # local steps well before the large ones. The desk partition has neither.
 RAGGED = {"scheme": "dirichlet", "clients": 10, "concentration": 0.5}
-RAGGED_GOLDEN = "fc10d1ac142954d6"
+RAGGED_GOLDEN = "5c712a73b41fa52a"
 
 
 def short_desk_config(algorithm, out_dir, **overrides):

@@ -1,4 +1,4 @@
-"""The flat parameter layout: every named parameter is a view into `Model.flat`."""
+"""The flat parameter layout: every named parameter and every dense block is a view into `Model.flat`."""
 
 import re
 
@@ -7,7 +7,7 @@ import pytest
 
 from graph_reference import GraphModel
 
-from fedsynth.autodiff import Model, Sgd, backward_params, cross_entropy_grad
+from fedsynth.autodiff import Model, Sgd, Tape, backward_params, cross_entropy_grad
 from fedsynth.config import config_from_dict, derive_seed
 from fedsynth.engine import aggregate
 from fedsynth.synthesis import model_fingerprint
@@ -26,21 +26,24 @@ def same_memory(a, b):
 def assert_views_of_own_flat(model):
     for name, p in model.params.items():
         assert np.shares_memory(p, model.flat), name
-    # the layer plan's arrays are the same views, at the slices it writes gradients to
+    # the layer plan holds each dense layer's weight view and its block: the
+    # weight, then the bias as the last row, one view of `flat`'s memory
     dense = [layer for layer in model._plan if layer is not None]
     assert [layer is None for layer in model._plan] == [layer[0] == "relu" for layer in model._layers]
     names = list(model.params)
-    for (weight, bias, w_slice, b_slice), w_name, b_name in zip(dense, names[::2], names[1::2], strict=True):
-        assert weight is model.params[w_name] and same_memory(bias, model.params[b_name])
-        assert same_memory(weight, model.flat[:, w_slice]) and same_memory(bias, model.flat[:, b_slice])
+    for (weight, block), w_name, b_name in zip(dense, names[::2], names[1::2], strict=True):
+        bias = model.params[b_name]
+        assert weight is model.params[w_name] and block.shape == (len(model.flat), weight.shape[1] + 1, weight.shape[2])
+        assert np.shares_memory(block, model.flat) and np.shares_memory(block, weight) and np.shares_memory(block, bias)
+        assert same_memory(block[:, :-1], weight) and same_memory(block[:, -1], bias)
 
 
 def assert_plan_is_live(model, batch, before):
     """`Model.forward` walks the plan; the graph reads `params`: both see the current weights."""
     features, logits = model.forward(batch)
-    graph_features, graph_logits = GraphModel(model).forward(batch[0])
-    assert np.array_equal(features[0], graph_features.data)
-    assert np.array_equal(logits[0], graph_logits.data)
+    graph_features, graph_logits = GraphModel(model).forward(batch[0].T)
+    assert np.array_equal(features[0].T, graph_features.data)
+    assert np.array_equal(logits[0].T, graph_logits.data)
     assert not np.array_equal(logits, before), "the weights did not change"
     assert_views_of_own_flat(model)
 
@@ -61,11 +64,12 @@ def test_flat_follows_name_order():
 def test_sgd_step_updates_the_views():
     model = desk_model()
     rng = np.random.default_rng(0)
-    cache = []
-    _, logits = model.forward(rng.random((1, 10, 16)), cache)
-    _, d_logits = cross_entropy_grad(logits, np.eye(6)[rng.integers(0, 6, size=(1, 10))], np.ones((1, 10)), [10])
+    tape = Tape(model, 10)
+    _, logits = model.forward(rng.random((1, 10, 16)).swapaxes(-1, -2), tape)
+    targets = np.eye(6)[rng.integers(0, 6, size=(1, 10))].swapaxes(-1, -2)
+    _, d_logits = cross_entropy_grad(logits, targets, np.ones((1, 10)), [10])
     before = model.flat.copy()
-    Sgd(0.1, momentum=0.9, weight_decay=5e-4).step(model, backward_params(model, cache, d_logits))
+    Sgd(0.1, momentum=0.9, weight_decay=5e-4).step(model, backward_params(model, tape, d_logits))
     assert not np.array_equal(model.flat, before)
     assert_views_of_own_flat(model)
 
@@ -85,12 +89,13 @@ def test_copy_and_aggregate_own_their_vectors():
 
 def test_layer_plan_follows_every_weight_change():
     model = desk_model()
-    batch = np.random.default_rng(3).random((1, 10, 16))
+    batch = np.random.default_rng(3).random((1, 10, 16)).swapaxes(-1, -2)
 
-    cache = []
-    _, before = model.forward(batch, cache)
-    _, d_logits = cross_entropy_grad(before, np.eye(6)[np.arange(10) % 6][None], np.ones((1, 10)), [10])
-    Sgd(0.5).step(model, backward_params(model, cache, d_logits))
+    tape = Tape(model, 10)
+    _, before = model.forward(batch, tape)
+    before = before.copy()
+    _, d_logits = cross_entropy_grad(before, np.eye(6)[np.arange(10) % 6].T[None], np.ones((1, 10)), [10])
+    Sgd(0.5).step(model, backward_params(model, tape, d_logits))
     assert_plan_is_live(model, batch, before)
 
     before = model.forward(batch)[1]

@@ -147,13 +147,13 @@ class TestAlignment:
         data, _ = make_blobs(3, 4, 10, 0.2, seed=2)
         means = class_feature_means(model, data)
         assert means.shape == (1, 3, 6)
-        features = model.extract(data.inputs[None])[0]
+        features = model.extract(data.inputs.T[None])[0].T
         assert np.array_equal(means[0, 1], features[data.labels == 1].mean(axis=0))
         # a probe set without class 1: only the present classes, ascending
         lacking = data.subset(np.flatnonzero(data.labels != 1))
         means = class_feature_means(model, lacking)
         assert means.shape == (1, 2, 6)
-        features = model.extract(lacking.inputs[None])[0]
+        features = model.extract(lacking.inputs.T[None])[0].T
         for row, c in zip(means[0], (0, 2)):
             assert np.array_equal(row, features[lacking.labels == c].mean(axis=0))
 

@@ -18,7 +18,7 @@ from graph_reference import (
     synthesis_loss,
 )
 
-from fedsynth.autodiff import Adam, Model
+from fedsynth.autodiff import Adam, Model, Tape
 from fedsynth.config import config_from_dict, derive_seed
 from fedsynth.data import make_blobs
 from fedsynth.engine import run_round
@@ -30,7 +30,8 @@ from fedsynth.synthesis import (
     SynthesisEvent,
     _input_grad,
     _matching_targets,
-    _softmax_np,
+    _row_losses,
+    _softmax,
     _stratified_indices,
     dump_synthetic_dataset,
     hard_feature,
@@ -98,7 +99,7 @@ class TestComputeCam:
             down[i] -= h
 
             def logit(v):
-                return float(model.classify(v.reshape(1, 1, -1))[0, 0, 2])
+                return float(model.classify(v.reshape(1, -1, 1))[0, 2, 0])
 
             fd = (logit(up) - logit(down)) / (2 * h)
             assert abs(fd - g[i]) / max(abs(fd), abs(g[i]), 1e-6) < 1e-4
@@ -261,20 +262,23 @@ class TestSynthesisLoss:
             assert abs(fd - grad[i]) / max(abs(fd), abs(grad[i]), 1e-6) < 1e-4
 
 
-class TestSoftmaxRows:
-    @pytest.mark.parametrize("rows", [1, 12, 100])
+class TestSoftmaxColumns:
+    @pytest.mark.parametrize("samples", [1, 12, 100])
     @pytest.mark.parametrize("width", [6, 32])
-    def test_rows_match_an_exactly_summed_oracle(self, rows, width):
-        """Each row within 4 ulp of exp(v - max) / fsum(exp(v - max)) taken in Python."""
-        v = 3.0 * np.random.default_rng(rows * width).standard_normal((rows, width))
-        probs = _softmax_np(v)
+    def test_columns_match_an_exactly_summed_oracle(self, samples, width):
+        """Each feature-major column within 4 ulp of exp(v - max) / fsum(exp(v - max)) taken in Python."""
+        v = 3.0 * np.random.default_rng(samples * width).standard_normal((1, width, samples))
+        probs = _softmax(v)
         expected = np.empty_like(v)
-        for i, row in enumerate(v.tolist()):
-            top = max(row)
-            e = [math.exp(a - top) for a in row]
+        for i, column in enumerate(v[0].T.tolist()):
+            top = max(column)
+            e = [math.exp(a - top) for a in column]
             total = math.fsum(e)
-            expected[i] = [a / total for a in e]
+            expected[0, :, i] = [a / total for a in e]
         assert np.all(np.abs(probs - expected) <= 4 * np.spacing(expected))
+        out = np.empty_like(v)
+        assert _softmax(v, out=out) is out and np.array_equal(out, probs)
+        assert _softmax(v, out=v) is v and np.array_equal(v, probs)  # in place
 
 
 class TestSynthesize:
@@ -365,24 +369,24 @@ class TestProductionPath:
     def test_masks_equal_compute_cam_rows(self, arch):
         for model, shard, protos, cfg in self.setup_cases(arch):
             labels = shard.labels
-            target_probs, masks = _matching_targets(model, shard.inputs[None], labels, protos, cfg.scale)
-            features = model.extract(shard.inputs[None])[0]
-            assert masks.shape == target_probs.shape == (1,) + features.shape
-            assert not masks[0, labels == 0].any()
+            target_probs, masks = _matching_targets(model, shard.inputs.T[None], labels, protos, cfg.scale)
+            features = model.extract(shard.inputs.T[None])[0].T
+            assert masks.shape == target_probs.shape == (1,) + features.T.shape
+            assert not masks[0][:, labels == 0].any()
             for i, y in enumerate(labels):
                 target = features[i] if protos is None else hard_feature(features[i], protos[y], cfg.scale)
                 mask = np.maximum(compute_cam(GraphModel(model), target, int(y)), 0.0)
-                assert np.array_equal(masks[0, i], mask)
+                assert np.array_equal(masks[0, :, i], mask)
                 e = np.exp(target * mask - (target * mask).max())
-                assert np.max(np.abs(target_probs[0, i] - e / e.sum())) <= 1e-15
+                assert np.max(np.abs(target_probs[0, :, i] - e / e.sum())) <= 1e-15
 
     def test_input_grad_equals_summed_per_row_graph(self, arch):
         for model, shard, protos, cfg in self.setup_cases(arch):
             reals, labels = shard.inputs, shard.labels
-            target_probs, masks = _matching_targets(model, reals[None], labels, protos, cfg.scale)
-            onehot = np.eye(model.class_count)[labels]
+            target_probs, masks = _matching_targets(model, reals.T[None], labels, protos, cfg.scale)
+            onehot = np.eye(model.class_count)[labels].T[None]
             x = np.random.default_rng(43).standard_normal(reals.shape)
-            (grad,) = _input_grad(model, x[None], target_probs, masks, onehot, cfg)
+            grad = _input_grad(model, x.T[None], target_probs, masks, onehot, cfg)[0].T
 
             expected = np.empty_like(x)
             for i in range(len(x)):
@@ -402,7 +406,7 @@ class TestProductionPath:
             replay = np.random.default_rng(44)
             pair_idx = _stratified_indices(shard, cfg.count, replay)
             # the warning counts rows, each reduced over the width axis of the
-            # (1, n, width) masks: the rows whose label's classifier column has
+            # (1, width, n) masks: the rows whose label's classifier column has
             # no positive entry. perfbench's ZeroCamCounter parses the message
             # and reads the row count from its first argument.
             dead = ~(model.params[f"dense{len(model.params) // 2 - 1}.weight"][0] > 0).any(axis=0)
@@ -432,6 +436,34 @@ class TestProductionPath:
             calls.clear()
             synthesize(model, shard, protos, SynthesisConfig(count=6, steps=7), np.random.default_rng(45))
             assert len(calls) == 7
+
+
+@pytest.mark.parametrize("arch", [*PRODUCTION_ARCHS.values(), ["relu", "dense(5,8)", "relu", "dense(8,3)"]],
+                         ids=[*PRODUCTION_ARCHS, "relu_first"])
+def test_a_reused_tape_is_bitwise_fresh_buffers_on_every_step(arch):
+    """500 steps of one job on its one tape against the same steps, each on a fresh tape with the inputs kept apart."""
+    model = make_model(arch, seed=46)
+    shard, _ = make_blobs(3, 5, 20, 0.25, seed=47)
+    protos = np.random.default_rng(48).standard_normal((3, model.feature_dim))
+    cfg = SynthesisConfig(count=12, steps=500)
+    syn = synthesize(model, shard, protos, cfg, np.random.default_rng(49))
+
+    replay = np.random.default_rng(49)
+    pair_idx = _stratified_indices(shard, cfg.count, replay)
+    labels = shard.labels[pair_idx]
+    target_probs, masks = _matching_targets(model, shard.inputs[pair_idx].T[None], labels, protos, cfg.scale)
+    onehot = np.eye(3)[labels].T[None]
+    x = replay.standard_normal((len(pair_idx), 5)).T[None].copy()
+    initial = _row_losses(model, x, target_probs, masks, labels, cfg)
+    optimizer = Adam(cfg.adam_lr)
+    for _ in range(cfg.steps):
+        fresh = Tape(model, len(pair_idx))
+        optimizer.step(x, _input_grad(model, x, target_probs, masks, onehot, cfg, fresh).copy())
+        x.clip(0.0, 1.0, out=x)
+    final = _row_losses(model, x, target_probs, masks, labels, cfg)
+    assert np.array_equal(syn.samples["x"], x[0].T)
+    assert syn.samples["initial_loss"].tolist() == initial[0].tolist()
+    assert syn.samples["final_loss"].tolist() == final[0].tolist()
 
 
 class TestMixup:
