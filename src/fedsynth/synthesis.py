@@ -11,6 +11,7 @@ import functools
 import hashlib
 import json
 import logging
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -300,8 +301,91 @@ def synthesize(
     return SyntheticDataset(synthetic_rows(shard, pair_idx, x_hat[0].T, initial[0], final[0], client_id))
 
 
+# An event of at least this many row-steps (its rows times `syn_steps`) runs its
+# jobs on forked worker processes. Below it the workers' start and stop, 20-25 ms
+# on a 2-CPU box, costs more than the second CPU saves: 10-job events on the
+# desk data break even at 15,000-20,000 row-steps with BLAS on one thread.
+POOL_ROW_STEPS = 20_000
+
+# the (job, clients) of the event a forked worker runs, set once in each worker
+_worker_event = None
+
+
+class _Records(logging.Handler):
+    """Keeps the records a worker's job logs, for the parent to emit in client order."""
+
+    def __init__(self):
+        super().__init__()
+        self.records = []
+
+    def emit(self, record: logging.LogRecord) -> None:
+        self.records.append(record)
+
+
+def _job(model: Model, cfg: SynthesisConfig, seed: int, round_index: int, client) -> Array:
+    """One client's rows of a synthesis event, from its own round stream."""
+    rng = np.random.default_rng(derive_seed(seed, f"synthesis/round={round_index}/client={client.client_id}"))
+    return synthesize(model, client.shard, client.prototypes, cfg, rng, client.client_id).samples
+
+
+def _start_worker(*event) -> None:
+    """Worker initializer: hold the event's arguments, which arrive by fork, and keep this logger's records."""
+    global _worker_event
+    _worker_event = event
+    logger.handlers, logger.propagate = [_Records()], False
+
+
+def _worker_job(index: int) -> tuple[Array, list[logging.LogRecord]]:
+    """Client `index`'s job in a worker: its rows and the records it logged."""
+    job, clients = _worker_event
+    kept = logger.handlers[0]
+    kept.records = []
+    return job(clients[index]), kept.records
+
+
+def _pool_size(clients, cfg: SynthesisConfig) -> int:
+    """Worker processes for an event; 0 (in-process) below POOL_ROW_STEPS, on one CPU, or without the OS calls."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 0
+    if sum(min(cfg.count, len(client.shard)) for client in clients) * cfg.steps < POOL_ROW_STEPS:
+        return 0
+    workers = min(len(os.sched_getaffinity(0)), len(clients))
+    return workers if workers > 1 else 0
+
+
+def _pooled_jobs(workers: int, job, clients) -> list:
+    """Every client's rows, `job(client)` on `workers` forked processes, as the in-process loop makes them.
+
+    The workers inherit numpy's error state with the fork. Results are
+    taken in client order, each job's log records emitted here before the
+    next job's, so the first failing client raises its error after the
+    records of the clients before it (a failing job's own records are
+    lost with it); the jobs not yet started are then cancelled. A worker
+    that dies mid-job raises `BrokenProcessPool` instead of leaving the
+    event waiting. No worker outlives the call.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # fork, not spawn: a worker takes the model and clients as they are, with no
+    # pickling and no fresh import; with fork the executor starts every worker
+    # before its own manager thread
+    with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"), _start_worker, (job, clients)) as executor:
+        rows = []
+        for samples, records in executor.map(_worker_job, range(len(clients))):
+            for record in records:
+                logger.handle(record)
+            rows.append(samples)
+    return rows
+
+
 def run_event(model: Model, clients, config: ExperimentConfig, round_index: int) -> SynthesisEvent:
-    """One synthesis event: each client's rows against `model`, from its own round stream, pooled in client order."""
+    """One synthesis event: each client's rows against `model`, from its own round stream, pooled in client order.
+
+    The jobs are independent, so an event of POOL_ROW_STEPS or more runs
+    them on the CPUs the process may use; the pool is byte-identical to
+    the in-process loop's.
+    """
     cfg = SynthesisConfig(
         count=config.syn_per_client,
         steps=config.syn_steps,
@@ -309,13 +393,12 @@ def run_event(model: Model, clients, config: ExperimentConfig, round_index: int)
         scale=config.mu,
         kl_eps=config.kl_eps,
     )
-    rows = []
-    for client in clients:
-        rng = np.random.default_rng(
-            derive_seed(config.seed, f"synthesis/round={round_index}/client={client.client_id}")
-        )
-        rows.append(synthesize(model, client.shard, client.prototypes, cfg, rng, client.client_id).samples)
-    return SynthesisEvent(round_index, model_fingerprint(model), model.feature_dim, np.concatenate(rows))
+    job = functools.partial(_job, model, cfg, config.seed, round_index)
+    workers = _pool_size(clients, cfg)
+    rows = _pooled_jobs(workers, job, clients) if workers else [job(client) for client in clients]
+    # rows back from a worker carry an equal but distinct dtype, which concatenates to plain void rows
+    pool = np.concatenate(rows, dtype=_row_dtype(model.input_dim))
+    return SynthesisEvent(round_index, model_fingerprint(model), model.feature_dim, pool)
 
 
 def dump_synthetic_dataset(

@@ -1,9 +1,11 @@
 import json
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fedsynth.synthesis as synthesis
 from fedsynth.config import config_from_dict
 from fedsynth.data import make_blobs
 
@@ -33,6 +35,17 @@ def divergence_probe(**overrides):
     base = json.loads((Path(__file__).resolve().parent.parent / "configs" / "default.json").read_text())
     base["dataset"]["per_class"] = 50
     return config_from_dict({**base, "rounds": 4, "syn_interval": 2, "syn_steps": 50, "seed": 1, **overrides})
+
+
+def force_pool(monkeypatch):
+    """Run every synthesis event on two forked workers, whatever its size and the CPUs this process may use."""
+    monkeypatch.setattr(synthesis, "POOL_ROW_STEPS", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+@pytest.fixture
+def forced_pool(monkeypatch):
+    force_pool(monkeypatch)
 
 
 @pytest.fixture

@@ -67,6 +67,13 @@ def test_seed_one_trajectory_is_pinned(algorithm, tmp_path):
     assert artifact_digest(tmp_path) == GOLDEN[algorithm]
 
 
+@pytest.mark.parametrize("algorithm", ["fmds_fl", "hfmds_fl"])
+def test_pooled_synthesis_keeps_the_pinned_trajectory(algorithm, tmp_path, forced_pool):
+    # 20,000 row-steps an event, at POOL_ROW_STEPS: forcing the workers covers a box with one CPU too
+    run_experiment(short_desk_config(algorithm, tmp_path))
+    assert artifact_digest(tmp_path) == GOLDEN[algorithm]
+
+
 def test_ragged_shards_trajectory_is_pinned(tmp_path):
     run_experiment(short_desk_config("hfmds_fl", tmp_path, partition=RAGGED, active_clients=6))
     assert artifact_digest(tmp_path) == RAGGED_GOLDEN
