@@ -188,6 +188,17 @@ def _stratified_indices(shard: Dataset, n: int, rng: np.random.Generator) -> Arr
     return np.concatenate(chosen).astype(np.int64)
 
 
+def _cam_masks(model: Model, labels: Array) -> Array:
+    """ReLU of the CAM at each label, a (1, width, n) mask.
+
+    The CAM of class y is the gradient of logit y w.r.t. the features
+    (Grad-CAM, arXiv:1610.02391); the classifier is exactly the last dense
+    layer, so it is column y of that layer's weight, whatever the features
+    are. A label whose column has no positive entry gets an all-zero mask.
+    """
+    return np.maximum(model._plan[model._split][0][..., labels], 0.0)
+
+
 def _matching_targets(
     model: Model, reals: Array, labels: Array, prototypes, scale: float
 ) -> tuple[Array, Array]:
@@ -197,41 +208,50 @@ def _matching_targets(
     `model`, and both results are (1, width, n). The target is each real's
     feature, hardened against its class prototype (row `label` of the
     (classes, width) `prototypes`) unless `prototypes` is None; the mask is
-    ReLU of the CAM at the sample's label. The CAM of class y is the
-    gradient of logit y w.r.t. the features (Grad-CAM, arXiv:1610.02391);
-    the classifier is exactly the last dense layer, so it is column y of
-    that layer's weight, whatever the features are.
+    `_cam_masks` at the sample's label.
     """
     z = model.extract(reals)
     targets = z if prototypes is None else hard_feature(z, prototypes[labels].T[None], scale)
-    weight = model._plan[model._split][0]
-    masks = np.maximum(weight[..., labels], 0.0)
+    masks = _cam_masks(model, labels)
     return _softmax(targets * masks), masks
+
+
+def _masked_walk(model: Model, x: Array, masks: Array, tape: Tape) -> tuple[Array, Array]:
+    """Walk a (1, dim, n) batch on `tape`: q, the softmax of the masked features, and the tape's logits.
+
+    The synthesis loss (`_row_losses`) and its gradient (`_input_grad`)
+    are both taken from one such walk.
+    """
+    features, logits = model.forward(x, tape)
+    q = features * masks
+    return _softmax(q, out=q), logits
+
+
+def _row_losses(q: Array, logits: Array, target_probs: Array, labels: Array, cfg: SynthesisConfig) -> Array:
+    """Per-sample synthesis loss, masked KL + cross entropy, from a `_masked_walk`'s (q, logits): (1, n)."""
+    kl = (target_probs * (np.log(target_probs + cfg.kl_eps) - np.log(q + cfg.kl_eps))).sum(axis=-2)
+    ce = -log_softmax(logits)[:, labels, np.arange(len(labels))]
+    return kl + ce
 
 
 def _input_grad(
     model: Model,
-    x: Array,
+    tape: Tape,
+    q: Array,
+    logits: Array,
     target_probs: Array,
     masks: Array,
     onehot: Array,
     cfg: SynthesisConfig,
-    tape: Tape | None = None,
 ) -> Array:
-    """Gradient w.r.t. x of the samples' summed synthesis loss, in closed form.
+    """Gradient w.r.t. the walked batch of the samples' summed synthesis loss, in closed form.
 
-    `x` is a (1, dim, n) batch, walked on `tape` (a fresh one when None);
-    the gradient is the tape's. Cross entropy enters at the logits as
-    softmax - onehot. The masked KL enters at the features: with q the
-    softmax of the masked features, d/dq of -sum p*log(q+eps) is
+    (q, logits) is the `_masked_walk` last taken on `tape`; the gradient
+    is the tape's. Cross entropy enters at the logits as softmax - onehot.
+    The masked KL enters at the features: d/dq of -sum p*log(q+eps) is
     -p/(q+eps), followed by the softmax and mask backward passes. An
     all-zero mask gives the sample no matching gradient.
     """
-    if tape is None:
-        tape = Tape(model, x.shape[-1])
-    features, logits = model.forward(x, tape)
-    q = features * masks
-    _softmax(q, out=q)
     # d_features = q * (s - r) * masks with r = p / (q + eps) and s = sum(r * q), in place
     g = np.add(q, cfg.kl_eps, out=tape.d_features)
     np.divide(target_probs, g, out=g)
@@ -241,22 +261,6 @@ def _input_grad(
     d_logits = _softmax(logits, out=tape.d_logits)
     d_logits -= onehot
     return backward_input(model, tape, d_logits, g)
-
-
-def _row_losses(
-    model: Model,
-    x: Array,
-    target_probs: Array,
-    masks: Array,
-    labels: Array,
-    cfg: SynthesisConfig,
-) -> Array:
-    """Per-sample synthesis loss, masked KL + cross entropy, of a (1, dim, n) batch: (1, n)."""
-    features, logits = model.forward(x)
-    q = _softmax(features * masks)
-    kl = (target_probs * (np.log(target_probs + cfg.kl_eps) - np.log(q + cfg.kl_eps))).sum(axis=-2)
-    ce = -log_softmax(logits)[:, labels, np.arange(len(labels))]
-    return kl + ce
 
 
 def synthesize(
@@ -273,7 +277,9 @@ def synthesize(
     optimized jointly, as one feature-major (1, dim, n) batch against the
     stack of one `model`, for `cfg.steps` Adam steps on one tape, clamping inputs into [0, 1] after
     every step. Labels are copied from the paired reals and the loss of
-    each sample is recorded at initialization and after the final step.
+    each sample is recorded at initialization and after the final step,
+    from the walks the steps take: one before the first step and one
+    after each, all on the job's tape.
     """
     if len(shard) == 0:
         raise ValueError("cannot synthesize from an empty shard")
@@ -282,21 +288,20 @@ def synthesize(
     labels = shard.labels[pair_idx]
 
     target_probs, masks = _matching_targets(model, shard.inputs[pair_idx].T[None], labels, prototypes, cfg.scale)
-    zero_rows = int((~masks.any(axis=-2)).sum())
-    if zero_rows:
-        logger.warning("synthesize: %d of %d samples have all-zero CAM masks", zero_rows, n)
     onehot = np.eye(model.class_count)[:, labels][None]
 
     # the job's one tape; the inputs live in it, where its first dense layer reads them
     tape = Tape(model, n)
     x_hat = tape.input
     x_hat[0] = rng.standard_normal((n, shard.inputs.shape[1])).T
-    initial = _row_losses(model, x_hat, target_probs, masks, labels, cfg)
+    walk = _masked_walk(model, x_hat, masks, tape)
+    initial = _row_losses(*walk, target_probs, labels, cfg)
     optimizer = Adam(cfg.adam_lr)
     for _ in range(cfg.steps):
-        optimizer.step(x_hat, _input_grad(model, x_hat, target_probs, masks, onehot, cfg, tape))
+        optimizer.step(x_hat, _input_grad(model, tape, *walk, target_probs, masks, onehot, cfg))
         x_hat.clip(0.0, 1.0, out=x_hat)
-    final = _row_losses(model, x_hat, target_probs, masks, labels, cfg)
+        walk = _masked_walk(model, x_hat, masks, tape)
+    final = _row_losses(*walk, target_probs, labels, cfg)
 
     return SyntheticDataset(synthetic_rows(shard, pair_idx, x_hat[0].T, initial[0], final[0], client_id))
 
@@ -311,17 +316,6 @@ POOL_ROW_STEPS = 20_000
 _worker_event = None
 
 
-class _Records(logging.Handler):
-    """Keeps the records a worker's job logs, for the parent to emit in client order."""
-
-    def __init__(self):
-        super().__init__()
-        self.records = []
-
-    def emit(self, record: logging.LogRecord) -> None:
-        self.records.append(record)
-
-
 def _job(model: Model, cfg: SynthesisConfig, seed: int, round_index: int, client) -> Array:
     """One client's rows of a synthesis event, from its own round stream."""
     rng = np.random.default_rng(derive_seed(seed, f"synthesis/round={round_index}/client={client.client_id}"))
@@ -329,18 +323,15 @@ def _job(model: Model, cfg: SynthesisConfig, seed: int, round_index: int, client
 
 
 def _start_worker(*event) -> None:
-    """Worker initializer: hold the event's arguments, which arrive by fork, and keep this logger's records."""
+    """Worker initializer: hold the event's arguments, which arrive by fork."""
     global _worker_event
     _worker_event = event
-    logger.handlers, logger.propagate = [_Records()], False
 
 
-def _worker_job(index: int) -> tuple[Array, list[logging.LogRecord]]:
-    """Client `index`'s job in a worker: its rows and the records it logged."""
+def _worker_job(index: int) -> Array:
+    """Client `index`'s rows, made in a worker."""
     job, clients = _worker_event
-    kept = logger.handlers[0]
-    kept.records = []
-    return job(clients[index]), kept.records
+    return job(clients[index])
 
 
 def _pool_size(clients, cfg: SynthesisConfig) -> int:
@@ -357,12 +348,11 @@ def _pooled_jobs(workers: int, job, clients) -> list:
     """Every client's rows, `job(client)` on `workers` forked processes, as the in-process loop makes them.
 
     The workers inherit numpy's error state with the fork. Results are
-    taken in client order, each job's log records emitted here before the
-    next job's, so the first failing client raises its error after the
-    records of the clients before it (a failing job's own records are
-    lost with it); the jobs not yet started are then cancelled. A worker
-    that dies mid-job raises `BrokenProcessPool` instead of leaving the
-    event waiting. No worker outlives the call.
+    taken in client order, so the first failing client raises its error,
+    and the jobs not yet started are then cancelled. A worker that dies
+    mid-job raises `BrokenProcessPool` instead of leaving the event
+    waiting. A job sends back its rows only, so no log record crosses the
+    fork. No worker outlives the call.
     """
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -371,12 +361,7 @@ def _pooled_jobs(workers: int, job, clients) -> list:
     # pickling and no fresh import; with fork the executor starts every worker
     # before its own manager thread
     with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"), _start_worker, (job, clients)) as executor:
-        rows = []
-        for samples, records in executor.map(_worker_job, range(len(clients))):
-            for record in records:
-                logger.handle(record)
-            rows.append(samples)
-    return rows
+        return list(executor.map(_worker_job, range(len(clients))))
 
 
 def run_event(model: Model, clients, config: ExperimentConfig, round_index: int) -> SynthesisEvent:
@@ -384,7 +369,10 @@ def run_event(model: Model, clients, config: ExperimentConfig, round_index: int)
 
     The jobs are independent, so an event of POOL_ROW_STEPS or more runs
     them on the CPUs the process may use; the pool is byte-identical to
-    the in-process loop's.
+    the in-process loop's. Once every job has made its rows, each client
+    with rows of an all-zero CAM mask gets one warning, in client order,
+    counted here from its rows' labels; an event whose job raises warns
+    of none.
     """
     cfg = SynthesisConfig(
         count=config.syn_per_client,
@@ -396,6 +384,10 @@ def run_event(model: Model, clients, config: ExperimentConfig, round_index: int)
     job = functools.partial(_job, model, cfg, config.seed, round_index)
     workers = _pool_size(clients, cfg)
     rows = _pooled_jobs(workers, job, clients) if workers else [job(client) for client in clients]
+    for samples in rows:
+        zero_rows = int((~_cam_masks(model, samples["label"]).any(axis=-2)).sum())
+        if zero_rows:
+            logger.warning("synthesize: %d of %d samples have all-zero CAM masks", zero_rows, len(samples))
     # rows back from a worker carry an equal but distinct dtype, which concatenates to plain void rows
     pool = np.concatenate(rows, dtype=_row_dtype(model.input_dim))
     return SynthesisEvent(round_index, model_fingerprint(model), model.feature_dim, pool)

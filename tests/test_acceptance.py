@@ -33,6 +33,7 @@ from fedsynth.runner import execute, run_experiment
 from fedsynth.synthesis import (
     SynthesisConfig,
     _input_grad,
+    _masked_walk,
     _matching_targets,
     _row_losses,
     hard_feature,
@@ -133,10 +134,13 @@ def test_criterion_1_gradient_integrity():
         labels = np.array([y])
         target_probs, masks = _matching_targets(model, x.reshape(1, -1, 1), labels, protos, scale)
         onehot = np.eye(classes)[labels].T[None]
-        closed_grad = _input_grad(model, x_hat.data.reshape(1, -1, 1), target_probs, masks, onehot, cfg)[0, :, 0]
+        tape = Tape(model, 1)
+        walk = _masked_walk(model, x_hat.data.reshape(1, -1, 1), masks, tape)
+        closed_grad = _input_grad(model, tape, *walk, target_probs, masks, onehot, cfg)[0, :, 0]
 
         def closed_value(x_hat_data):
-            return float(_row_losses(model, x_hat_data.reshape(1, -1, 1), target_probs, masks, labels, cfg)[0, 0])
+            walk = _masked_walk(model, x_hat_data.reshape(1, -1, 1), masks, Tape(model, 1))
+            return float(_row_losses(*walk, target_probs, labels, cfg)[0, 0])
 
         def central(step, plus, minus):
             return (plus(step) - minus(step)) / (2 * step)

@@ -57,7 +57,15 @@ def test_a_pooled_event_emits_the_loops_rows_and_zero_cam_warnings_in_client_ord
     assert pool.tobytes() == loop_pool.tobytes()
     assert warnings == loop_warnings
     assert len({args for _, args in warnings}) > 1  # the order is visible
-    assert loop_processes == {os.getpid()} and os.getpid() not in processes  # made in the workers
+    # one warning per client with dead-label rows, in client order, counted from its rows
+    dead = ~(last[0] > 0).any(axis=0)
+    expected = []
+    for client in state.clients:
+        labels = pool["label"][pool["client"] == client.client_id]
+        if dead[labels].any():
+            expected.append(("synthesize: %d of %d samples have all-zero CAM masks", (int(dead[labels].sum()), len(labels))))
+    assert warnings == expected
+    assert loop_processes == processes == {os.getpid()}  # counted in the parent on both paths
 
 
 def test_a_failing_pooled_job_fails_the_round_as_in_process_and_leaves_no_worker(monkeypatch, tmp_path, capsys):

@@ -21,7 +21,7 @@ from graph_reference import (
 from fedsynth.autodiff import Adam, Model, Tape
 from fedsynth.config import config_from_dict, derive_seed
 from fedsynth.data import make_blobs
-from fedsynth.engine import run_round
+from fedsynth.engine import ClientState, run_round
 from fedsynth.errors import ConfigError
 from fedsynth.metrics import psnr
 from fedsynth.runner import build_state, run_experiment
@@ -29,6 +29,7 @@ from fedsynth.synthesis import (
     SynthesisConfig,
     SynthesisEvent,
     _input_grad,
+    _masked_walk,
     _matching_targets,
     _row_losses,
     _softmax,
@@ -386,7 +387,9 @@ class TestProductionPath:
             target_probs, masks = _matching_targets(model, reals.T[None], labels, protos, cfg.scale)
             onehot = np.eye(model.class_count)[labels].T[None]
             x = np.random.default_rng(43).standard_normal(reals.shape)
-            grad = _input_grad(model, x.T[None], target_probs, masks, onehot, cfg)[0].T
+            tape = Tape(model, len(x))
+            walk = _masked_walk(model, x.T[None], masks, tape)
+            grad = _input_grad(model, tape, *walk, target_probs, masks, onehot, cfg)[0].T
 
             expected = np.empty_like(x)
             for i in range(len(x)):
@@ -397,23 +400,16 @@ class TestProductionPath:
             assert np.any(grad[labels == 0] != 0)  # cross entropy still drives zero-mask rows
 
     def test_recorded_losses_equal_per_row_synthesis_loss(self, arch, caplog):
-        for model, shard, protos, cfg in self.setup_cases(arch):
-            caplog.clear()
-            with caplog.at_level(logging.WARNING, logger="fedsynth.synthesis"):
-                syn = synthesize(model, shard, protos, cfg, np.random.default_rng(44))
+        cases = self.setup_cases(arch)
+        # a job wider than 128 rows takes its losses from the same whole-batch taped walks
+        wide, _ = make_blobs(3, 5, 50, 0.25, seed=41)
+        cases.append((cases[0][0], wide, None, SynthesisConfig(count=130, steps=3, scale=0.5)))
+        for model, shard, protos, cfg in cases:
+            syn = synthesize(model, shard, protos, cfg, np.random.default_rng(44))
 
             # replay the generator: pair draw, then the Gaussian initial inputs
             replay = np.random.default_rng(44)
             pair_idx = _stratified_indices(shard, cfg.count, replay)
-            # the warning counts rows, each reduced over the width axis of the
-            # (1, width, n) masks: the rows whose label's classifier column has
-            # no positive entry. perfbench's ZeroCamCounter parses the message
-            # and reads the row count from its first argument.
-            dead = ~(model.params[f"dense{len(model.params) // 2 - 1}.weight"][0] > 0).any(axis=0)
-            zero_rows = int(dead[shard.labels[pair_idx]].sum())
-            assert zero_rows >= np.count_nonzero(shard.labels[pair_idx] == 0) > 0
-            warnings = [(rec.msg, rec.args) for rec in caplog.records if rec.name == "fedsynth.synthesis"]
-            assert warnings == [("synthesize: %d of %d samples have all-zero CAM masks", (zero_rows, len(pair_idx)))]
             x0 = replay.standard_normal((len(pair_idx), shard.inputs.shape[1]))
             assert [s.paired_index for s in syn.samples] == pair_idx.tolist()
             for s, x_init in zip(syn.samples, x0):
@@ -422,6 +418,20 @@ class TestProductionPath:
                 final = float(self.per_row_loss(model, Tensor(s.x), real, s.label, protos, cfg).data)
                 assert abs(s.initial_loss - initial) <= 1e-12 * abs(initial)
                 assert abs(s.final_loss - final) <= 1e-12 * abs(final)
+
+            # the event warns of the job's zero-CAM rows: the rows whose label's
+            # classifier column has no positive entry. perfbench's ZeroCamCounter
+            # parses the message and reads the row count from its first argument.
+            clients = [ClientState(3, shard, np.random.default_rng(0), protos)]
+            config = small_config(syn_per_client=cfg.count, syn_steps=cfg.steps, mu=cfg.scale)
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="fedsynth.synthesis"):
+                pool = run_event(model, clients, config, 2).pool
+            dead = ~(model.params[f"dense{len(model.params) // 2 - 1}.weight"][0] > 0).any(axis=0)
+            zero_rows = int(dead[pool["label"]].sum())
+            assert zero_rows >= np.count_nonzero(pool["label"] == 0) > 0
+            warnings = [(rec.msg, rec.args) for rec in caplog.records if rec.name == "fedsynth.synthesis"]
+            assert warnings == [("synthesize: %d of %d samples have all-zero CAM masks", (zero_rows, len(pool)))]
 
     def test_one_adam_step_per_synthesis_step(self, arch, monkeypatch):
         calls = []
@@ -436,6 +446,21 @@ class TestProductionPath:
             calls.clear()
             synthesize(model, shard, protos, SynthesisConfig(count=6, steps=7), np.random.default_rng(45))
             assert len(calls) == 7
+
+    def test_a_job_walks_once_before_its_steps_and_once_after_each_on_its_tape(self, arch, monkeypatch):
+        tapes = []
+        original = Model.forward
+
+        def recording(self, batch, tape=None):
+            tapes.append(tape)
+            return original(self, batch, tape)
+
+        monkeypatch.setattr(Model, "forward", recording)
+        for model, shard, protos, cfg in self.setup_cases(arch):
+            tapes.clear()
+            synthesize(model, shard, protos, cfg, np.random.default_rng(45))
+            assert len(tapes) == cfg.steps + 1
+            assert tapes[0] is not None and all(tape is tapes[0] for tape in tapes)
 
 
 @pytest.mark.parametrize("arch", [*PRODUCTION_ARCHS.values(), ["relu", "dense(5,8)", "relu", "dense(8,3)"]],
@@ -454,13 +479,20 @@ def test_a_reused_tape_is_bitwise_fresh_buffers_on_every_step(arch):
     target_probs, masks = _matching_targets(model, shard.inputs[pair_idx].T[None], labels, protos, cfg.scale)
     onehot = np.eye(3)[labels].T[None]
     x = replay.standard_normal((len(pair_idx), 5)).T[None].copy()
-    initial = _row_losses(model, x, target_probs, masks, labels, cfg)
+
+    def walk():
+        """One walk of x on a fresh tape: the tape and its (q, logits)."""
+        fresh = Tape(model, len(pair_idx))
+        return fresh, *_masked_walk(model, x, masks, fresh)
+
+    fresh, q, logits = walk()
+    initial = _row_losses(q, logits, target_probs, labels, cfg)
     optimizer = Adam(cfg.adam_lr)
     for _ in range(cfg.steps):
-        fresh = Tape(model, len(pair_idx))
-        optimizer.step(x, _input_grad(model, x, target_probs, masks, onehot, cfg, fresh).copy())
+        optimizer.step(x, _input_grad(model, fresh, q, logits, target_probs, masks, onehot, cfg).copy())
         x.clip(0.0, 1.0, out=x)
-    final = _row_losses(model, x, target_probs, masks, labels, cfg)
+        fresh, q, logits = walk()
+    final = _row_losses(q, logits, target_probs, labels, cfg)
     assert np.array_equal(syn.samples["x"], x[0].T)
     assert syn.samples["initial_loss"].tolist() == initial[0].tolist()
     assert syn.samples["final_loss"].tolist() == final[0].tolist()
