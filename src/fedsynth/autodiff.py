@@ -12,7 +12,8 @@ blockᵀ @ [h; 1], against its input augmented with a ones row, and its
 parameter gradient is one matmul, [h; 1] @ gᵀ, written straight into the
 block's slice of the gradient. A `Tape` holds every buffer a walk writes:
 the augmented inputs, the relu masks and the gradients. A training or
-synthesis job makes one and reuses it on every step.
+synthesis job makes one and reuses it on every step, a walk without one
+runs on a fresh one, and a wide tape multiplies in 128-sample pieces.
 
 Gradients are written out by hand: `backward` walks the layers in reverse
 over the tape, with cross entropy entering at the logits
@@ -144,13 +145,20 @@ def architecture_layout(architecture: tuple[str, ...]) -> _Layout:
     return _Layout(layers, dense[-1], dense[0], tuple(params), tuple(blocks))
 
 
-# samples per walk of a batch given without a tape (evaluation, the feature
-# export). OpenBLAS runs a product of more than 262,144 multiply-adds on
-# several threads, and where it splits the samples changes how a sample's
-# column rounds. Pieces of 128 keep a product of layers up to 32 wide on one
-# thread, and as a multiple of the 8-column kernel they round each column as
-# one unsplit single-thread walk does
+# samples per product over a tape's samples. OpenBLAS runs a product of more
+# than 262,144 multiply-adds on several threads, and where it splits the
+# samples changes how a sample's column rounds. Pieces of 128 keep a product
+# of layers up to 32 wide on one thread, and as a multiple of the 8-column
+# kernel they round each column as one unsplit single-thread walk does
 _COLUMNS = 128
+
+
+def _pieces(*arrays: Array) -> tuple[tuple[Array, ...], ...]:
+    """(..., batch) arrays in pieces of `_COLUMNS` samples, the last ragged: a tuple of views per piece, or the arrays."""
+    n = arrays[0].shape[-1]
+    if n <= _COLUMNS:
+        return (arrays,)
+    return tuple(tuple(a[..., lo : lo + _COLUMNS] for a in arrays) for lo in range(0, n, _COLUMNS))
 
 
 def _block_views(vector: Array, blocks: tuple) -> list[Array]:
@@ -218,17 +226,6 @@ class Model:
     def class_count(self) -> int:
         return self._layers[self._split][2]
 
-    def _check(self, batch, tape: "Tape | None", width: int, kind: str) -> Array:
-        """Check a (models, width, batch) input and the tape it is to run on."""
-        h = np.asarray(batch)
-        if h.ndim != 3 or len(h) != len(self.flat) or h.shape[1] != width:
-            noun = "batch" if kind == "input" else "feature"
-            raise ValueError(f"{noun} shape {h.shape} incompatible with {len(self.flat)} models of {kind} width {width}")
-        if tape is not None and tape.logits.shape[::2] != (len(self.flat), h.shape[2]):
-            shape = tape.logits.shape[::2]
-            raise ValueError(f"a tape of shape {shape} cannot run {len(self.flat)} models on {h.shape[2]} samples")
-        return h
-
     def _walk(self, h: Array, tape: "Tape", start: int, stop: int) -> tuple[Array, Array]:
         """Run layers [start, stop) on the tape from a checked input `h`; returns the tape's (features, logits).
 
@@ -250,34 +247,29 @@ class Model:
                 np.greater(source, 0.0, out=mask)
                 np.maximum(source, 0.0, out=slot)
             else:
-                act, out = steps[i][:2]
-                np.matmul(layer[1].swapaxes(-1, -2), act, out=out)
+                for act, out, _, _ in steps[i][0]:
+                    np.matmul(layer[1].swapaxes(-1, -2), act, out=out)
         return tape.features, tape.logits
 
     def _run(self, batch, tape: "Tape | None", start: int, stop: int, kind: str) -> tuple[Array, Array]:
-        """Check an input and walk it on `tape`; without one, into fresh outputs, `_COLUMNS` samples at a time."""
-        h = self._check(batch, tape, self.feature_dim if start else self.input_dim, kind)
-        if tape is not None:
-            return self._walk(h, tape, start, stop)
-        n = h.shape[2]
-        if n <= _COLUMNS:
-            return self._walk(h, Tape(self, n), start, stop)
-        outputs = np.empty((len(h), self.feature_dim, n)), np.empty((len(h), self.class_count, n))
-        tape = Tape(self, _COLUMNS)
-        for lo in range(0, n, _COLUMNS):
-            piece = h[..., lo : lo + _COLUMNS]
-            if piece.shape[2] != tape.batch:
-                tape = Tape(self, piece.shape[2])
-            for out, part in zip(outputs, self._walk(piece, tape, start, stop)):
-                out[..., lo : lo + _COLUMNS] = part
-        return outputs
+        """Check a (models, width, batch) input and walk it on `tape`, or on a fresh tape of the whole batch."""
+        width, h = self.feature_dim if start else self.input_dim, np.asarray(batch)
+        if h.ndim != 3 or len(h) != len(self.flat) or h.shape[1] != width:
+            noun = "batch" if kind == "input" else "feature"
+            raise ValueError(f"{noun} shape {h.shape} incompatible with {len(self.flat)} models of {kind} width {width}")
+        if tape is None:
+            tape = Tape(self, h.shape[2])
+        elif tape.logits.shape[::2] != (len(self.flat), h.shape[2]):
+            shape = tape.logits.shape[::2]
+            raise ValueError(f"a tape of shape {shape} cannot run {len(self.flat)} models on {h.shape[2]} samples")
+        return self._walk(h, tape, start, stop)
 
     def extract(self, batch, tape: "Tape | None" = None) -> Array:
         """Extractor forward pass of a (models, input width, batch) batch; returns the features.
 
         With a `tape`, the walk writes into its buffers and the features are
-        the tape's (a later walk on it overwrites them); without, the result
-        is a fresh array, the caller's to keep. The batch is never written.
+        the tape's (a later walk on it overwrites them); without, they are a
+        fresh tape's, the caller's to keep. The batch is never written.
         For a single dense layer the features are the batch itself.
         """
         return self._run(batch, tape, 0, self._split, "input")[0]
@@ -308,8 +300,11 @@ class Tape:
       dense layer's input gradient, and `d_logits` and `d_features`, where
       a caller may write the loss gradients it passes in.
 
-    `prefix(size)` views the first `size` models of every buffer, for a
-    stack that drops the models that have finished.
+    A tape wider than `_COLUMNS` samples runs every product over them on
+    views of `_COLUMNS` columns, the last ragged, bound here once; a block
+    gradient sums its pieces' products in piece order, and relus and masks
+    run whole. `prefix(size)` views the first `size` models of every
+    buffer, for a stack that drops the models that have finished.
     """
 
     def __init__(self, model: Model, batch: int):
@@ -345,31 +340,26 @@ class Tape:
         self.input = rows[0] if source is None else source
         self.features = rows[-1]
         outputs = rows[1:] + [logits]
+        out_grads = deltas[1:] + [d_logits]  # the gradient at each dense layer's output
         blocks = _block_views(grad, layout.blocks)
-        # per layer: (mask, slot) of a relu; (input, output, gradient block, input gradient) of a dense layer
+        # per layer: (mask, slot) of a relu; of a dense layer, its pieces, each (input, output, output
+        # gradient, input gradient), then its gradient block and its input gradient
         self._steps, d = [], 0
         for mask, layer in zip(masks, layout.layers):
             if layer[0] == "relu":
                 self._steps.append((mask, rows[d]))
-            else:
-                self._steps.append((acts[d], outputs[d], blocks[d], deltas[d]))
-                d += 1
+                continue
+            self._steps.append((_pieces(acts[d], outputs[d], out_grads[d], deltas[d]), blocks[d], deltas[d]))
+            d += 1
 
     def prefix(self, size: int) -> "Tape":
         """The first `size` models of this tape, sharing its memory."""
-        acts, masks, source, logits, grad, deltas, d_logits, d_features = self._buffers
+
+        def first(buffer):  # a list holds one buffer per layer, None where a layer has none
+            return None if buffer is None else [first(b) for b in buffer] if isinstance(buffer, list) else buffer[:size]
+
         tape = object.__new__(Tape)
-        tape._bind(
-            self._layout,
-            [a[:size] for a in acts],
-            [None if m is None else m[:size] for m in masks],
-            None if source is None else source[:size],
-            logits[:size],
-            grad[:size],
-            [g[:size] for g in deltas],
-            d_logits[:size],
-            d_features[:size],
-        )
+        tape._bind(self._layout, *map(first, self._buffers))
         return tape
 
 
@@ -384,22 +374,28 @@ def backward(model: Model, tape: Tape, d_logits: Array, d_features: Array | None
     output, and the walk stops at the first dense layer. Without, returns
     the tape's gradient w.r.t. the batch. Either is the tape's, rewritten
     by the next backward on it. Neither `d_logits` nor `d_features` is
-    written to.
+    written to; a `d_logits` other than the tape's is copied into it.
     """
     plan, steps = model._plan, tape._steps
-    g = d_logits
+    if d_logits is not tape.d_logits:  # the products read the tape's pieces
+        if np.shape(d_logits) != tape.d_logits.shape:
+            raise ValueError(f"logit gradients must have shape {tape.d_logits.shape}, got {np.shape(d_logits)}")
+        tape.d_logits[...] = d_logits
     for i in range(len(plan) - 1, -1, -1):
         layer = plan[i]
         if layer is None:
             g *= steps[i][0]  # g is the tape's: the top layer is dense
             continue
-        act, _, grad_block, delta = steps[i]
+        pieces, grad_block, g = steps[i]
         if params:
-            np.matmul(act, g.swapaxes(-1, -2), out=grad_block)
+            act, _, piece, _ = pieces[0]
+            np.matmul(act, piece.swapaxes(-1, -2), out=grad_block)
+            for act, _, piece, _ in pieces[1:]:  # a wide tape sums its pieces' products in piece order
+                grad_block += act @ piece.swapaxes(-1, -2)
             if i == model._first_dense:
                 return tape.grad  # nothing below the first dense layer has parameters
-        np.matmul(layer[0], g, out=delta)
-        g = delta
+        for _, _, piece, out in pieces:
+            np.matmul(layer[0], piece, out=out)
         if i == model._split and d_features is not None:
             g += d_features
     return g

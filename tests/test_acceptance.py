@@ -318,18 +318,20 @@ def test_criterion_7_determinism(tmp_path):
 
     metrics = strip_wall((out / "metrics.csv").read_text())
     manifest = (out / "manifest.json").read_bytes()
+    features = (out / "features.csv").read_bytes()
     dumps = {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.glob("synthesis_round_*/*"))}
     assert dumps, "expected synthesis dumps"
 
     run_experiment(cfg)
     same_metrics = strip_wall((out / "metrics.csv").read_text()) == metrics
     same_manifest = (out / "manifest.json").read_bytes() == manifest
+    same_features = (out / "features.csv").read_bytes() == features
     same_dumps = all((out / rel).read_bytes() == blob for rel, blob in dumps.items())
     report(
         7,
         "repeat run byte-identical: metrics.csv (wall-clock column excluded) "
-        f"{same_metrics}, manifest {same_manifest}, {len(dumps)} dump files {same_dumps}",
-        same_metrics and same_manifest and same_dumps,
+        f"{same_metrics}, manifest {same_manifest}, features.csv {same_features}, {len(dumps)} dump files {same_dumps}",
+        same_metrics and same_manifest and same_features and same_dumps,
     )
 
 

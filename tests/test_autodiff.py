@@ -661,6 +661,10 @@ def test_extract_and_classify_reject_wrong_width():
         model.classify(np.zeros((1, 3, 2)))
     with pytest.raises(ValueError, match="cannot run 1 models on 2 samples"):
         model.forward(np.zeros((1, 3, 2)), Tape(model, 3))
+    tape = Tape(model, 3)
+    model.forward(np.zeros((1, 3, 3)), tape)
+    with pytest.raises(ValueError, match=r"logit gradients must have shape \(1, 2, 3\), got \(1, 2, 1\)"):
+        backward_params(model, tape, np.ones((1, 2, 1)))
 
 
 def test_copy_and_aggregate_parse_no_architecture(monkeypatch):
@@ -738,10 +742,13 @@ class TestTapeGradients:
         targets = np.eye(4)[rng.integers(0, 4, size=(models, samples))].swapaxes(-1, -2)
         return model, batch, targets, rng.standard_normal((models, model.feature_dim, samples))
 
-    @pytest.mark.parametrize("samples", [1, 6], ids=["one_sample", "six_samples"])
+    @pytest.mark.parametrize("samples", [1, 6, 130], ids=["one_sample", "six_samples", "two_pieces"])
     @pytest.mark.parametrize("arch", list(CLOSED_FORM_ARCHS.values()), ids=list(CLOSED_FORM_ARCHS))
     def test_walk_matches_finite_differences(self, arch, samples):
-        """Every architecture, a single dense layer (the features are the input) and a leading relu among them, at n=1 too."""
+        """Every architecture, a single dense layer (the features are the input) and a leading relu among them.
+
+        At n=1 too, and at 130 samples, which the tape walks as a 128-column piece and a 2-column one.
+        """
         model, batch, targets, d_features = self.case(arch, 1, samples)
         self.check(model, Tape(model, samples), batch, targets, d_features)
 
@@ -759,34 +766,99 @@ class TestTapeGradients:
         assert np.shares_memory(tape.prefix(1).grad, tape.grad)
 
 
-WIDE_WALK = """
-import hashlib, sys
+WIDE_ARCH = ["dense(16,32)", "relu", "dense(32,32)", "relu", "dense(32,6)"]
+
+# each script prints a digest of what it computed; one BLAS thread and two must print the same
+THREAD_SCRIPTS = {
+    # the feature export of a short ragged run, walked without a tape
+    "untaped_walk": f"""
+import hashlib
 import numpy as np
 from fedsynth.autodiff import Model
-model = Model.initialize(["dense(16,32)", "relu", "dense(32,32)", "relu", "dense(32,6)"], np.random.default_rng(0))
+model = Model.initialize({WIDE_ARCH}, np.random.default_rng(0))
 features, logits = model.forward(np.random.default_rng(1).random((1, 16, 1057)))
 print(hashlib.sha256(features.tobytes() + logits.tobytes()).hexdigest())
-"""
+""",
+    # a taped walk and both backward passes, each product far past OpenBLAS's single-thread size
+    "taped_walk": f"""
+import hashlib
+import numpy as np
+from fedsynth.autodiff import Model, Tape, backward_input, backward_params
+rng = np.random.default_rng(1)
+model = Model.initialize({WIDE_ARCH}, np.random.default_rng(0))
+tape = Tape(model, 1001)
+features, logits = model.forward(rng.random((1, 16, 1001)), tape)
+d_logits, d_features = rng.standard_normal(logits.shape), rng.standard_normal(features.shape)
+walked = [features, logits, backward_params(model, tape, d_logits, d_features)]
+walked.append(backward_input(model, tape, d_logits, d_features))
+print(hashlib.sha256(b"".join(a.tobytes() for a in walked)).hexdigest())
+""",
+    # a one-round hfmds_fl run whose two synthesis jobs invert 1001 rows each, in-process
+    "synthesis_event": """
+import hashlib
+from fedsynth.config import config_from_dict
+from fedsynth.runner import execute
+cfg = config_from_dict({"dataset": {"classes": 2, "dim": 16, "per_class": 1400}, "partition": {"clients": 2},
+                        "rounds": 1, "syn_interval": 1, "syn_per_client": 1001, "syn_steps": 3, "seed": 1})
+state, _ = execute(cfg)
+assert len(state.syn_samples) == 2002
+print(hashlib.sha256(state.syn_samples.tobytes() + state.model.flat.tobytes()).hexdigest())
+""",
+}
 
 
-def test_a_wide_walk_without_a_tape_does_not_depend_on_blas_threads():
-    """1057 samples, the feature export of a short ragged run: one thread and two give the same bits.
+def digest_under_threads(script, threads):
+    """Run `script` in a fresh interpreter whose BLAS uses `threads` threads; returns what it prints."""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
 
-    The walk runs 128 samples at a time, so each piece matches its own walk exactly.
+
+@pytest.mark.parametrize("script", list(THREAD_SCRIPTS.values()), ids=list(THREAD_SCRIPTS))
+def test_a_wide_walk_does_not_depend_on_blas_threads(script):
+    """Past 128 samples every product runs on 128-column pieces, each on one thread, so one thread and two agree."""
+    assert digest_under_threads(script, "1") == digest_under_threads(script, "2")
+
+
+@pytest.mark.parametrize("walk", ["untaped", "taped", "prefix"])
+def test_a_wide_walk_is_its_pieces_walked_alone(walk):
+    """300 samples walk bit for bit as their 128-column pieces do on tapes of their own.
+
+    The walk's features, logits and input gradient are the pieces'
+    concatenated, and its parameter gradient is the sum of the pieces'
+    gradients, taken in piece order. A trimmed prefix of a two-model
+    tape walks its first model the same way.
     """
-    digests = []
-    for threads in ("1", "2"):
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
-        env["PYTHONPATH"] = os.pathsep.join(sys.path)
-        proc = subprocess.run([sys.executable, "-c", WIDE_WALK], capture_output=True, text=True, env=env, timeout=60)
-        assert proc.returncode == 0, proc.stderr
-        digests.append(proc.stdout.strip())
-    assert digests[0] == digests[1]
-
-    model = Model.initialize(["dense(16,32)", "relu", "dense(32,32)", "relu", "dense(32,6)"], np.random.default_rng(0))
-    batch = np.random.default_rng(1).random((1, 16, 300))
-    features, logits = model.forward(batch)
+    rng = np.random.default_rng(1)
+    model = Model.initialize(WIDE_ARCH, np.random.default_rng(0))
+    batch = rng.random((1, 16, 300))
+    d_logits, d_features = rng.standard_normal((1, 6, 300)), rng.standard_normal((1, 32, 300))
+    if walk == "untaped":
+        walked = model.forward(batch)
+    else:
+        if walk == "taped":
+            tape = Tape(model, 300)
+        else:  # the first model of a two-model tape that walked both
+            stack = Model(WIDE_ARCH, np.concatenate([model.flat, make_mlp(WIDE_ARCH, seed=5).flat]))
+            whole = Tape(stack, 300)
+            stack.forward(np.concatenate([batch, rng.random((1, 16, 300))]), whole)
+            tape = whole.prefix(1)
+        walked = [a.copy() for a in model.forward(batch, tape)]
+        walked.append(backward_input(model, tape, d_logits, d_features).copy())
+        grad = backward_params(model, tape, d_logits, d_features)
+    pieces, summed = [], None
     for lo in (0, 128, 256):
-        piece = model.forward(batch[..., lo : lo + 128], Tape(model, min(128, 300 - lo)))
-        assert np.array_equal(features[..., lo : lo + 128], piece[0])
-        assert np.array_equal(logits[..., lo : lo + 128], piece[1])
+        cut = slice(lo, lo + 128)
+        own = Tape(model, min(128, 300 - lo))
+        pieces.append([a.copy() for a in model.forward(batch[..., cut], own)])
+        pieces[-1].append(backward_input(model, own, d_logits[..., cut], d_features[..., cut]).copy())
+        piece_grad = backward_params(model, own, d_logits[..., cut], d_features[..., cut])
+        summed = piece_grad.copy() if summed is None else np.add(summed, piece_grad, out=summed)
+    joined = [np.concatenate(parts, axis=-1) for parts in zip(*pieces)]
+    if walk == "untaped":
+        assert all(np.array_equal(a, b) for a, b in zip(walked, joined[:2], strict=True))
+    else:
+        assert all(np.array_equal(a, b) for a, b in zip(walked, joined, strict=True))
+        assert np.array_equal(grad, summed)
